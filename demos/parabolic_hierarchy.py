@@ -33,7 +33,7 @@ rb_level = result.scenario.rb_level
 ml_level = result.scenario.ml_level
 print(f"\nfinal reduced basis: N = {rb_level.basis.N} "
       f"(generation {rb_level.generation})")
-print(f"final training set: {ml_level.training.n} parameter points")
+print(f"final training set: {ml_level.regressor.n_train} parameter points")
 
 # certification: every surrogate answer came with a bound on the QoI error
 bounds = result.certified_bounds

@@ -17,8 +17,8 @@ from .harness import (RunConfig, baseline, build_scenario, default_config,
 from .hierarchy import (REFERENCE, CertifiedAnswer, ModelHierarchy, ModelLevel,
                         ModelOutput, ParameterBox, QueryRecord, StatsSummary,
                         summarize)
-from .mlsurrogate import (KernelRegressor, MLCoefficientLevel, TrainingSet,
-                          fit, predict_trajectory, rebase)
+from .mlsurrogate import (KernelRegressor, MLCoefficientLevel, fit,
+                          predict_trajectory, rebase)
 from .optdemo import (DescentResult, ObjectiveOracle, SurrogateObjectiveLevel,
                       FullObjectiveLevel, descend, fd_gradient, himmelblau)
 from .rb import (BasisChanged, ReducedBasis, ReducedBasisLevel,
@@ -38,7 +38,7 @@ __all__ = [
     "REFERENCE", "ReducedBasis", "ReducedBasisLevel", "ReducedSystem",
     "ReducedTrajectory", "RunConfig", "SplitMix64", "StaleGenerationError",
     "StatsSummary", "StreamAborted", "SurrogateObjectiveLevel", "Trajectory",
-    "TrainingSet", "assemble", "baseline", "build_reduced_system",
+    "assemble", "baseline", "build_reduced_system",
     "build_scenario", "coercivity_lower_bound", "compute_qoi",
     "default_config", "descend", "draw_parameters", "error_estimate",
     "extend_basis", "fd_gradient", "fit", "himmelblau", "load_config",

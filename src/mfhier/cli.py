@@ -26,9 +26,6 @@ def _add_override_flags(parser):
     parser.add_argument("--queries", type=int, dest="n_queries")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="results CSV path")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="run N independent hierarchies on disjoint "
-                             "sub-streams (separate output files)")
     parser.add_argument("--dump-trajectory", help="CSV path for the last "
                         "full-order trajectory of the run")
     parser.add_argument("--dump-basis", help="CSV path for the final reduced basis")
@@ -104,11 +101,6 @@ def main(argv=None) -> int:
             return EXIT_BAD_CONFIG
     try:
         if args.command in ("run", "baseline"):
-            if args.shards:
-                results = harness.run_sharded(config, args.shards)
-                for path, records in results:
-                    print(f"shard written: {path} ({len(records)} queries)")
-                return EXIT_OK
             result = (harness.run if args.command == "run"
                       else harness.baseline)(config)
             print(harness.format_summary(result))

@@ -52,8 +52,16 @@ class RbConfig:
 @dataclass
 class MlConfig:
     n_min: int = 10
-    lengthscale: object = 0.12  # box-scaled units; "median" selects the heuristic
+    lengthscale: float = 0.12  # box-scaled units
     ridge: float = 1e-8
+
+    def __post_init__(self):
+        for name in ("lengthscale", "ridge"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or value <= 0):
+                raise ConfigurationError(f"ml.{name} must be a positive number, "
+                                         f"got {value!r}")
 
 
 @dataclass
@@ -186,11 +194,8 @@ class Scenario:
         return self.rb_level.basis.N if self.rb_level is not None else 0
 
     def ml_n(self) -> int:
-        if self.ml_level is not None:
-            return self.ml_level.training.n
-        if self.opt_surrogate is not None:
-            return self.opt_surrogate.training.n
-        return 0
+        level = self.ml_level or self.opt_surrogate
+        return level.regressor.n_train if level is not None else 0
 
 
 def build_scenario(config: RunConfig, adaptation_enabled: bool = True) -> Scenario:
@@ -331,7 +336,7 @@ def _write_dumps(config: RunConfig, scenario: Scenario, records) -> None:
         rb.dump_basis(scenario.rb_level.basis, scenario.rb_level.pod_tol,
                       dumps["basis"])
     if "training" in dumps and scenario.ml_level is not None:
-        mlsurrogate.dump_training_set(scenario.ml_level.training, dumps["training"])
+        mlsurrogate.dump_training(scenario.ml_level.regressor, dumps["training"])
     if "trajectory" in dumps:
         for record in reversed(records):
             trajectory = getattr(record.answer.payload, "trajectory", None)
@@ -689,35 +694,3 @@ def report(path) -> ReportSummary:
         qoi_mean=qoi_sum / n if n else 0.0,
         qoi_mean_bound=bound_sum / n if n else 0.0,
     )
-
-
-# ----------------------------------------------------------------------
-# sharded mode (independent hierarchies on disjoint sub-streams)
-
-
-def run_sharded(config: RunConfig, shards: int) -> list:
-    """Split the seeded stream into contiguous blocks, one fresh hierarchy
-    per block, separate output files.  This is a different experiment from
-    the sequential run, not a parallelization of it."""
-    if shards < 1:
-        raise ConfigurationError("shards must be >= 1")
-    parameters = draw_parameters(config)
-    block = math.ceil(len(parameters) / shards) if len(parameters) else 0
-    results = []
-    for s in range(shards):
-        chunk = parameters[s * block:(s + 1) * block]
-        scenario = build_scenario(config, adaptation_enabled=True)
-        rows = []
-
-        def on_record(record, scenario=scenario, rows=rows, offset=s * block):
-            record.query_id += offset
-            payload = record.answer.payload
-            qoi = payload.qoi if config.scenario == "parabolic" else payload.j
-            rows.append(result_row(record, qoi, scenario.basis_n(),
-                                   scenario.ml_n()))
-
-        records = scenario.hierarchy.run_query_stream(chunk, on_record=on_record)
-        path = f"{config.output.results_path}.shard{s}.csv"
-        _write_rows(path, config.box.dim, rows)
-        results.append((path, records))
-    return results

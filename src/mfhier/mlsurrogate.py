@@ -3,14 +3,17 @@
 The cheapest stage regresses parameter -> reduced coefficient trajectory in
 the SAME reduced space as the reduced-basis stage, trains exclusively on
 reduced-basis solutions, and is certified by the shared residual estimator.
-A Gaussian kernel on box-scaled inputs (constant lengthscale, or the
-median-pairwise-distance heuristic) keeps the regressor deterministic and
-cheap to update after every absorbed solution.
+A Gaussian kernel with a constant lengthscale on box-scaled inputs keeps
+the regressor deterministic and cheap to update.
+
+:class:`KernelRegressor` is the only owner of the training pairs and has
+one update rule, :meth:`KernelRegressor.add`: a new, distinct input is
+bordered onto a current Cholesky factor (:meth:`KernelRegressor.append`);
+any other change marks the factor stale, and the next ``predict``
+refactors from scratch through :func:`fit`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -21,230 +24,212 @@ from .fom import ParabolicResult
 from .hierarchy import ModelLevel, ModelOutput, ParameterBox
 from .rb import BasisChanged, ReducedTrajectory, error_estimate, solve_rb
 
+_trtrs = scipy.linalg.lapack.dtrtrs
 
-@dataclass
-class TrainingSet:
-    """Input/output pairs; inputs box-scaled to [0,1]^Q, outputs flattened.
 
-    Duplicate inputs replace the stored pair, so inputs stay pairwise
-    distinct.  ``generation`` is the basis generation the outputs are
-    expressed in.
+def _gaussian(a: np.ndarray, b: np.ndarray, lengthscale: float) -> np.ndarray:
+    sq = scipy.spatial.distance.cdist(a, b, "sqeuclidean")
+    return np.exp(-sq / (2.0 * lengthscale**2))
+
+
+def fit(inputs: np.ndarray, lengthscale: float, ridge: float) -> np.ndarray:
+    """Lower Cholesky factor of (K_mat + ridge I), factored from scratch.
+
+    Fortran order, so that the LAPACK triangular solves run without
+    copying it; positive definite for ridge > 0.
     """
-
-    generation: int = 0
-    raw_inputs: list = field(default_factory=list)      # unscaled parameters
-    inputs: list = field(default_factory=list)          # scaled to [0,1]^Q
-    outputs: list = field(default_factory=list)         # flat float vectors
-    _index: dict = field(default_factory=dict)
-
-    @property
-    def n(self) -> int:
-        return len(self.inputs)
-
-    def has_input(self, mu_raw) -> bool:
-        return tuple(np.asarray(mu_raw, dtype=float)) in self._index
-
-    def add(self, mu_raw, mu_scaled, output) -> None:
-        key = tuple(np.asarray(mu_raw, dtype=float))
-        output = np.asarray(output, dtype=float).ravel()
-        if key in self._index:
-            self.outputs[self._index[key]] = output
-            return
-        self._index[key] = self.n
-        self.raw_inputs.append(np.asarray(mu_raw, dtype=float))
-        self.inputs.append(np.asarray(mu_scaled, dtype=float))
-        self.outputs.append(output)
-
-    def input_matrix(self) -> np.ndarray:
-        return np.array(self.inputs) if self.inputs else np.zeros((0, 0))
-
-    def output_matrix(self) -> np.ndarray:
-        return np.array(self.outputs) if self.outputs else np.zeros((0, 0))
-
-
-def median_lengthscale(inputs: np.ndarray) -> float:
-    """Median pairwise distance of the scaled inputs; 0.5 if degenerate."""
-    if len(inputs) < 2:
-        return 0.5
-    med = float(np.median(scipy.spatial.distance.pdist(inputs)))
-    return med if med > 0 else 0.5
+    gram = _gaussian(inputs, inputs, lengthscale)
+    gram[np.diag_indices_from(gram)] += ridge
+    return np.asfortranarray(np.linalg.cholesky(gram))
 
 
 class KernelRegressor:
     """Gaussian-kernel ridge regression, vector-valued outputs.
 
-    Stores the lower Cholesky factor of (K_mat + ridge*I) and the targets
-    in preallocated growing buffers, so that absorbing one more training
-    pair is an exact O(n^2) factor extension (``append``) instead of a
-    from-scratch refit, and the prediction matvec always streams the same
-    warm memory.  The dual weight matrix solving (K_mat + ridge*I) W = Y
-    is exposed as a lazily computed property; prediction never needs it
-    (k_row @ W == solve(K_mat + ridge*I, k_row) @ Y by symmetry).
+    Owns the training pairs in growing buffers: raw inputs (for rebase and
+    the training dump), box-scaled inputs, float32 targets, the index that
+    makes a duplicate input replace its target, and the lower Cholesky
+    factor of (K_mat + ridge I).  Nothing is allocated before the first
+    pair arrives.  Predictions need at least ``n_min`` pairs.  The targets
+    are kept (m, capacity) C-order float32: the prediction matvec streams
+    the same warm, cache-sized buffer, and the induced ~1e-7 relative noise
+    is far below the regression error this surrogate can reach.
+    ``generation`` is the basis generation the targets are expressed in.
     """
 
-    def __init__(self, inputs: np.ndarray, targets: np.ndarray,
-                 lengthscale: float, ridge: float, generation: int = 0):
-        if ridge <= 0 or lengthscale <= 0:
+    def __init__(self, box: ParameterBox, lengthscale: float = 0.12,
+                 ridge: float = 1e-8, n_min: int = 10, generation: int = 0):
+        if not (ridge > 0 and lengthscale > 0):
             raise ConfigurationError("ridge and lengthscale must be positive")
-        inputs = np.asarray(inputs, dtype=float)
-        targets = np.asarray(targets, dtype=float)
+        if n_min < 1:
+            raise ConfigurationError("n_min must be at least 1")
+        self.box = box
         self.lengthscale = float(lengthscale)
         self.ridge = float(ridge)
+        self.n_min = n_min
         self.generation = generation
-        self._n = inputs.shape[0]
-        self._dim = inputs.shape[1]
-        self._m = targets.shape[1]
-        capacity = max(64, 2 * self._n)
-        self._inputs = np.zeros((capacity, self._dim))
-        self._inputs[:self._n] = inputs
-        # (m, capacity) C-order float32: the prediction matvec streams the
-        # same warm, cache-sized buffer; the induced ~1e-7 relative noise is
-        # far below the regression error this surrogate can reach
-        self._targets_t = np.zeros((self._m, capacity), dtype=np.float32)
-        self._targets_t[:, :self._n] = targets.T
-        gram = self._kernel(inputs, inputs)
-        gram[np.diag_indices_from(gram)] += self.ridge
-        # positive definite for ridge > 0; exact-size Fortran order so the
-        # LAPACK triangular solves run without copying the factor
-        self._L = np.asfortranarray(np.linalg.cholesky(gram))
-        self._trtrs = scipy.linalg.get_lapack_funcs(("trtrs",), (self._L,))[0]
-        self._weights = None
-
-    def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sq = scipy.spatial.distance.cdist(a, b, "sqeuclidean")
-        return np.exp(-sq / (2.0 * self.lengthscale**2))
-
-    def _grow(self, capacity: int) -> None:
-        inputs = np.zeros((capacity, self._dim))
-        inputs[:self._n] = self._inputs[:self._n]
-        targets_t = np.zeros((self._m, capacity), dtype=np.float32)
-        targets_t[:, :self._n] = self._targets_t[:, :self._n]
-        self._inputs, self._targets_t = inputs, targets_t
+        self._n = 0
+        self._index: dict = {}
+        self._raw = self._scaled = self._targets_t = None
+        self._factor = None  # None: stale, refactored by the next predict
 
     @property
     def n_train(self) -> int:
         return self._n
 
     @property
+    def ready(self) -> bool:
+        return self._n >= self.n_min
+
+    @property
+    def raw_inputs(self) -> np.ndarray:
+        return self._raw[:self._n] if self._n else np.zeros((0, self.box.dim))
+
+    @property
     def inputs(self) -> np.ndarray:
-        return self._inputs[:self._n]
+        return self._scaled[:self._n] if self._n else np.zeros((0, self.box.dim))
 
     @property
     def targets(self) -> np.ndarray:
+        """(n_train, m) float64 copy of the stored float32 targets."""
+        if not self._n:
+            return np.zeros((0, 0))
         return self._targets_t[:, :self._n].T.astype(float)
 
-    @property
-    def factor_lower(self) -> np.ndarray:
-        return self._L
+    def has_input(self, mu) -> bool:
+        return tuple(np.asarray(mu, dtype=float)) in self._index
 
-    @property
-    def weights(self) -> np.ndarray:
-        if self._weights is None:
-            self._weights = self._solve(np.ascontiguousarray(self.targets))
-        return self._weights
+    def _set_targets(self, rows) -> None:
+        """Replace every target (row i belongs to stored input i)."""
+        self._targets_t = None
+        if rows:
+            self._targets_t = np.zeros((len(rows[0]), len(self._raw)),
+                                       dtype=np.float32)
+            for i, row in enumerate(rows):
+                self._targets_t[:, i] = row
+        self._factor = None
+
+    def _grow(self) -> None:
+        capacity = 2 * len(self._raw) if self._raw is not None else 64
+        raw = np.zeros((capacity, self.box.dim))
+        scaled = np.zeros((capacity, self.box.dim))
+        raw[:self._n], scaled[:self._n] = self.raw_inputs, self.inputs
+        self._raw, self._scaled = raw, scaled
+        if self._targets_t is not None:
+            targets_t = np.zeros((self._targets_t.shape[0], capacity),
+                                 dtype=np.float32)
+            targets_t[:, :self._n] = self._targets_t[:, :self._n]
+            self._targets_t = targets_t
+
+    def add(self, mu, y) -> None:
+        """Store one training pair; the only way the pairs change.
+
+        A duplicate input replaces its stored target.  A new, distinct
+        input is bordered onto a current factor by :meth:`append`; when
+        there is no current factor, or the bordering fails, the factor
+        stays stale until the next :meth:`predict`.
+        """
+        mu = np.asarray(mu, dtype=float)
+        y = np.asarray(y, dtype=float).ravel()
+        if self._targets_t is not None and y.shape[0] != self._targets_t.shape[0]:
+            raise ConfigurationError("output width changed; rebase first")
+        key = tuple(mu)
+        if key in self._index:
+            self._targets_t[:, self._index[key]] = y
+            self._factor = None
+            return
+        n = self._n
+        if self._raw is None or n == len(self._raw):
+            self._grow()
+        if self._targets_t is None:
+            self._targets_t = np.zeros((y.shape[0], len(self._raw)),
+                                       dtype=np.float32)
+        self._index[key] = n
+        self._raw[n] = mu
+        self._scaled[n] = self.box.scale01(mu)
+        self._targets_t[:, n] = y
+        self._n = n + 1
+        if self._factor is not None:
+            try:
+                self.append()
+            except ConfigurationError:
+                self._factor = None  # round-off broke the incremental factor
+
+    def append(self) -> None:
+        """Border the current factor by the newest stored input, exactly.
+
+        Valid because the kernel of the earlier inputs is unchanged; the
+        new Cholesky row is the standard bordering update.
+        """
+        n = self._n - 1
+        k_col = _gaussian(self._scaled[:n], self._scaled[n:n + 1],
+                          self.lengthscale)[:, 0]
+        l_row, info = _trtrs(self._factor, k_col, lower=1, trans=0)
+        if info != 0:
+            raise ConfigurationError(f"triangular solve failed (info={info})")
+        pivot_sq = 1.0 + self.ridge - float(l_row @ l_row)
+        if pivot_sq <= 0:  # cannot happen for ridge > 0 barring round-off
+            raise ConfigurationError("kernel system lost positive definiteness")
+        grown = np.zeros((n + 1, n + 1), order="F")
+        grown[:n, :n] = self._factor
+        grown[n, :n] = l_row
+        grown[n, n] = np.sqrt(pivot_sq)
+        self._factor = grown
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """(K_mat + ridge I)^{-1} rhs via the two triangular solves."""
-        L = self.factor_lower
-        half, info = self._trtrs(L, rhs, lower=1, trans=0)
+        half, info = _trtrs(self._factor, rhs, lower=1, trans=0)
         if info == 0:
-            out, info = self._trtrs(L, half, lower=1, trans=1)
+            out, info = _trtrs(self._factor, half, lower=1, trans=1)
         if info != 0:
             raise ConfigurationError(f"triangular solve failed (info={info})")
         return out
 
-    def append(self, x_scaled, y_flat) -> None:
-        """Extend the factorization by one training pair, exactly.
+    def predict(self, mu) -> np.ndarray:
+        """Flat output vector for one unscaled parameter point.
 
-        Valid because the kernel of the existing pairs is unchanged; the
-        new Cholesky row is the standard bordering update.  Requires the
-        new input to be distinct from every stored one.
+        k_row @ W == solve(K_mat + ridge I, k_row) @ Y by symmetry, so the
+        dual weights W are never formed.
         """
-        x = np.asarray(x_scaled, dtype=float)
-        y = np.asarray(y_flat, dtype=float).ravel()
-        if y.shape[0] != self._m:
-            raise ConfigurationError("output width changed; refit instead")
-        n = self._n
-        if n + 1 > self._inputs.shape[0]:
-            self._grow(2 * self._inputs.shape[0])
-        if n:
-            k_col = self._kernel(self.inputs, x[None, :])[:, 0]
-            l_row, info = self._trtrs(self._L, k_col, lower=1, trans=0)
-            if info != 0:
-                raise ConfigurationError(f"triangular solve failed (info={info})")
-        else:
-            l_row = np.zeros(0)
-        pivot_sq = 1.0 + self.ridge - float(l_row @ l_row)
-        if pivot_sq <= 0:  # cannot happen for ridge > 0 barring degeneracy
-            raise ConfigurationError("kernel system lost positive definiteness")
-        grown = np.zeros((n + 1, n + 1), order="F")
-        grown[:n, :n] = self._L
-        grown[n, :n] = l_row
-        grown[n, n] = np.sqrt(pivot_sq)
-        self._inputs[n] = x
-        self._targets_t[:, n] = y
-        self._L = grown
-        self._n = n + 1
-        self._weights = None
-
-    def predict(self, x_scaled) -> np.ndarray:
-        """Flat output vector for one scaled input point."""
-        x = np.atleast_2d(np.asarray(x_scaled, dtype=float))
-        k_row = self._kernel(self.inputs, x)[:, 0]
-        c = self._solve(k_row)
+        if not self.ready:
+            raise NotReadyError(
+                f"{self._n} training pairs, need at least {self.n_min}")
+        if self._factor is None:
+            self._factor = fit(self.inputs, self.lengthscale, self.ridge)
+        x = np.atleast_2d(self.box.scale01(mu))
+        c = self._solve(_gaussian(self.inputs, x, self.lengthscale)[:, 0])
         flat = self._targets_t[:, :self._n] @ c.astype(np.float32, copy=False)
         return flat.astype(float)
 
 
-def fit(training_set: TrainingSet, lengthscale="median",
-        ridge: float = 1e-8, n_min: int = 10) -> KernelRegressor:
-    """Fit a regressor on the training set; deterministic.
-
-    Raises :class:`NotReadyError` below ``n_min`` pairs.  ``lengthscale``
-    is either the string "median" or a positive constant.
-    """
-    if training_set.n < n_min:
-        raise NotReadyError(
-            f"{training_set.n} training pairs, need at least {n_min}")
-    inputs = training_set.input_matrix()
-    if lengthscale == "median":
-        ell = median_lengthscale(inputs)
-    else:
-        ell = float(lengthscale)
-    return KernelRegressor(inputs, training_set.output_matrix(), ell, ridge,
-                           generation=training_set.generation)
-
-
-def predict_trajectory(regressor: KernelRegressor, box: ParameterBox, mu,
+def predict_trajectory(regressor: KernelRegressor, mu,
                        n_steps: int) -> ReducedTrajectory:
     """Predict and unflatten coefficients a^0..a^K for one parameter."""
     mu = np.asarray(mu, dtype=float)
-    flat = regressor.predict(box.scale01(mu))
-    coefficients = flat.reshape(n_steps + 1, -1)
+    coefficients = regressor.predict(mu).reshape(n_steps + 1, -1)
     return ReducedTrajectory(coefficients=coefficients, mu=mu,
                              generation=regressor.generation, producer="ml")
 
 
-def rebase(training_set: TrainingSet, new_generation: int,
-           rb_solve) -> TrainingSet:
-    """Re-express stored outputs in a new basis generation.
+def rebase(regressor: KernelRegressor, new_generation: int, rb_solve) -> None:
+    """Re-express the stored targets in a new basis generation.
 
-    Discards the stored outputs and re-solves the (cheap) reduced model at
-    every stored input; a no-op when the generation already matches.
+    Re-solves the (cheap) reduced model at every stored input; a no-op
+    when the generation already matches.
     """
-    if new_generation == training_set.generation:
-        return training_set
-    training_set.generation = new_generation
-    training_set.outputs = [
-        np.asarray(rb_solve(mu).coefficients, dtype=float).ravel()
-        for mu in training_set.raw_inputs]
-    return training_set
+    if new_generation == regressor.generation:
+        return
+    regressor.generation = new_generation
+    regressor._set_targets(
+        [np.asarray(rb_solve(mu).coefficients, dtype=float).ravel()
+         for mu in regressor.raw_inputs])
 
 
-def dump_training_set(training_set: TrainingSet, path) -> None:
-    """CSV dump: one row per pair, parameter components then coefficients."""
+def dump_training(regressor: KernelRegressor, path) -> None:
+    """CSV dump: one row per pair, parameter components then the float32
+    coefficients the regressor predicts with."""
     with open(path, "w", encoding="utf-8") as fh:
-        for mu, out in zip(training_set.raw_inputs, training_set.outputs):
+        for mu, out in zip(regressor.raw_inputs, regressor.targets):
             row = np.concatenate([mu, out])
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
@@ -262,30 +247,17 @@ class MLCoefficientLevel(ModelLevel):
     name = "ml"
 
     def __init__(self, box: ParameterBox, rb_level, n_min: int = 10,
-                 lengthscale="median", ridge: float = 1e-8):
-        self.box = box
+                 lengthscale: float = 0.12, ridge: float = 1e-8):
         self.rb_level = rb_level
-        self.n_min = n_min
-        self.lengthscale = lengthscale
-        self.ridge = ridge
-        self.training = TrainingSet(generation=rb_level.generation)
-        self.regressor: KernelRegressor | None = None
-
-    def _refit(self) -> None:
-        if self.training.n >= self.n_min:
-            self.regressor = fit(self.training, self.lengthscale, self.ridge,
-                                 n_min=self.n_min)
-        else:
-            self.regressor = None
+        self.regressor = KernelRegressor(box, lengthscale, ridge, n_min,
+                                         generation=rb_level.generation)
 
     def evaluate(self, mu) -> ModelOutput:
         reduced_system = self.rb_level.reduced_system
-        if (self.regressor is None
-                or self.regressor.generation != reduced_system.generation):
+        if self.regressor.generation != reduced_system.generation:
             raise StaleGenerationError("regressor does not match the current "
                                        "reduced space")
-        trajectory = predict_trajectory(self.regressor, self.box, mu,
-                                        reduced_system.K)
+        trajectory = predict_trajectory(self.regressor, mu, reduced_system.K)
         u_final = self.rb_level.basis.V @ trajectory.coefficients[-1]
         payload = ParabolicResult(
             qoi=float(self.rb_level.system.qoi_vector @ u_final),
@@ -302,27 +274,13 @@ class MLCoefficientLevel(ModelLevel):
 
     def absorb(self, payload):
         if isinstance(payload, ReducedTrajectory) and payload.producer == "rb":
-            if payload.generation != self.training.generation:
-                # outputs are stale anyway; sync before storing
-                rebase(self.training, payload.generation, self._rb_solve)
-            scaled = self.box.scale01(payload.mu)
-            is_new = not self.training.has_input(payload.mu)
-            self.training.add(payload.mu, scaled, payload.coefficients)
-            if (is_new and self.regressor is not None
-                    and self.regressor.generation == self.training.generation
-                    and not isinstance(self.lengthscale, str)):
-                try:
-                    # constant lengthscale: exact O(n^2) factor extension
-                    self.regressor.append(
-                        scaled, np.asarray(payload.coefficients).ravel())
-                except ConfigurationError:
-                    self._refit()  # round-off broke the incremental factor
-            else:
-                self._refit()
+            if payload.generation != self.regressor.generation:
+                # targets are stale anyway; sync before storing
+                rebase(self.regressor, payload.generation, self._rb_solve)
+            self.regressor.add(payload.mu, payload.coefficients)
             return []
         if isinstance(payload, BasisChanged):
-            rebase(self.training, payload.generation, self._rb_solve)
-            self._refit()
+            rebase(self.regressor, payload.generation, self._rb_solve)
             return []
         return None
 
@@ -330,5 +288,5 @@ class MLCoefficientLevel(ModelLevel):
         return solve_rb(self.rb_level.reduced_system, mu)
 
     def is_ready(self) -> bool:
-        return (self.regressor is not None
+        return (self.regressor.ready
                 and self.regressor.generation == self.rb_level.generation)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .hierarchy import REFERENCE, ModelLevel, ModelOutput, ParameterBox
-from .mlsurrogate import TrainingSet, fit
+from .mlsurrogate import KernelRegressor
 
 OPT_RIDGE_DEFAULT = 1e-12  # interpolation sharpness the gradient check needs
 OPT_MIN_SEPARATION = 1e-5
@@ -188,24 +188,20 @@ class SurrogateObjectiveLevel(ModelLevel):
     CRITERION_CALLS = 5
 
     def __init__(self, oracle: ObjectiveOracle, box: ParameterBox,
-                 n_min: int = 10, lengthscale=0.12,
+                 n_min: int = 10, lengthscale: float = 0.12,
                  ridge: float = OPT_RIDGE_DEFAULT, max_iters: int = 500,
                  min_separation: float = OPT_MIN_SEPARATION):
         self.oracle = oracle
         self.box = box
-        self.n_min = n_min
-        self.lengthscale = lengthscale
-        self.ridge = ridge
         self.max_iters = max_iters
         self.min_separation = min_separation
-        self.training = TrainingSet()
-        self.regressor = None
+        self.regressor = KernelRegressor(box, lengthscale, ridge, n_min)
 
     def evaluate(self, x0) -> ModelOutput:
         regressor = self.regressor
 
         def surrogate(x):
-            return float(regressor.predict(self.box.scale01(x))[0])
+            return float(regressor.predict(x)[0])
 
         result = descend(surrogate, x0, self.box, max_iters=self.max_iters)
         j_true = self.oracle(result.x)
@@ -223,29 +219,15 @@ class SurrogateObjectiveLevel(ModelLevel):
     def absorb(self, payload):
         if not isinstance(payload, DescentSamples):
             return None
-        needs_refit = self.regressor is None or isinstance(self.lengthscale, str)
+        regressor = self.regressor
         for x, j in payload.samples:
-            scaled = self.box.scale01(x)
-            stored = self.training.input_matrix()
-            too_close = (stored.size > 0 and not self.training.has_input(x) and
-                         float(np.min(np.linalg.norm(stored - scaled, axis=1)))
-                         < self.min_separation)
-            if too_close:
+            if (regressor.n_train and not regressor.has_input(x)
+                    and float(np.min(np.linalg.norm(
+                        regressor.inputs - self.box.scale01(x), axis=1)))
+                    < self.min_separation):
                 continue  # near-coincident with a different stored point
-            if self.training.has_input(x):
-                needs_refit = True  # replaced pair invalidates the factor
-            self.training.add(x, scaled, np.array([j]))
-            if not needs_refit:
-                try:
-                    self.regressor.append(scaled, np.array([j]))
-                except ConfigurationError:
-                    # accumulated round-off broke the incremental factor;
-                    # rebuild from scratch at the end of the batch
-                    needs_refit = True
-        if self.training.n >= self.n_min and needs_refit:
-            self.regressor = fit(self.training, self.lengthscale, self.ridge,
-                                 n_min=self.n_min)
+            regressor.add(x, [j])
         return []
 
     def is_ready(self) -> bool:
-        return self.regressor is not None
+        return self.regressor.ready

@@ -38,12 +38,12 @@ def test_config_from_json_roundtrip(tmp_path):
         "seed": 99, "parameter_box": [[0.5, 2.0], [0.5, 2.0]],
         "fom": {"n_h": 40, "K": 10},
         "rb": {"pod_tol": 1e-9, "n_add_max": 4, "N_max": 20},
-        "ml": {"n_min": 5, "lengthscale": "median", "ridge": 1e-7},
+        "ml": {"n_min": 5, "lengthscale": 0.2, "ridge": 1e-7},
         "output": {"results_path": "out.csv"},
     }))
     config = harness.load_config(path)
     assert config.fom.n_h == 40 and config.rb.N_max == 20
-    assert config.ml.lengthscale == "median"
+    assert config.ml.lengthscale == 0.2
     assert config.seed == 99
 
 
@@ -55,6 +55,9 @@ def test_config_from_json_roundtrip(tmp_path):
     {"fom": {"bogus": 2}},
     {"parameter_box": [[2.0, 1.0], [0.1, 1.0]]},
     {"scenario": "parabolic", "parameter_box": [[0.1, 1.0]]},
+    {"ml": {"lengthscale": "median"}},
+    {"ml": {"lengthscale": 0.0}},
+    {"ml": {"ridge": -1e-8}},
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ConfigurationError):
@@ -256,21 +259,7 @@ def test_dumps_written(tmp_path):
     meta = (tmp_path / "basis.csv.meta").read_text()
     assert f"N={result.scenario.rb_level.basis.N}" in meta
     train = np.loadtxt(tmp_path / "train.csv", delimiter=",", ndmin=2)
-    assert train.shape[0] == result.scenario.ml_level.training.n
-
-
-# ---------------------------------------------------------------- shards
-
-
-def test_sharded_run_covers_stream(tmp_path):
-    config = small_parabolic(tmp_path, n_queries=12)
-    results = harness.run_sharded(config, shards=3)
-    assert len(results) == 3
-    all_ids = []
-    for path, records in results:
-        rows = harness.read_results(path)[1]
-        all_ids.extend(row[0] for row in rows)
-    assert sorted(all_ids) == list(range(12))
+    assert train.shape[0] == result.scenario.ml_level.regressor.n_train
 
 
 # ---------------------------------------------------------------- cli
@@ -320,13 +309,12 @@ def test_cli_verify_and_sabotage(tmp_path):
     assert cli_main(["verify", "--seed", "2", "--sabotage"]) == 1
 
 
-def test_cli_sharded(tmp_path):
-    out = tmp_path / "sharded.csv"
-    code = cli_main(["run", "--queries", "6", "--shards", "2",
-                     "--out", str(out)])
-    assert code == 0
-    assert (tmp_path / "sharded.csv.shard0.csv").exists()
-    assert (tmp_path / "sharded.csv.shard1.csv").exists()
+def test_cli_shards_flag_removed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["baseline", "--queries", "4", "--shards", "2",
+                  "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --shards" in capsys.readouterr().err
 
 
 def test_cli_optdemo_run(tmp_path):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from mfhier import (NotReadyError, ParameterBox, SplitMix64,
-                    StaleGenerationError, error_estimate, fit,
-                    predict_trajectory, rebase, solve_fom, solve_rb)
-from mfhier.mlsurrogate import (MLCoefficientLevel, TrainingSet,
-                                median_lengthscale)
+from mfhier import (ConfigurationError, KernelRegressor, NotReadyError,
+                    ParameterBox, SplitMix64, StaleGenerationError,
+                    error_estimate, predict_trajectory, rebase, solve_fom,
+                    solve_rb)
+from mfhier import mlsurrogate
+from mfhier.mlsurrogate import MLCoefficientLevel
 from mfhier.rb import BasisChanged, ReducedBasisLevel
 
 
@@ -17,13 +18,21 @@ def rb_level(small_system, diffusivity_box):
     return level
 
 
-def training_from_rb(rb_level, box, mus):
-    ts = TrainingSet(generation=rb_level.generation)
+def regressor_from_rb(rb_level, box, mus, **kw):
+    regressor = KernelRegressor(box, generation=rb_level.generation, **kw)
     for mu in mus:
-        mu = np.asarray(mu, dtype=float)
-        rt = solve_rb(rb_level.reduced_system, mu)
-        ts.add(mu, box.scale01(mu), rt.coefficients)
-    return ts
+        regressor.add(mu, solve_rb(rb_level.reduced_system, mu).coefficients)
+    return regressor
+
+
+def fresh_copy(regressor):
+    """A new regressor holding the same pairs, factored from scratch."""
+    fresh = KernelRegressor(regressor.box, regressor.lengthscale,
+                            regressor.ridge, regressor.n_min,
+                            generation=regressor.generation)
+    for mu, y in zip(regressor.raw_inputs, regressor.targets):
+        fresh.add(mu, y)
+    return fresh
 
 
 def seeded_mus(n, seed=1234):
@@ -32,91 +41,139 @@ def seeded_mus(n, seed=1234):
     return [box.sample(rng) for _ in range(n)]
 
 
-# ---------------------------------------------------------------- training set
+# ---------------------------------------------------------------- regressor
 
 
-def test_duplicate_input_replaces_output():
-    ts = TrainingSet()
-    ts.add([1.0, 2.0], [0.1, 0.2], [1.0, 1.0])
-    ts.add([1.0, 2.0], [0.1, 0.2], [5.0, 5.0])
-    assert ts.n == 1
-    np.testing.assert_array_equal(ts.outputs[0], [5.0, 5.0])
+def test_duplicate_input_replaces_output(diffusivity_box):
+    regressor = KernelRegressor(diffusivity_box)
+    regressor.add([1.0, 2.0], [1.0, 1.0])
+    regressor.add([1.0, 2.0], [5.0, 5.0])
+    assert regressor.n_train == 1
+    np.testing.assert_array_equal(regressor.targets[0], [5.0, 5.0])
+
+
+def test_construction_allocates_no_buffer(diffusivity_box):
+    regressor = KernelRegressor(diffusivity_box)
+    assert regressor._raw is None and regressor._targets_t is None
+    assert regressor.n_train == 0 and not regressor.ready
 
 
 def test_fit_requires_n_min(rb_level, diffusivity_box):
-    ts = training_from_rb(rb_level, diffusivity_box, seeded_mus(3))
+    mus = seeded_mus(3)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, mus, n_min=10)
     with pytest.raises(NotReadyError):
-        fit(ts, n_min=10)
-    fit(ts, n_min=3)  # enough once the bar is lowered
+        regressor.predict(mus[0])
+    lowered = regressor_from_rb(rb_level, diffusivity_box, mus, n_min=3)
+    lowered.predict(mus[0])  # enough once the bar is lowered
+
+
+def test_first_factor_is_factored_whole(rb_level, diffusivity_box):
+    regressor = regressor_from_rb(rb_level, diffusivity_box, seeded_mus(12),
+                                  lengthscale=0.3)
+    assert regressor._factor is None  # reaching n_min leaves it stale
+    regressor.predict([1.0, 1.0])
+    assert np.array_equal(regressor._factor, mlsurrogate.fit(
+        regressor.inputs, regressor.lengthscale, regressor.ridge))
+
+
+def test_invalid_hyperparameters_rejected(diffusivity_box):
+    for kw in ({"lengthscale": 0.0}, {"ridge": -1.0}, {"n_min": 0}):
+        with pytest.raises(ConfigurationError):
+            KernelRegressor(diffusivity_box, **kw)
 
 
 def test_zero_outputs_give_zero_predictions(diffusivity_box):
-    ts = TrainingSet()
+    regressor = KernelRegressor(diffusivity_box, lengthscale=0.3)
     for mu in seeded_mus(12):
-        ts.add(mu, diffusivity_box.scale01(mu), np.zeros(8))
-    regressor = fit(ts, lengthscale=0.3)
-    pred = regressor.predict(diffusivity_box.scale01([3.0, 3.0]))
+        regressor.add(mu, np.zeros(8))
+    pred = regressor.predict([3.0, 3.0])
     assert np.max(np.abs(pred)) <= 1e-12
-    assert np.max(np.abs(regressor.weights)) <= 1e-12
-
-
-def test_median_lengthscale_fallbacks():
-    assert median_lengthscale(np.zeros((1, 2))) == 0.5
-    assert median_lengthscale(np.zeros((4, 2))) == 0.5  # all-equal inputs
-    spread = np.array([[0.0, 0.0], [1.0, 0.0]])
-    assert median_lengthscale(spread) == 1.0
+    weights = regressor._solve(np.ascontiguousarray(regressor.targets))
+    assert np.max(np.abs(weights)) <= 1e-12
 
 
 def test_weights_satisfy_ridge_system(rb_level, diffusivity_box):
-    ts = training_from_rb(rb_level, diffusivity_box, seeded_mus(15))
-    regressor = fit(ts, lengthscale=0.3, ridge=1e-8)
-    gram = regressor._kernel(regressor.inputs, regressor.inputs)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, seeded_mus(15),
+                                  lengthscale=0.3, ridge=1e-8)
+    regressor.predict([1.0, 1.0])  # factors the kernel system
+    weights = regressor._solve(np.ascontiguousarray(regressor.targets))
+    gram = mlsurrogate._gaussian(regressor.inputs, regressor.inputs,
+                                 regressor.lengthscale)
     gram[np.diag_indices_from(gram)] += regressor.ridge
-    residual = gram @ regressor.weights - regressor.targets
+    residual = gram @ weights - regressor.targets
     rel = np.linalg.norm(residual) / np.linalg.norm(regressor.targets)
     assert rel <= 1e-8
 
 
 def test_near_interpolation_at_training_point(rb_level, diffusivity_box):
     mus = seeded_mus(15)
-    ts = training_from_rb(rb_level, diffusivity_box, mus)
-    regressor = fit(ts, lengthscale=0.3, ridge=1e-8)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, mus,
+                                  lengthscale=0.3, ridge=1e-8)
     for idx in (0, 7, 14):
-        pred = regressor.predict(diffusivity_box.scale01(mus[idx]))
-        stored = ts.outputs[idx]
+        pred = regressor.predict(mus[idx])
+        stored = regressor.targets[idx]
         rel = np.linalg.norm(pred - stored) / np.linalg.norm(stored)
         assert rel <= 1e-4
 
 
 def test_far_query_prediction_decays(diffusivity_box):
     # single pair: prediction at distance >> lengthscale is near zero
-    ts = TrainingSet()
-    mu = np.array([0.2, 0.2])
-    ts.add(mu, diffusivity_box.scale01(mu), np.full(5, 3.0))
-    regressor = fit(ts, lengthscale=0.05, ridge=1e-8, n_min=1)
-    far = regressor.predict(diffusivity_box.scale01([9.0, 9.0]))
-    assert np.linalg.norm(far) <= 1e-6 * np.linalg.norm(ts.outputs[0])
+    regressor = KernelRegressor(diffusivity_box, lengthscale=0.05,
+                                ridge=1e-8, n_min=1)
+    regressor.add([0.2, 0.2], np.full(5, 3.0))
+    far = regressor.predict([9.0, 9.0])
+    assert np.linalg.norm(far) <= 1e-6 * np.linalg.norm(regressor.targets[0])
 
 
-def test_incremental_append_matches_full_fit(rb_level, diffusivity_box):
+def test_incremental_append_matches_full_fit(rb_level, diffusivity_box,
+                                             monkeypatch):
     mus = seeded_mus(20)
-    full_ts = training_from_rb(rb_level, diffusivity_box, mus)
-    base_ts = training_from_rb(rb_level, diffusivity_box, mus[:12])
-    incremental = fit(base_ts, lengthscale=0.3, ridge=1e-10)
-    for mu, out in zip(full_ts.raw_inputs[12:], full_ts.outputs[12:]):
-        incremental.append(diffusivity_box.scale01(mu), out)
-    reference = fit(full_ts, lengthscale=0.3, ridge=1e-10)
-    probe = diffusivity_box.scale01([4.4, 6.1])
-    np.testing.assert_allclose(incremental.predict(probe),
-                               reference.predict(probe), rtol=1e-6, atol=1e-12)
+    incremental = regressor_from_rb(rb_level, diffusivity_box, mus[:12],
+                                    lengthscale=0.3, ridge=1e-10)
+    probe = np.array([4.4, 6.1])
+    incremental.predict(probe)  # first factor, from scratch
+    monkeypatch.setattr(mlsurrogate, "fit", lambda *a: pytest.fail("refit"))
+    for mu in mus[12:]:
+        incremental.add(mu, solve_rb(rb_level.reduced_system, mu).coefficients)
+    assert incremental._factor.shape == (20, 20)  # bordered, never refit
+    pred = incremental.predict(probe)
+    monkeypatch.undo()
+    reference = fresh_copy(incremental)
+    np.testing.assert_allclose(pred, reference.predict(probe),
+                               rtol=1e-6, atol=1e-12)
+
+
+def test_replaced_target_refits_bitwise(rb_level, diffusivity_box):
+    mus = seeded_mus(14)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, mus,
+                                  lengthscale=0.3)
+    probe = np.array([2.2, 7.3])
+    regressor.predict(probe)
+    regressor.add(mus[5], 2.0 * regressor.targets[5])
+    assert regressor._factor is None  # stale until the next predict
+    assert np.array_equal(regressor.predict(probe),
+                          fresh_copy(regressor).predict(probe))
+
+
+def test_rebase_refits_bitwise(small_system, diffusivity_box):
+    rb = ReducedBasisLevel(small_system)
+    rb.absorb(solve_fom(small_system, [1.0, 4.0]))
+    regressor = regressor_from_rb(rb, diffusivity_box, seeded_mus(12),
+                                  lengthscale=0.3)
+    probe = np.array([3.3, 0.4])
+    regressor.predict(probe)
+    rb.absorb(solve_fom(small_system, [8.0, 0.2]))
+    rebase(regressor, rb.generation, lambda mu: solve_rb(rb.reduced_system, mu))
+    assert regressor._factor is None
+    assert np.array_equal(regressor.predict(probe),
+                          fresh_copy(regressor).predict(probe))
 
 
 def test_prediction_feeds_estimator(rb_level, diffusivity_box, small_system):
-    ts = training_from_rb(rb_level, diffusivity_box, seeded_mus(12))
-    regressor = fit(ts, lengthscale=0.3)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, seeded_mus(12),
+                                  lengthscale=0.3)
     mu = np.array([2.5, 2.5])
-    trajectory = predict_trajectory(regressor, diffusivity_box, mu,
-                                    small_system.K)
+    trajectory = predict_trajectory(regressor, mu, small_system.K)
     delta = error_estimate(rb_level.reduced_system, mu, trajectory)
     assert np.isfinite(delta) and delta >= 0.0
 
@@ -124,33 +181,33 @@ def test_prediction_feeds_estimator(rb_level, diffusivity_box, small_system):
 # ---------------------------------------------------------------- rebase
 
 
-def test_rebase_empty_set_stays_empty(rb_level):
-    ts = TrainingSet(generation=0)
-    out = rebase(ts, rb_level.generation, lambda mu: solve_rb(
-        rb_level.reduced_system, mu))
-    assert out.n == 0
-    assert out.generation == rb_level.generation
+def test_rebase_empty_set_stays_empty(rb_level, diffusivity_box):
+    regressor = KernelRegressor(diffusivity_box, generation=0)
+    rebase(regressor, rb_level.generation,
+           lambda mu: solve_rb(rb_level.reduced_system, mu))
+    assert regressor.n_train == 0
+    assert regressor.generation == rb_level.generation
 
 
 def test_rebase_same_generation_is_noop(rb_level, diffusivity_box):
-    ts = training_from_rb(rb_level, diffusivity_box, seeded_mus(4))
-    before = [o.copy() for o in ts.outputs]
-    rebase(ts, ts.generation, lambda mu: pytest.fail("solver must not run"))
-    for old, new in zip(before, ts.outputs):
-        np.testing.assert_array_equal(old, new)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, seeded_mus(4))
+    before = regressor.targets
+    rebase(regressor, regressor.generation,
+           lambda mu: pytest.fail("solver must not run"))
+    np.testing.assert_array_equal(before, regressor.targets)
 
 
 def test_rebase_restores_interpolation(small_system, diffusivity_box):
     rb = ReducedBasisLevel(small_system)
     rb.absorb(solve_fom(small_system, [1.0, 4.0]))
     mus = seeded_mus(12)
-    ts = training_from_rb(rb, diffusivity_box, mus)
-    # basis grows: stored outputs now have the wrong width and generation
+    regressor = regressor_from_rb(rb, diffusivity_box, mus, lengthscale=0.3,
+                                  ridge=1e-8)
+    # basis grows: stored targets now have the wrong width and generation
     rb.absorb(solve_fom(small_system, [8.0, 0.2]))
-    rebase(ts, rb.generation, lambda mu: solve_rb(rb.reduced_system, mu))
-    regressor = fit(ts, lengthscale=0.3, ridge=1e-8)
+    rebase(regressor, rb.generation, lambda mu: solve_rb(rb.reduced_system, mu))
     fresh = solve_rb(rb.reduced_system, mus[3]).coefficients.ravel()
-    pred = regressor.predict(diffusivity_box.scale01(mus[3]))
+    pred = regressor.predict(mus[3])
     assert np.linalg.norm(pred - fresh) / np.linalg.norm(fresh) <= 1e-4
 
 
@@ -187,20 +244,20 @@ def test_ml_level_ready_after_n_min(small_system, diffusivity_box):
 def test_ml_level_ignores_fom_trajectories(small_system, diffusivity_box):
     rb, ml = make_ml(small_system, diffusivity_box, n_absorb=3)
     assert ml.absorb(solve_fom(small_system, [1.0, 1.0])) is None
-    assert ml.training.n == 3
+    assert ml.regressor.n_train == 3
 
 
 def test_ml_level_rebases_on_basis_change(small_system, diffusivity_box):
     rb, ml = make_ml(small_system, diffusivity_box, n_absorb=12)
     assert ml.is_ready()
-    old_width = len(ml.training.outputs[0])
+    old_width = ml.regressor.targets.shape[1]
     emitted = rb.absorb(solve_fom(small_system, [9.0, 0.15]))
     assert isinstance(emitted[0], BasisChanged)
     assert not ml.is_ready()  # regressor is stale now
     assert ml.absorb(emitted[0]) == []
     assert ml.is_ready()
-    assert len(ml.training.outputs[0]) > old_width
-    assert ml.training.n == 12  # inputs never shrink
+    assert ml.regressor.targets.shape[1] > old_width
+    assert ml.regressor.n_train == 12  # inputs never shrink
 
 
 def test_ml_level_stale_generation_guard(small_system, diffusivity_box):
@@ -213,7 +270,6 @@ def test_ml_level_stale_generation_guard(small_system, diffusivity_box):
 def test_ml_estimate_requires_next_level(small_system, diffusivity_box):
     rb, ml = make_ml(small_system, diffusivity_box, n_absorb=10)
     output = ml.evaluate(np.array([2.0, 2.0]))
-    from mfhier import ConfigurationError
     with pytest.raises(ConfigurationError):
         ml.estimate_error(output, np.array([2.0, 2.0]), next_level=None)
 
@@ -223,5 +279,5 @@ def test_ml_training_set_monotone(small_system, diffusivity_box):
     sizes = []
     for mu in seeded_mus(15):
         ml.absorb(solve_rb(rb.reduced_system, np.asarray(mu)))
-        sizes.append(ml.training.n)
+        sizes.append(ml.regressor.n_train)
     assert sizes == sorted(sizes)

@@ -121,7 +121,7 @@ def test_first_request_goes_to_full_and_trains_surrogate(opt_box):
     answer, events = hierarchy.handle_request([3.5, 2.0])
     assert answer.stage == 2
     assert answer.estimate is REFERENCE
-    assert surrogate.training.n >= 1
+    assert surrogate.regressor.n_train >= 1
     assert (2, 1) in events
 
 
@@ -159,8 +159,8 @@ def test_near_duplicate_samples_thinned(opt_box):
     batch = DescentSamples([(x, 2.0), (x + 1e-9, 2.0000001), (x, 3.0)])
     surrogate.absorb(batch)
     # the exact duplicate replaced the value, the near-duplicate was skipped
-    assert surrogate.training.n == 1
-    assert surrogate.training.outputs[0][0] == 3.0
+    assert surrogate.regressor.n_train == 1
+    assert surrogate.regressor.targets[0, 0] == 3.0
 
 
 def test_disabled_surrogate_equals_plain_multistart(opt_box):
