@@ -19,7 +19,7 @@ config.output.results_path = "optdemo_results.csv"
 print(f"60 seeded starts, gradient tolerance {config.opt.TOL_grad} ...")
 result = harness.run(config)
 print()
-print(harness.format_summary(result))
+print(result.summary.format())
 
 oracle_calls = result.scenario.oracle.eval_counter
 print(f"\ntrue-objective calls with the hierarchy: {oracle_calls}")

@@ -12,11 +12,11 @@ from .errors import (ConfigurationError, DomainError, HierarchyError,
                      NotReadyError, StaleGenerationError, StreamAborted)
 from .fom import (AffineSystem, FullOrderLevel, ParabolicResult, Trajectory,
                   assemble, compute_qoi, solve_fom)
-from .harness import (RunConfig, baseline, build_scenario, default_config,
-                      draw_parameters, load_config, report, run, verify)
+from .harness import (RunConfig, StreamSummary, baseline, build_scenario,
+                      default_config, draw_parameters, load_config, report,
+                      run, summarize, verify)
 from .hierarchy import (REFERENCE, CertifiedAnswer, ModelHierarchy, ModelLevel,
-                        ModelOutput, ParameterBox, QueryRecord, StatsSummary,
-                        summarize)
+                        ModelOutput, ParameterBox, QueryRecord)
 from .mlsurrogate import (KernelRegressor, MLCoefficientLevel, fit,
                           predict_trajectory, rebase)
 from .optdemo import (DescentResult, ObjectiveOracle, SurrogateObjectiveLevel,
@@ -37,7 +37,7 @@ __all__ = [
     "ObjectiveOracle", "ParabolicResult", "ParameterBox", "QueryRecord",
     "REFERENCE", "ReducedBasis", "ReducedBasisLevel", "ReducedSystem",
     "ReducedTrajectory", "RunConfig", "SplitMix64", "StaleGenerationError",
-    "StatsSummary", "StreamAborted", "SurrogateObjectiveLevel", "Trajectory",
+    "StreamAborted", "StreamSummary", "SurrogateObjectiveLevel", "Trajectory",
     "assemble", "baseline", "build_reduced_system",
     "build_scenario", "coercivity_lower_bound", "compute_qoi",
     "default_config", "descend", "draw_parameters", "error_estimate",

@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--config", help="JSON config file")
     p_verify.add_argument("--scenario", choices=["parabolic", "optdemo"])
     p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--sabotage", action="store_true",
-                          help=argparse.SUPPRESS)  # test-only failure hook
 
     p_report = sub.add_parser("report", help="aggregate a results CSV")
     p_report.add_argument("results", help="results CSV produced by run/baseline")
@@ -58,36 +56,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# CLI flag (argparse dest) -> path of the config field it overrides
+_OVERRIDES = (
+    ("scenario", ("scenario",)),
+    ("tolerance", ("tolerance",)),
+    ("tolerance", ("opt", "TOL_grad")),
+    ("n_queries", ("n_queries",)),
+    ("seed", ("seed",)),
+    ("out", ("output", "results_path")),
+    ("dump_trajectory", ("output", "dumps", "trajectory")),
+    ("dump_basis", ("output", "dumps", "basis")),
+    ("dump_training", ("output", "dumps", "training")),
+)
+
+
 def _load_config(args) -> harness.RunConfig:
-    if getattr(args, "config", None):
-        config = harness.load_config(args.config)
-    else:
-        config = harness.default_config(getattr(args, "scenario", None)
-                                        or "parabolic")
-    if getattr(args, "scenario", None):
-        config = harness.config_from_dict(
-            {**_config_dict(config), "scenario": args.scenario})
-    if getattr(args, "tolerance", None) is not None:
-        config.tolerance = args.tolerance
-        config.opt.TOL_grad = args.tolerance
-    if getattr(args, "n_queries", None) is not None:
-        config.n_queries = args.n_queries
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "out", None):
-        config.output.results_path = args.out
-    for key in ("trajectory", "basis", "training"):
-        path = getattr(args, f"dump_{key}", None)
-        if path:
-            config.output.dumps[key] = path
-    # re-validate after overrides
-    harness.RunConfig.__post_init__(config)
-    return config
-
-
-def _config_dict(config) -> dict:
-    import dataclasses
-    return dataclasses.asdict(config)
+    """The config document with every flag applied, validated once, so that
+    defaults that depend on the scenario follow an overriding --scenario."""
+    data = harness.read_config(args.config) if args.config else {}
+    if not isinstance(data, dict):
+        raise ConfigurationError("config must be a JSON object")
+    for dest, path in _OVERRIDES:
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        section = data
+        for name in path[:-1]:
+            section = section.setdefault(name, {})
+            if not isinstance(section, dict):
+                raise ConfigurationError(
+                    f"config section {name!r} must be an object")
+        section[path[-1]] = value
+    return harness.config_from_dict(data)
 
 
 def main(argv=None) -> int:
@@ -103,11 +103,12 @@ def main(argv=None) -> int:
         if args.command in ("run", "baseline"):
             result = (harness.run if args.command == "run"
                       else harness.baseline)(config)
-            print(harness.format_summary(result))
+            print(result.summary.format())
+            print(f"  wall time: {result.wall_s:.3f} s")
             print(f"results written: {config.output.results_path}")
             return EXIT_OK
         if args.command == "verify":
-            result = harness.verify(config, sabotage=args.sabotage)
+            result = harness.verify(config)
             print(result.format())
             return EXIT_OK if result.all_passed else EXIT_CHECK_FAILED
         # report: malformed results -> exit 2, unreadable file -> exit 3

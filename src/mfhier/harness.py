@@ -15,17 +15,16 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fom, mlsurrogate, optdemo, rb
 from .errors import ConfigurationError
-from .hierarchy import (REFERENCE, ModelHierarchy, ParameterBox, StatsSummary,
-                        summarize)
+from .hierarchy import REFERENCE, ModelHierarchy, ParameterBox
 from .rng import SplitMix64
 
 CSV_EVENT_SEP = ";"
-MAX_STAGES = 3  # fixed CSV schema: dur_s1..dur_s3
 
 
 # ----------------------------------------------------------------------
@@ -158,22 +157,21 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigurationError(str(err)) from None
 
 
-def load_config(path) -> RunConfig:
+def read_config(path):
+    """The JSON config document at ``path``, not yet validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"config is not valid JSON: {err}") from None
-    return config_from_dict(data)
+
+
+def load_config(path) -> RunConfig:
+    return config_from_dict(read_config(path))
 
 
 def default_config(scenario: str = "parabolic", **overrides) -> RunConfig:
-    config = RunConfig(scenario=scenario)
-    for key, value in overrides.items():
-        if not hasattr(config, key):
-            raise ConfigurationError(f"unknown config key {key!r}")
-        setattr(config, key, value)
-    return config
+    return config_from_dict({"scenario": scenario, **overrides})
 
 
 # ----------------------------------------------------------------------
@@ -183,12 +181,15 @@ def default_config(scenario: str = "parabolic", **overrides) -> RunConfig:
 @dataclass
 class Scenario:
     hierarchy: ModelHierarchy
-    levels_total: int
     system: fom.AffineSystem = None
     rb_level: rb.ReducedBasisLevel = None
     ml_level: mlsurrogate.MLCoefficientLevel = None
     oracle: optdemo.ObjectiveOracle = None
     opt_surrogate: optdemo.SurrogateObjectiveLevel = None
+
+    @property
+    def levels_total(self) -> int:
+        return len(self.hierarchy.levels)
 
     def basis_n(self) -> int:
         return self.rb_level.basis.N if self.rb_level is not None else 0
@@ -214,7 +215,7 @@ def build_scenario(config: RunConfig, adaptation_enabled: bool = True) -> Scenar
         hierarchy = ModelHierarchy([ml_level, rb_level, fom_level],
                                    tolerance=config.hierarchy_tolerance,
                                    box=box, adaptation_enabled=adaptation_enabled)
-        return Scenario(hierarchy=hierarchy, levels_total=3, system=system,
+        return Scenario(hierarchy=hierarchy, system=system,
                         rb_level=rb_level, ml_level=ml_level)
 
     oracle = optdemo.ObjectiveOracle(delay_s=config.opt.delay_s)
@@ -227,7 +228,7 @@ def build_scenario(config: RunConfig, adaptation_enabled: bool = True) -> Scenar
     hierarchy = ModelHierarchy([surrogate, full_level],
                                tolerance=config.hierarchy_tolerance,
                                box=box, adaptation_enabled=adaptation_enabled)
-    return Scenario(hierarchy=hierarchy, levels_total=2, oracle=oracle,
+    return Scenario(hierarchy=hierarchy, oracle=oracle,
                     opt_surrogate=surrogate)
 
 
@@ -240,13 +241,27 @@ def draw_parameters(config: RunConfig) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Results CSV
+# Results table
 
 
-def csv_header(dim: int) -> str:
+class ResultRow(NamedTuple):
+    """One query of a results table, as run builds it and the CSV holds it."""
+
+    query_id: int
+    mu: tuple
+    stage: int
+    estimate: float | None  # None for a reference-stage answer ("ref")
+    qoi: float               # the objective value for optdemo
+    durations: tuple         # evaluation time per stage, 0 if not attempted
+    basis_n: int
+    ml_n: int
+    events: tuple            # adaptation events, (source, target) pairs
+
+
+def csv_header(dim: int, n_stages: int) -> str:
     mu_cols = ",".join(f"mu_{i + 1}" for i in range(dim))
-    return (f"query_id,{mu_cols},stage,estimate,qoi,"
-            f"dur_s1,dur_s2,dur_s3,basis_n,ml_n,events")
+    dur_cols = ",".join(f"dur_s{s + 1}" for s in range(n_stages))
+    return f"query_id,{mu_cols},stage,estimate,qoi,{dur_cols},basis_n,ml_n,events"
 
 
 def _fmt(value: float) -> str:
@@ -255,18 +270,187 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def result_row(record, qoi: float, basis_n: int, ml_n: int) -> str:
-    answer = record.answer
-    estimate = "ref" if answer.estimate is REFERENCE else _fmt(answer.estimate)
-    durations = [0.0] * MAX_STAGES
+def result_row(record, qoi: float, basis_n: int, ml_n: int,
+               n_stages: int) -> ResultRow:
+    durations = [0.0] * n_stages
     for attempt in record.answer.attempts:
         durations[attempt.stage - 1] = attempt.duration_s
-    events = CSV_EVENT_SEP.join(f"{s}>{t}" for s, t in record.adaptation_events)
-    cells = ([str(record.query_id)] + [_fmt(v) for v in record.mu]
-             + [str(answer.stage), estimate, _fmt(qoi)]
-             + [format(d, ".6e") for d in durations]
-             + [str(basis_n), str(ml_n), events])
+    estimate = record.answer.estimate
+    return ResultRow(record.query_id, tuple(record.mu.tolist()),
+                     record.answer.stage,
+                     None if estimate is REFERENCE else float(estimate),
+                     float(qoi), tuple(durations), basis_n, ml_n,
+                     tuple(record.adaptation_events))
+
+
+def _format_row(row: ResultRow) -> str:
+    estimate = "ref" if row.estimate is None else _fmt(row.estimate)
+    events = CSV_EVENT_SEP.join(f"{s}>{t}" for s, t in row.events)
+    cells = ([str(row.query_id)] + [_fmt(v) for v in row.mu]
+             + [str(row.stage), estimate, _fmt(row.qoi)]
+             + [format(d, ".6e") for d in row.durations]
+             + [str(row.basis_n), str(row.ml_n), events])
     return ",".join(cells)
+
+
+def _write_results(path, rows, dim: int, n_stages: int) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(csv_header(dim, n_stages) + "\n")
+        for row in rows:
+            fh.write(_format_row(row) + "\n")
+
+
+def _parse_row(line: str, dim: int, n_stages: int, row_number: int) -> ResultRow:
+    cells = line.split(",")
+    # query_id + mu + (stage, estimate, qoi) + durations + (basis_n, ml_n) + events
+    expected = 1 + dim + 3 + n_stages + 2 + 1
+    if len(cells) != expected:
+        raise ConfigurationError(
+            f"results row {row_number}: expected {expected} cells, "
+            f"got {len(cells)}")
+    try:
+        raw_estimate = cells[2 + dim]
+        estimate = None if raw_estimate == "ref" else float(raw_estimate)
+        if estimate is not None and (not math.isfinite(estimate) or estimate < 0):
+            raise ValueError(f"bad estimate {raw_estimate!r}")
+        events = []
+        if cells[-1]:
+            for token in cells[-1].split(CSV_EVENT_SEP):
+                src, tgt = (int(stage) for stage in token.split(">"))
+                if not n_stages >= src > tgt >= 1:
+                    raise ValueError(f"bad adaptation event {token!r}")
+                events.append((src, tgt))
+        row = ResultRow(
+            query_id=int(cells[0]),
+            mu=tuple(float(c) for c in cells[1:1 + dim]),
+            stage=int(cells[1 + dim]),
+            estimate=estimate,
+            qoi=float(cells[3 + dim]),
+            durations=tuple(float(c) for c in cells[4 + dim:4 + dim + n_stages]),
+            basis_n=int(cells[4 + dim + n_stages]),
+            ml_n=int(cells[5 + dim + n_stages]),
+            events=tuple(events))
+        if not 1 <= row.stage <= n_stages:
+            raise ValueError(f"stage {row.stage} out of range 1..{n_stages}")
+    except (ValueError, IndexError) as err:
+        raise ConfigurationError(f"results row {row_number}: {err}") from None
+    return row
+
+
+def read_results(path) -> tuple[list, int]:
+    """Parse a results CSV; returns (rows, number of stages)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    if not lines:
+        raise ConfigurationError("results file is empty (missing header)")
+    header = lines[0].split(",")
+    dim = sum(1 for cell in header if cell.startswith("mu_"))
+    n_stages = sum(1 for cell in header if cell.startswith("dur_s"))
+    if dim == 0 or n_stages == 0 or lines[0] != csv_header(dim, n_stages):
+        raise ConfigurationError("results header does not match the schema")
+    rows = [_parse_row(line, dim, n_stages, i + 1)
+            for i, line in enumerate(lines[1:]) if line]
+    return rows, n_stages
+
+
+# ----------------------------------------------------------------------
+# Stream summary
+
+
+@dataclass
+class StreamSummary:
+    """Per-stream statistics; every per-stage dict has the keys 1..n_stages."""
+
+    n_queries: int
+    accepted: dict          # stage -> answers accepted there
+    fractions: dict         # stage -> accepted / n_queries
+    evaluations: dict       # stage -> evaluations (accepted or rejected)
+    eval_mean_s: dict       # stage -> mean evaluation time, None if never run
+    accepted_halves: tuple  # (first half, second half), each stage -> accepted
+    adaptation: dict        # (source, target) -> events
+    adaptation_total: int
+    qoi_mean: float
+    estimate_mean: float    # mean accepted estimate, "ref" counted as 0
+
+    def to_dict(self) -> dict:
+        def keyed(d):  # JSON needs string keys
+            return {str(key): value for key, value in d.items()}
+        first, second = self.accepted_halves
+        return {
+            "n_queries": self.n_queries,
+            "accepted": keyed(self.accepted),
+            "fractions": keyed(self.fractions),
+            "evaluations": keyed(self.evaluations),
+            "eval_mean_s": keyed(self.eval_mean_s),
+            "accepted_halves": {"first": keyed(first), "second": keyed(second)},
+            "adaptation": {f"{s}>{t}": c for (s, t), c in self.adaptation.items()},
+            "adaptation_total": self.adaptation_total,
+            "qoi_mean": self.qoi_mean,
+            "estimate_mean": self.estimate_mean,
+        }
+
+    def format(self) -> str:
+        lines = [f"queries: {self.n_queries}"]
+        for stage, accepted in self.accepted.items():
+            mean = self.eval_mean_s[stage]
+            mean_text = f"{mean * 1e3:9.3f} ms" if mean is not None else "        -"
+            lines.append(
+                f"  stage {stage}: accepted {accepted:5d} "
+                f"({self.fractions[stage]:7.2%})   "
+                f"evaluations {self.evaluations[stage]:5d}   "
+                f"mean eval {mean_text}")
+        first, second = self.accepted_halves
+        lines.append("  accepted per half: "
+                     + " ".join(f"s{st}:{first[st]}/{second[st]}" for st in first)
+                     + "  (first/second)")
+        lines.append(f"  adaptation events: {self.adaptation_total}  "
+                     + " ".join(f"{s}>{t}:{c}"
+                                for (s, t), c in self.adaptation.items()))
+        lines.append(f"  qoi mean: {self.qoi_mean:.10g}")
+        lines.append(f"  estimate mean: {self.estimate_mean:.3e}")
+        return "\n".join(lines)
+
+
+def summarize(rows, n_stages: int) -> StreamSummary:
+    """Aggregate a results table: per-stage counts and times, the accepted
+    stages of each half of the stream (the adaptive load shift), the
+    adaptation events and the means of the QoI and the accepted estimate."""
+    stages = range(1, n_stages + 1)
+    n = len(rows)
+    n_first = (n + 1) // 2
+    accepted = dict.fromkeys(stages, 0)
+    first, second = dict.fromkeys(stages, 0), dict.fromkeys(stages, 0)
+    evaluations = dict.fromkeys(stages, 0)
+    eval_total = dict.fromkeys(stages, 0.0)
+    adaptation = {}
+    for i, row in enumerate(rows):
+        accepted[row.stage] += 1
+        (first if i < n_first else second)[row.stage] += 1
+        for stage, duration in zip(stages, row.durations):
+            if duration > 0:
+                evaluations[stage] += 1
+                eval_total[stage] += duration
+        for event in row.events:
+            adaptation[event] = adaptation.get(event, 0) + 1
+    return StreamSummary(
+        n_queries=n,
+        accepted=accepted,
+        fractions={s: c / n if n else 0.0 for s, c in accepted.items()},
+        evaluations=evaluations,
+        eval_mean_s={s: eval_total[s] / c if c else None
+                     for s, c in evaluations.items()},
+        accepted_halves=(first, second),
+        adaptation=dict(sorted(adaptation.items())),
+        adaptation_total=sum(adaptation.values()),
+        qoi_mean=sum(row.qoi for row in rows) / n if n else 0.0,
+        estimate_mean=(sum(row.estimate for row in rows
+                           if row.estimate is not None) / n if n else 0.0),
+    )
+
+
+def report(path) -> StreamSummary:
+    """Aggregate a results CSV into the summary its run printed."""
+    return summarize(*read_results(path))
 
 
 # ----------------------------------------------------------------------
@@ -277,55 +461,33 @@ def result_row(record, qoi: float, basis_n: int, ml_n: int) -> str:
 class RunResult:
     config: RunConfig
     records: list
-    summary: StatsSummary
-    rows: list
-    qoi_values: np.ndarray
-    certified_bounds: np.ndarray  # per-sample c_l * Delta (0 for reference rows)
+    rows: list  # ResultRow per query, as written to the results CSV
+    summary: StreamSummary
     wall_s: float
     scenario: Scenario
-
-    @property
-    def qoi_mean(self) -> float:
-        return float(self.qoi_values.mean()) if len(self.qoi_values) else 0.0
-
-    @property
-    def qoi_mean_bound(self) -> float:
-        return (float(self.certified_bounds.mean())
-                if len(self.certified_bounds) else 0.0)
-
-
-def _write_rows(path, dim: int, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_header(dim) + "\n")
-        for row in rows:
-            fh.write(row + "\n")
 
 
 def _execute(config: RunConfig, adaptation_enabled: bool) -> RunResult:
     scenario = build_scenario(config, adaptation_enabled=adaptation_enabled)
     parameters = draw_parameters(config)
-    rows, qois, bounds = [], [], []
-    c_l = scenario.system.qoi_const if scenario.system is not None else 1.0
+    n_stages = scenario.levels_total
+    rows = []
 
     def on_record(record):
         payload = record.answer.payload
         qoi = payload.qoi if config.scenario == "parabolic" else payload.j
-        rows.append(result_row(record, qoi, scenario.basis_n(), scenario.ml_n()))
-        qois.append(qoi)
-        bounds.append(0.0 if record.answer.estimate is REFERENCE
-                      else c_l * record.answer.estimate)
+        rows.append(result_row(record, qoi, scenario.basis_n(), scenario.ml_n(),
+                               n_stages))
 
     t0 = time.perf_counter()
     records = scenario.hierarchy.run_query_stream(parameters, on_record=on_record)
     wall_s = time.perf_counter() - t0
 
-    result = RunResult(config=config, records=records,
-                       summary=summarize(records), rows=rows,
-                       qoi_values=np.array(qois),
-                       certified_bounds=np.array(bounds),
+    result = RunResult(config=config, records=records, rows=rows,
+                       summary=summarize(rows, n_stages),
                        wall_s=wall_s, scenario=scenario)
     if config.output.results_path:
-        _write_rows(config.output.results_path, config.box.dim, rows)
+        _write_results(config.output.results_path, rows, config.box.dim, n_stages)
     _write_dumps(config, scenario, records)
     return result
 
@@ -357,35 +519,6 @@ def baseline(config: RunConfig) -> RunResult:
     every query falls through to the top stage; same CSV schema.
     """
     return _execute(config, adaptation_enabled=False)
-
-
-def format_summary(result: RunResult) -> str:
-    s = result.summary
-    lines = [f"scenario={result.config.scenario} queries={s.n_queries} "
-             f"tolerance={result.config.hierarchy_tolerance:g} "
-             f"seed={result.config.seed}"]
-    for stage in range(1, result.scenario.levels_total + 1):
-        mean = s.eval_mean_s.get(stage)
-        mean_text = f"{mean * 1e3:9.3f} ms" if mean is not None else "      -   "
-        lines.append(
-            f"  stage {stage}: accepted {s.accepted.get(stage, 0):5d}   "
-            f"evaluations {s.eval_count.get(stage, 0):5d}   "
-            f"mean eval {mean_text}")
-    if s.first_half is not None:
-        first, second = s.first_half.accepted, s.second_half.accepted
-        lines.append("  accepted per half: "
-                     + " ".join(f"s{st}:{first.get(st, 0)}/{second.get(st, 0)}"
-                                for st in range(1, result.scenario.levels_total + 1))
-                     + "  (first/second)")
-    lines.append(f"  adaptation events: {s.adaptation_total}")
-    lines.append(f"  wall time: {result.wall_s:.3f} s")
-    if result.config.scenario == "parabolic":
-        lines.append(f"  qoi mean: {result.qoi_mean:.10g} "
-                     f"(certified per-sample bound, mean: "
-                     f"{result.qoi_mean_bound:.3e})")
-    else:
-        lines.append(f"  objective mean: {result.qoi_mean:.10g}")
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -430,12 +563,8 @@ def _analytic_error(n_h: int, K: int, T: float, Q: int) -> float:
     return float(np.max(np.abs(trajectory.states[-1] - exact)))
 
 
-def verify(config: RunConfig, sabotage: bool = False) -> VerifyReport:
-    """User-facing correctness suite; see README for the check list.
-
-    ``sabotage`` is a test-only hook that flips a sign in the online
-    residual Gramian, which must make the offline/online check fail.
-    """
+def verify(config: RunConfig) -> VerifyReport:
+    """User-facing correctness suite; see README for the check list."""
     checks = []
     fc = config.fom
 
@@ -456,22 +585,26 @@ def verify(config: RunConfig, sabotage: bool = False) -> VerifyReport:
     checks.append(Check("fom refinement ratio in [3.2, 4.8]", ratio, 4.8,
                         3.2 <= ratio <= 4.8))
 
-    # 2. offline/online residual norm equality on random bases/coefficients
+    # the parabolic checks draw diffusivities; optdemo's box is not one
     system = fom.assemble(fc.n_h, fc.K, fc.T, fc.Q, source=fc.source, u0=fc.u0)
-    worst = _offline_online_discrepancy(system, config, trials=50,
-                                        sabotage=sabotage)
+    box = (config.box if config.scenario == "parabolic"
+           else ParameterBox([[0.1, 10.0]] * fc.Q))
+
+    # 2. offline/online residual norm equality on random bases/coefficients
+    worst = _offline_online_discrepancy(system, box, config, trials=50)
     checks.append(Check("offline/online residual norms (relative)",
                         worst, 1e-8, worst <= 1e-8))
 
     # 3. X-orthonormality of an adaptively grown basis
-    basis = _grown_basis(system, config)
+    basis, reduced_system = _grown_basis(system, box, config)
     gram = basis.V.T @ (system.X @ basis.V)
     ortho = float(np.max(np.abs(gram - np.eye(basis.N)))) if basis.N else 0.0
     checks.append(Check("basis X-orthonormality max|V^T X V - I|",
                         ortho, 1e-8, ortho <= 1e-8, note=f"N={basis.N}"))
 
     # 4. estimator rigor on random triples (true error by fresh FOM solves)
-    margin = _rigor_margin(system, config, trials=25)
+    margin = _rigor_margin(system, box, config, basis, reduced_system,
+                           trials=25)
     checks.append(Check("estimator rigor min(Delta - true error)",
                         margin, -1e-10, margin >= -1e-10))
     return VerifyReport(checks)
@@ -484,18 +617,12 @@ def _random_basis(system, rng, n_vectors: int) -> rb.ReducedBasis:
     return rb.ReducedBasis(V=V, generation=1)
 
 
-def _offline_online_discrepancy(system, config, trials: int,
-                                sabotage: bool = False) -> float:
+def _offline_online_discrepancy(system, box, config, trials: int) -> float:
     rng = SplitMix64(config.seed ^ 0xA5A5A5A5)
-    box = config.box if config.scenario == "parabolic" else ParameterBox(
-        [[0.1, 10.0]] * system.Q)
     worst = 0.0
     for _ in range(trials):
         basis = _random_basis(system, rng, 4)
         reduced_system = rb.build_reduced_system(system, basis)
-        if sabotage:
-            reduced_system = dataclasses.replace(reduced_system,
-                                                 g_fm=-reduced_system.g_fm)
         mu = box.sample(rng)
         coeffs = np.array([[rng.uniform(-1.0, 1.0) for _ in range(basis.N)]
                            for _ in range(system.K + 1)])
@@ -520,10 +647,9 @@ def _direct_residual_norms(system, basis, mu, coeffs) -> np.ndarray:
     return norms
 
 
-def _grown_basis(system, config) -> rb.ReducedBasis:
+def _grown_basis(system, box, config):
+    """A basis grown by three full-order solves, with its reduced system."""
     rng = SplitMix64(config.seed ^ 0x5A5A5A5A)
-    box = (config.box if config.scenario == "parabolic"
-           else ParameterBox([[0.1, 10.0]] * system.Q))
     basis = rb.ReducedBasis.empty(system.n_h)
     reduced_system = rb.build_reduced_system(system, basis)
     for _ in range(3):
@@ -532,16 +658,13 @@ def _grown_basis(system, config) -> rb.ReducedBasis:
             basis, reduced_system, system, trajectory,
             pod_tol=config.rb.pod_tol, n_add_max=config.rb.n_add_max,
             n_max=config.rb.N_max)
-    return basis
+    return basis, reduced_system
 
 
-def _rigor_margin(system, config, trials: int) -> float:
+def _rigor_margin(system, box, config, basis, reduced_system,
+                  trials: int) -> float:
     """min over samples of (Delta - true final-time M-norm error)."""
     rng = SplitMix64(config.seed ^ 0x3C3C3C3C)
-    box = (config.box if config.scenario == "parabolic"
-           else ParameterBox([[0.1, 10.0]] * system.Q))
-    basis = _grown_basis(system, config)
-    reduced_system = rb.build_reduced_system(system, basis)
     margin = float("inf")
     for trial in range(trials):
         mu = box.sample(rng)
@@ -558,139 +681,3 @@ def _rigor_margin(system, config, trials: int) -> float:
         u_red = rb.reconstruct_final(basis, trajectory)
         margin = min(margin, delta - system.m_norm(u_true - u_red))
     return margin
-
-
-# ----------------------------------------------------------------------
-# report
-
-
-@dataclass
-class ReportSummary:
-    n_queries: int
-    stage_counts: dict
-    stage_fractions: dict
-    stage_mean_dur_s: dict
-    adaptation_counts: dict
-    adaptation_total: int
-    halves_stage_counts: dict   # {"first": {...}, "second": {...}}
-    qoi_mean: float
-    qoi_mean_bound: float       # conservative: ||1||_M <= 1 for this domain
-
-    def to_dict(self) -> dict:
-        def k(d):  # JSON needs string keys
-            return {str(key): val for key, val in d.items()}
-        return {
-            "n_queries": self.n_queries,
-            "stage_counts": k(self.stage_counts),
-            "stage_fractions": k(self.stage_fractions),
-            "stage_mean_dur_s": k(self.stage_mean_dur_s),
-            "adaptation_counts": {f"{s}>{t}": c for (s, t), c
-                                  in sorted(self.adaptation_counts.items())},
-            "adaptation_total": self.adaptation_total,
-            "halves_stage_counts": {h: k(d) for h, d
-                                    in self.halves_stage_counts.items()},
-            "qoi_mean": self.qoi_mean,
-            "qoi_mean_bound": self.qoi_mean_bound,
-        }
-
-    def format(self) -> str:
-        lines = [f"queries: {self.n_queries}"]
-        for stage in sorted(self.stage_counts):
-            mean = self.stage_mean_dur_s.get(stage)
-            mean_text = f"{mean * 1e3:9.3f} ms" if mean is not None else "        -"
-            lines.append(f"  stage {stage}: {self.stage_counts[stage]:5d} "
-                         f"({self.stage_fractions[stage]:7.2%})  mean dur {mean_text}")
-        lines.append(f"  adaptation events: {self.adaptation_total} "
-                     + " ".join(f"{s}>{t}:{c}" for (s, t), c
-                                in sorted(self.adaptation_counts.items())))
-        first = self.halves_stage_counts.get("first", {})
-        second = self.halves_stage_counts.get("second", {})
-        stages = sorted(set(first) | set(second))
-        lines.append("  halves (first/second): "
-                     + " ".join(f"s{st}:{first.get(st, 0)}/{second.get(st, 0)}"
-                                for st in stages))
-        lines.append(f"  qoi mean: {self.qoi_mean:.10g} "
-                     f"+- {self.qoi_mean_bound:.3e} (certified)")
-        return "\n".join(lines)
-
-
-def _parse_row(line: str, dim: int, row_number: int):
-    cells = line.split(",")
-    # query_id + mu + (stage, estimate, qoi) + durations + (basis_n, ml_n) + events
-    expected = 1 + dim + 3 + MAX_STAGES + 2 + 1
-    if len(cells) != expected:
-        raise ConfigurationError(
-            f"results row {row_number}: expected {expected} cells, "
-            f"got {len(cells)}")
-    try:
-        query_id = int(cells[0])
-        mu = [float(c) for c in cells[1:1 + dim]]
-        stage = int(cells[1 + dim])
-        raw_estimate = cells[2 + dim]
-        estimate = None if raw_estimate == "ref" else float(raw_estimate)
-        if estimate is not None and (not math.isfinite(estimate) or estimate < 0):
-            raise ValueError(f"bad estimate {raw_estimate!r}")
-        qoi = float(cells[3 + dim])
-        durations = [float(c) for c in cells[4 + dim:4 + dim + MAX_STAGES]]
-        basis_n = int(cells[4 + dim + MAX_STAGES])
-        ml_n = int(cells[5 + dim + MAX_STAGES])
-        events = []
-        if cells[-1]:
-            for token in cells[-1].split(CSV_EVENT_SEP):
-                src, tgt = token.split(">")
-                events.append((int(src), int(tgt)))
-        if not 1 <= stage <= MAX_STAGES:
-            raise ValueError(f"stage {stage} out of range")
-    except (ValueError, IndexError) as err:
-        raise ConfigurationError(f"results row {row_number}: {err}") from None
-    return (query_id, mu, stage, estimate, qoi, durations, basis_n, ml_n, events)
-
-
-def read_results(path) -> tuple[int, list]:
-    """Parse a results CSV; returns (parameter dimension, parsed rows)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines:
-        raise ConfigurationError("results file is empty (missing header)")
-    header = lines[0].split(",")
-    dim = sum(1 for cell in header if cell.startswith("mu_"))
-    if dim == 0 or lines[0] != csv_header(dim):
-        raise ConfigurationError("results header does not match the schema")
-    rows = [_parse_row(line, dim, i + 1)
-            for i, line in enumerate(lines[1:]) if line]
-    return dim, rows
-
-
-def report(path) -> ReportSummary:
-    """Aggregate a results CSV into the standard summary."""
-    _, rows = read_results(path)
-    n = len(rows)
-    stage_counts, dur_total, dur_count, adaptation = {}, {}, {}, {}
-    qoi_sum = 0.0
-    bound_sum = 0.0
-    halves = {"first": {}, "second": {}}
-    n_first = (n + 1) // 2
-    for i, (_, _, stage, estimate, qoi, durations, _, _, events) in enumerate(rows):
-        stage_counts[stage] = stage_counts.get(stage, 0) + 1
-        half = "first" if i < n_first else "second"
-        halves[half][stage] = halves[half].get(stage, 0) + 1
-        qoi_sum += qoi
-        if estimate is not None:
-            bound_sum += estimate  # ||1||_M <= 1: conservative certified bound
-        for s, duration in enumerate(durations, start=1):
-            if duration > 0:
-                dur_total[s] = dur_total.get(s, 0.0) + duration
-                dur_count[s] = dur_count.get(s, 0) + 1
-        for event in events:
-            adaptation[event] = adaptation.get(event, 0) + 1
-    return ReportSummary(
-        n_queries=n,
-        stage_counts=stage_counts,
-        stage_fractions={s: c / n for s, c in stage_counts.items()} if n else {},
-        stage_mean_dur_s={s: dur_total[s] / dur_count[s] for s in dur_total},
-        adaptation_counts=adaptation,
-        adaptation_total=sum(adaptation.values()),
-        halves_stage_counts=halves,
-        qoi_mean=qoi_sum / n if n else 0.0,
-        qoi_mean_bound=bound_sum / n if n else 0.0,
-    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -244,51 +244,3 @@ class ModelHierarchy:
             if on_record is not None:
                 on_record(record)
         return records
-
-
-# ----------------------------------------------------------------------
-# Stream statistics
-
-
-@dataclass
-class StatsSummary:
-    n_queries: int = 0
-    accepted: dict = field(default_factory=dict)          # stage -> count
-    eval_count: dict = field(default_factory=dict)        # stage -> evaluations
-    eval_total_s: dict = field(default_factory=dict)      # stage -> total eval time
-    eval_mean_s: dict = field(default_factory=dict)       # stage -> mean eval time
-    criterion_total_s: dict = field(default_factory=dict)
-    total_wall_s: float = 0.0
-    adaptation_events: dict = field(default_factory=dict)  # (src, tgt) -> count
-    adaptation_total: int = 0
-    first_half: "StatsSummary | None" = None
-    second_half: "StatsSummary | None" = None
-
-
-def summarize(records: Sequence[QueryRecord], _split: bool = True) -> StatsSummary:
-    """Aggregate counts, times and adaptation activity over a query log.
-
-    The same quantities are computed for the first and second half of the
-    stream so the adaptive load shift is directly visible.
-    """
-    s = StatsSummary(n_queries=len(records))
-    for record in records:
-        stage = record.answer.stage
-        s.accepted[stage] = s.accepted.get(stage, 0) + 1
-        for attempt in record.answer.attempts:
-            s.eval_count[attempt.stage] = s.eval_count.get(attempt.stage, 0) + 1
-            s.eval_total_s[attempt.stage] = (
-                s.eval_total_s.get(attempt.stage, 0.0) + attempt.duration_s)
-            s.criterion_total_s[attempt.stage] = (
-                s.criterion_total_s.get(attempt.stage, 0.0) + attempt.criterion_s)
-        for event in record.adaptation_events:
-            s.adaptation_events[event] = s.adaptation_events.get(event, 0) + 1
-            s.adaptation_total += 1
-        s.total_wall_s += record.wall_s
-    for stage, count in s.eval_count.items():
-        s.eval_mean_s[stage] = s.eval_total_s[stage] / count
-    if _split and records:
-        n_first = (len(records) + 1) // 2
-        s.first_half = summarize(records[:n_first], _split=False)
-        s.second_half = summarize(records[n_first:], _split=False)
-    return s

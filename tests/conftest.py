@@ -28,7 +28,7 @@ def random_coefficients(rng: SplitMix64, n_rows: int, n_cols: int,
 
 
 def strip_duration_columns(path) -> list:
-    """Result rows with the three duration cells blanked."""
+    """Result rows with every duration cell (dur_s1..dur_sL) blanked."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         dur_idx = [i for i, name in enumerate(header) if name.startswith("dur_")]

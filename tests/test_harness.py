@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mfhier import harness
+from mfhier import cli, harness, rb
 from mfhier.cli import main as cli_main
 from mfhier.errors import ConfigurationError
 
@@ -80,24 +81,27 @@ def test_zero_queries_header_only(tmp_path):
     config = small_parabolic(tmp_path, n_queries=0)
     result = harness.run(config)
     lines = (tmp_path / "results.csv").read_text().splitlines()
-    assert lines == [harness.csv_header(2)]
+    assert lines == [harness.csv_header(2, 3)]
     assert result.summary.n_queries == 0
-    assert result.qoi_mean == 0.0
+    assert result.summary.qoi_mean == 0.0
 
 
 def test_run_writes_schema_and_monotone_state(tmp_path):
     config = small_parabolic(tmp_path, n_queries=25)
     result = harness.run(config)
-    dim, rows = harness.read_results(config.output.results_path)
-    assert dim == 2 and len(rows) == 25
-    basis_sizes = [row[6] for row in rows]
-    ml_sizes = [row[7] for row in rows]
+    rows, n_stages = harness.read_results(config.output.results_path)
+    assert n_stages == 3 and len(rows) == 25
+    # every cell but the durations, which the CSV rounds, reads back exactly
+    assert ([row._replace(durations=()) for row in rows]
+            == [row._replace(durations=()) for row in result.rows])
+    basis_sizes = [row.basis_n for row in rows]
+    ml_sizes = [row.ml_n for row in rows]
     assert basis_sizes == sorted(basis_sizes)
     assert ml_sizes == sorted(ml_sizes)
     for row in rows:
-        stage, estimate = row[2], row[3]
-        if stage < 3:
-            assert estimate is not None and estimate <= config.tolerance
+        assert len(row.mu) == 2
+        if row.stage < 3:
+            assert row.estimate is not None and row.estimate <= config.tolerance
 
 
 def test_determinism_modulo_durations(tmp_path):
@@ -130,12 +134,12 @@ def test_baseline_matches_zero_tolerance_run(tmp_path):
     config_zero.tolerance = 0.0
     config_zero.output.results_path = str(tmp_path / "zero.csv")
     zero = harness.run(config_zero)
-    base_rows = harness.read_results(str(tmp_path / "base.csv"))[1]
-    zero_rows = harness.read_results(str(tmp_path / "zero.csv"))[1]
+    base_rows = harness.read_results(str(tmp_path / "base.csv"))[0]
+    zero_rows = harness.read_results(str(tmp_path / "zero.csv"))[0]
     for row_b, row_z in zip(base_rows, zero_rows):
-        assert row_b[2] == row_z[2] == 3      # stages agree: always the top
-        assert row_b[4] == row_z[4]           # QoIs agree bitwise
-    assert all(r[3] is None for r in base_rows)  # estimate column is "ref"
+        assert row_b.stage == row_z.stage == 3  # always the top
+        assert row_b.qoi == row_z.qoi           # QoIs agree bitwise
+    assert all(r.estimate is None for r in base_rows)  # estimate column is "ref"
 
 
 def test_baseline_qoi_within_certified_bound(tmp_path):
@@ -145,7 +149,8 @@ def test_baseline_qoi_within_certified_bound(tmp_path):
     config_b.output.results_path = str(tmp_path / "base.csv")
     base_result = harness.baseline(config_b)
     c_l = run_result.scenario.system.qoi_const
-    diffs = np.abs(run_result.qoi_values - base_result.qoi_values)
+    diffs = np.abs(np.array([row.qoi for row in run_result.rows])
+                   - np.array([row.qoi for row in base_result.rows]))
     assert np.all(diffs <= c_l * config.tolerance + 1e-12)
 
 
@@ -159,9 +164,22 @@ def test_verify_default_passes():
     assert len(report.checks) == 5
 
 
-def test_verify_sabotage_fails_offline_online():
+def flip_online_g_fm(monkeypatch):
+    """Flip the sign of g_fm in the reduced system the online residual
+    norms see, a fault the offline/online check must catch."""
+    online = rb.residual_dual_norms
+
+    def flipped(reduced_system, mu, trajectory):
+        return online(dataclasses.replace(reduced_system, g_fm=-reduced_system.g_fm),
+                      mu, trajectory)
+
+    monkeypatch.setattr(rb, "residual_dual_norms", flipped)
+
+
+def test_verify_sabotage_fails_offline_online(monkeypatch):
     config = harness.default_config("parabolic")
-    report = harness.verify(config, sabotage=True)
+    flip_online_g_fm(monkeypatch)
+    report = harness.verify(config)
     assert not report.all_passed
     failing = [c.name for c in report.checks if not c.passed]
     assert any("offline/online" in name for name in failing)
@@ -180,47 +198,57 @@ def test_verify_tiny_config_passes():
 
 def test_report_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    path.write_text(harness.csv_header(2) + "\n")
+    path.write_text(harness.csv_header(2, 3) + "\n")
     summary = harness.report(path)
     assert summary.n_queries == 0
-    assert summary.stage_counts == {}
+    assert summary.accepted == {1: 0, 2: 0, 3: 0}
     assert summary.qoi_mean == 0.0
 
 
 def test_report_single_stage_one_row(tmp_path):
     path = tmp_path / "one.csv"
     row = "0,1.0,2.0,1,0.0005,0.25,1.0e-03,0.0,0.0,5,12,2>1"
-    path.write_text(harness.csv_header(2) + "\n" + row + "\n")
+    path.write_text(harness.csv_header(2, 3) + "\n" + row + "\n")
     summary = harness.report(path)
-    assert summary.stage_fractions == {1: 1.0}
-    assert summary.adaptation_counts == {(2, 1): 1}
+    assert summary.fractions == {1: 1.0, 2: 0.0, 3: 0.0}
+    assert summary.evaluations == {1: 1, 2: 0, 3: 0}
+    assert summary.adaptation == {(2, 1): 1}
     assert summary.qoi_mean == 0.25
+    assert summary.estimate_mean == 0.0005
 
 
 def test_report_fractions_sum_to_one(tmp_path):
     config = small_parabolic(tmp_path, n_queries=30)
     harness.run(config)
     summary = harness.report(config.output.results_path)
-    assert sum(summary.stage_fractions.values()) == pytest.approx(1.0, abs=1e-12)
+    assert sum(summary.fractions.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_report_roundtrip_lossless(tmp_path):
-    config = small_parabolic(tmp_path, n_queries=18)
-    result = harness.run(config)
-    summary = harness.report(config.output.results_path)
-    s = result.summary
-    assert summary.stage_counts == s.accepted
-    assert summary.adaptation_counts == s.adaptation_events
-    assert summary.qoi_mean == pytest.approx(result.qoi_mean, rel=1e-12)
-    mirror = json.loads(json.dumps(summary.to_dict()))
-    assert mirror["n_queries"] == 18
-    assert mirror["qoi_mean"] == summary.qoi_mean
+    # the report of a run's CSV is the run's summary; only the mean
+    # evaluation times differ, by the 7 digits the CSV keeps of a duration
+    optdemo = harness.default_config("optdemo", n_queries=30)
+    optdemo.opt.delay_s = 0.0
+    optdemo.output.results_path = str(tmp_path / "opt.csv")
+    for config in (small_parabolic(tmp_path, n_queries=40), optdemo):
+        result = harness.run(config)
+        ran = result.summary.to_dict()
+        reported = harness.report(config.output.results_path).to_dict()
+        ran_means, reported_means = ran.pop("eval_mean_s"), reported.pop("eval_mean_s")
+        assert reported == ran
+        assert reported_means.keys() == ran_means.keys()
+        for stage, mean in ran_means.items():
+            assert reported_means[stage] == pytest.approx(mean, rel=1e-6)
+        assert sum(ran["evaluations"].values()) > ran["n_queries"]
+        assert ran["adaptation_total"] > 0
+        mirror = json.loads(json.dumps(reported))
+        assert mirror["n_queries"] == config.n_queries
 
 
 def test_report_malformed_rows_named(tmp_path):
     path = tmp_path / "bad.csv"
     good = "0,1.0,2.0,3,ref,0.25,1e-3,0.0,0.0,5,12,"
-    path.write_text(harness.csv_header(2) + "\n" + good + "\n, bad row\n")
+    path.write_text(harness.csv_header(2, 3) + "\n" + good + "\n, bad row\n")
     with pytest.raises(ConfigurationError, match="row 2"):
         harness.report(path)
     path.write_text("not,a,header\n")
@@ -231,12 +259,22 @@ def test_report_malformed_rows_named(tmp_path):
 def test_report_rejects_bad_stage_and_estimate(tmp_path):
     path = tmp_path / "bad2.csv"
     row = "0,1.0,2.0,7,ref,0.25,1e-3,0.0,0.0,5,12,"
-    path.write_text(harness.csv_header(2) + "\n" + row + "\n")
+    path.write_text(harness.csv_header(2, 3) + "\n" + row + "\n")
     with pytest.raises(ConfigurationError, match="row 1"):
         harness.report(path)
     row = "0,1.0,2.0,1,-0.5,0.25,1e-3,0.0,0.0,5,12,"
-    path.write_text(harness.csv_header(2) + "\n" + row + "\n")
+    path.write_text(harness.csv_header(2, 3) + "\n" + row + "\n")
     with pytest.raises(ConfigurationError, match="row 1"):
+        harness.report(path)
+    row = "0,1.0,2.0,3,ref,0.25,1e-3,0.0,0.0,5,12,3>2;9>7"
+    path.write_text(harness.csv_header(2, 3) + "\n" + row + "\n")
+    with pytest.raises(ConfigurationError, match="row 1: bad adaptation event"):
+        harness.report(path)
+    # the stage count comes from the header: stage 3 of a 2-stage file
+    good = "0,1.0,2.0,2,ref,0.25,1e-3,0.0,5,12,"
+    row = "1,1.0,2.0,3,ref,0.25,1e-3,0.0,5,12,"
+    path.write_text(harness.csv_header(2, 2) + "\n" + good + "\n" + row + "\n")
+    with pytest.raises(ConfigurationError, match="row 2: stage 3 out of range"):
         harness.report(path)
 
 
@@ -271,11 +309,20 @@ def test_cli_run_and_report(tmp_path, capsys):
                      "--out", str(out)])
     assert code == 0
     assert out.exists()
+    ran = capsys.readouterr().out.splitlines()
     json_out = tmp_path / "summary.json"
     code = cli_main(["report", str(out), "--out", str(json_out)])
     assert code == 0
+    reported = capsys.readouterr().out.splitlines()
     mirror = json.loads(json_out.read_text())
     assert mirror["n_queries"] == 6
+    # the same block, apart from the mean evaluation times the CSV rounds
+    def block(lines):
+        return [line.split("mean eval")[0] for line in lines
+                if not line.startswith(("  wall time", "results written",
+                                        "summary written"))]
+    assert block(reported) == block(ran)
+    assert len(block(ran)) == 1 + 3 + 4
 
 
 def test_cli_overrides_config_file(tmp_path):
@@ -286,8 +333,20 @@ def test_cli_overrides_config_file(tmp_path):
     code = cli_main(["run", "--config", str(path), "--queries", "4",
                      "--out", str(tmp_path / "y.csv")])
     assert code == 0
-    rows = harness.read_results(str(tmp_path / "y.csv"))[1]
+    rows = harness.read_results(str(tmp_path / "y.csv"))[0]
     assert len(rows) == 4
+
+
+def test_cli_scenario_override_takes_its_defaults(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"scenario": "parabolic", "n_queries": 3}))
+    parser = cli.build_parser()
+    overridden = cli._load_config(parser.parse_args(
+        ["run", "--config", str(path), "--scenario", "optdemo"]))
+    plain = cli._load_config(parser.parse_args(["run", "--scenario", "optdemo"]))
+    assert overridden.parameter_box == plain.parameter_box == [[-5.0, 5.0]] * 2
+    assert overridden.ml.ridge == plain.ml.ridge == 1e-12
+    assert overridden.n_queries == 3
 
 
 def test_cli_exit_codes(tmp_path):
@@ -304,9 +363,10 @@ def test_cli_exit_codes(tmp_path):
                      "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 3
 
 
-def test_cli_verify_and_sabotage(tmp_path):
+def test_cli_verify_and_sabotage(tmp_path, monkeypatch):
     assert cli_main(["verify", "--seed", "2"]) == 0
-    assert cli_main(["verify", "--seed", "2", "--sabotage"]) == 1
+    flip_online_g_fm(monkeypatch)
+    assert cli_main(["verify", "--seed", "2"]) == 1
 
 
 def test_cli_shards_flag_removed(tmp_path, capsys):
@@ -322,9 +382,11 @@ def test_cli_optdemo_run(tmp_path):
     code = cli_main(["run", "--scenario", "optdemo", "--queries", "4",
                      "--out", str(out)])
     assert code == 0
-    dim, rows = harness.read_results(str(out))
-    assert dim == 2 and len(rows) == 4
-    assert all(row[2] in (1, 2) for row in rows)
+    rows, n_stages = harness.read_results(str(out))
+    assert n_stages == 2 and len(rows) == 4
+    assert all(row.stage in (1, 2) and len(row.mu) == 2 for row in rows)
+    header = out.read_text().splitlines()[0]
+    assert header.endswith(",qoi,dur_s1,dur_s2,basis_n,ml_n,events")
 
 
 def test_certified_monte_carlo_rows(tmp_path):
@@ -350,8 +412,8 @@ def test_mean_eval_time_ordering_with_enough_samples(tmp_path):
     config = small_parabolic(tmp_path, n_queries=150)
     result = harness.run(config)
     s = result.summary
-    means = [s.eval_mean_s.get(stage) for stage in (1, 2, 3)]
-    counts = [s.eval_count.get(stage, 0) for stage in (1, 2, 3)]
+    means = [s.eval_mean_s[stage] for stage in (1, 2, 3)]
+    counts = [s.evaluations[stage] for stage in (1, 2, 3)]
     for cheap, costly in ((0, 1), (1, 2)):
         if counts[cheap] >= 50 and counts[costly] >= 50:
             assert means[cheap] < means[costly]

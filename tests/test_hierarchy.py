@@ -3,7 +3,7 @@ import pytest
 
 from mfhier import (REFERENCE, ConfigurationError, DomainError, ModelHierarchy,
                     ModelLevel, ModelOutput, ParameterBox, StreamAborted,
-                    summarize)
+                    harness)
 
 
 class StubLevel(ModelLevel):
@@ -173,10 +173,18 @@ def test_stream_records_are_sequential(unit_box):
     assert [r.query_id for r in records] == [0, 1, 2]
 
 
+def summarize_records(records, n_stages):
+    rows = [harness.result_row(record, 0.0, 0, 0, n_stages) for record in records]
+    return harness.summarize(rows, n_stages)
+
+
 def test_summarize_empty():
-    s = summarize([])
+    s = summarize_records([], 3)
     assert s.n_queries == 0
-    assert s.accepted == {} and s.adaptation_total == 0
+    assert s.accepted == {1: 0, 2: 0, 3: 0} and s.adaptation_total == 0
+    assert s.eval_mean_s == {1: None, 2: None, 3: None}
+    assert s.accepted_halves == ({1: 0, 2: 0, 3: 0}, {1: 0, 2: 0, 3: 0})
+    assert s.qoi_mean == 0.0 and s.estimate_mean == 0.0
 
 
 def test_summarize_counts_and_halves(unit_box):
@@ -185,12 +193,13 @@ def test_summarize_counts_and_halves(unit_box):
     lvl3 = StubLevel("m3", reference=True)
     hierarchy = ModelHierarchy([lvl1, lvl2, lvl3], tolerance=1e-3, box=unit_box)
     records = hierarchy.run_query_stream([[x] for x in (0.1, 0.2, 0.3, 0.4)])
-    s = summarize(records)
-    assert s.accepted == {2: 4}
-    assert s.eval_count == {1: 4, 2: 4}
-    assert s.adaptation_events == {(2, 1): 4}
-    assert s.first_half.n_queries == 2 and s.second_half.n_queries == 2
-    assert s.first_half.accepted == {2: 2}
+    s = summarize_records(records, 3)
+    assert s.accepted == {1: 0, 2: 4, 3: 0}
+    assert s.evaluations == {1: 4, 2: 4, 3: 0}
+    assert s.adaptation == {(2, 1): 4}
+    first, second = s.accepted_halves
+    assert first == second == {1: 0, 2: 2, 3: 0}
+    assert s.estimate_mean == pytest.approx(1e-6)
 
 
 def test_summarize_all_top_stage(unit_box):
@@ -198,9 +207,11 @@ def test_summarize_all_top_stage(unit_box):
         [StubLevel("m1", estimate=9.0), StubLevel("m3", reference=True)],
         tolerance=1e-3, box=unit_box)
     records = hierarchy.run_query_stream([[0.5]] * 6)
-    s = summarize(records)
-    assert s.accepted == {2: 6}
-    assert s.accepted.get(1, 0) == 0
+    s = summarize_records(records, 2)
+    assert s.accepted == {1: 0, 2: 6}
+    assert s.fractions == {1: 0.0, 2: 1.0}
+    assert s.evaluations == {1: 6, 2: 6}
+    assert s.estimate_mean == 0.0  # reference answers count as 0
 
 
 def test_parameter_box_validation():
