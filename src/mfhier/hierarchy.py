@@ -3,23 +3,31 @@
 An ordered list of models of increasing cost and accuracy answers requests
 from an outer loop.  Each request is evaluated by the cheapest ready model
 first; a result is accepted once its error estimate meets the tolerance,
-otherwise the request falls through to the next model.  Whenever a model is
-evaluated, its evaluation data is offered to all cheaper models so they can
-improve themselves, which over a stream of requests shifts the load towards
-the cheap end of the hierarchy.  The last model acts as reference and is
-accepted unconditionally.
+otherwise, or when the model fails, the request falls through to the next
+model.  Whenever a model is evaluated, its evaluation data is offered to
+all cheaper models so they can improve themselves, which over a stream of
+requests shifts the load towards the cheap end of the hierarchy.  The last
+model acts as reference and is accepted unconditionally.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, StreamAborted
+from .errors import (ConfigurationError, DomainError, NotReadyError,
+                     StaleGenerationError, StreamAborted)
+
+#: Failures of a surrogate level that send the query on to the next level,
+#: recorded as an attempt with an infinite estimate.  Raised by the last
+#: level, they propagate; so does every other error.
+SURROGATE_FAILURES = (NotReadyError, StaleGenerationError,
+                      np.linalg.LinAlgError)
 
 
 class _Reference:
@@ -102,7 +110,7 @@ class ModelOutput:
 class Attempt:
     stage: int
     duration_s: float
-    estimate: Any  # nonnegative float or REFERENCE
+    estimate: Any  # nonnegative float (inf: the level failed) or REFERENCE
     criterion_s: float = 0.0
 
 
@@ -125,16 +133,18 @@ class QueryRecord:
     mu: np.ndarray
     answer: CertifiedAnswer
     adaptation_events: list[tuple[int, int]]
-    wall_s: float = 0.0
 
 
 class ModelLevel(abc.ABC):
     """Contract every hierarchy stage implements.
 
     ``evaluate`` may assume ``is_ready()`` returned True immediately
-    before.  ``absorb`` returns None when the payload is ignored, or a
-    (possibly empty) list of follow-on payloads to offer to the levels
-    below this one; it must never invalidate answers already emitted.
+    before.  ``evaluate`` and ``estimate_error`` of any level but the last
+    may decline a request by raising one of :data:`SURROGATE_FAILURES`;
+    the request then goes on to the next level.  ``absorb`` returns None
+    when the payload is ignored, or a (possibly empty) list of follow-on
+    payloads to offer to the levels below this one; it must never
+    invalidate answers already emitted.
     """
 
     name: str = "model"
@@ -188,16 +198,27 @@ class ModelHierarchy:
         for i, level in enumerate(self.levels):
             if not level.is_ready():
                 continue  # skipped silently, not recorded as an attempt
+            next_level = self.levels[i + 1] if i + 1 < n else None
             t0 = time.perf_counter()
-            output = level.evaluate(mu)
+            try:
+                output = level.evaluate(mu)
+            except SURROGATE_FAILURES:
+                if next_level is None:
+                    raise
+                attempts.append(Attempt(i + 1, time.perf_counter() - t0, math.inf))
+                continue
             output.duration_s = time.perf_counter() - t0
             if self.adaptation_enabled and output.adaptation is not None:
                 self._broadcast(i, output.adaptation, events)
-            next_level = self.levels[i + 1] if i + 1 < n else None
             t0 = time.perf_counter()
-            estimate = level.estimate_error(output, mu, next_level)
+            try:
+                estimate = level.estimate_error(output, mu, next_level)
+            except SURROGATE_FAILURES:
+                if next_level is None:
+                    raise
+                estimate = math.inf
             criterion_s = time.perf_counter() - t0
-            if estimate is REFERENCE and i + 1 < n:
+            if estimate is REFERENCE and next_level is not None:
                 raise ConfigurationError(
                     f"level {i + 1} returned a Reference estimate but is not "
                     "the last level")
@@ -232,14 +253,13 @@ class ModelHierarchy:
         """
         records: list[QueryRecord] = []
         for query_id, mu in enumerate(mu_sequence):
-            t0 = time.perf_counter()
             try:
                 answer, events = self.handle_request(mu)
             except DomainError as err:
                 raise StreamAborted(f"query {query_id} rejected: {err}",
                                     records, query_id, err) from err
             record = QueryRecord(query_id, np.asarray(mu, dtype=float), answer,
-                                 events, wall_s=time.perf_counter() - t0)
+                                 events)
             records.append(record)
             if on_record is not None:
                 on_record(record)

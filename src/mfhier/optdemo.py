@@ -210,6 +210,12 @@ class SurrogateObjectiveLevel(ModelLevel):
         return ModelOutput(payload=payload)
 
     def estimate_error(self, output, mu, next_level=None):
+        """Norm of the finite-difference gradient of the true objective.
+
+        Accurate to the truncation of the differences (at most 2e-9 per
+        component for central ones on [-5, 5]^2), which the estimate does
+        not include: an FD-accurate certificate, not a rigorous bound.
+        """
         oracle = next_level.oracle if next_level is not None else self.oracle
         grad = fd_gradient(oracle, output.payload.x, self.box)
         g = float(np.linalg.norm(grad))

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from mfhier import (REFERENCE, ConfigurationError, DomainError, ModelHierarchy,
-                    ModelLevel, ModelOutput, ParameterBox, StreamAborted,
-                    harness)
+                    ModelLevel, ModelOutput, NotReadyError, ParameterBox,
+                    StaleGenerationError, StreamAborted, harness)
 
 
 class StubLevel(ModelLevel):
@@ -36,6 +38,29 @@ class StubLevel(ModelLevel):
 
     def is_ready(self):
         return self.ready
+
+
+class FailingLevel(StubLevel):
+    """Stub level whose ``evaluate`` or ``estimate_error`` raises ``error``."""
+
+    def __init__(self, name, error, method="evaluate", **kw):
+        super().__init__(name, **kw)
+        self.error, self.method = error, method
+
+    def evaluate(self, mu):
+        output = super().evaluate(mu)
+        if self.method == "evaluate":
+            raise self.error
+        return output
+
+    def estimate_error(self, output, mu, next_level=None):
+        if self.method == "estimate_error":
+            raise self.error
+        return super().estimate_error(output, mu, next_level)
+
+
+SURROGATE_ERRORS = [NotReadyError("declined"), StaleGenerationError("stale"),
+                    np.linalg.LinAlgError("singular")]
 
 
 @pytest.fixture
@@ -113,6 +138,43 @@ def test_adaptation_disabled_suppresses_events(unit_box):
     _, events = hierarchy.handle_request([0.5])
     assert events == []
     assert lvl1.absorbed == [] and lvl2.absorbed == []
+
+
+@pytest.mark.parametrize("method", ["evaluate", "estimate_error"])
+@pytest.mark.parametrize("error", SURROGATE_ERRORS, ids=lambda e: type(e).__name__)
+def test_surrogate_failure_falls_through(unit_box, error, method):
+    lvl1 = FailingLevel("m1", error, method, estimate=1e-9)
+    lvl2 = StubLevel("m2", estimate=1e-6)
+    lvl3 = StubLevel("m3", reference=True)
+    hierarchy = ModelHierarchy([lvl1, lvl2, lvl3], tolerance=1e-3, box=unit_box)
+    records = hierarchy.run_query_stream([[0.1], [0.5], [0.9]])
+    for record in records:
+        answer = record.answer
+        assert answer.stage == 2 and answer.payload[0] == "m2"
+        assert [a.stage for a in answer.attempts] == [1, 2]
+        failed = answer.attempts[0]
+        assert failed.estimate == math.inf and failed.duration_s >= 0.0
+    assert lvl3.n_evals == 0
+
+
+@pytest.mark.parametrize("method", ["evaluate", "estimate_error"])
+@pytest.mark.parametrize("error", SURROGATE_ERRORS, ids=lambda e: type(e).__name__)
+def test_top_level_failure_propagates(unit_box, error, method):
+    top = FailingLevel("m2", error, method, reference=True)
+    hierarchy = ModelHierarchy([StubLevel("m1", estimate=0.9), top],
+                               tolerance=1e-3, box=unit_box)
+    with pytest.raises(type(error)):
+        hierarchy.handle_request([0.5])
+
+
+@pytest.mark.parametrize("error", [DomainError("bad"), ConfigurationError("bad")],
+                         ids=lambda e: type(e).__name__)
+def test_other_surrogate_errors_propagate(unit_box, error):
+    lvl1 = FailingLevel("m1", error)
+    hierarchy = ModelHierarchy([lvl1, StubLevel("m2", reference=True)],
+                               tolerance=1e-3, box=unit_box)
+    with pytest.raises(type(error)):
+        hierarchy.handle_request([0.5])
 
 
 def test_domain_error_before_any_evaluation(unit_box):

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from mfhier import (ConfigurationError, KernelRegressor, NotReadyError,
                     ParameterBox, SplitMix64, StaleGenerationError,
-                    error_estimate, predict_trajectory, rebase, solve_fom,
-                    solve_rb)
+                    error_estimate, harness, predict_trajectory, rebase,
+                    solve_fom, solve_rb)
 from mfhier import mlsurrogate
 from mfhier.mlsurrogate import MLCoefficientLevel
 from mfhier.rb import BasisChanged, ReducedBasisLevel
@@ -176,6 +178,66 @@ def test_prediction_feeds_estimator(rb_level, diffusivity_box, small_system):
     trajectory = predict_trajectory(regressor, mu, small_system.K)
     delta = error_estimate(rb_level.reduced_system, mu, trajectory)
     assert np.isfinite(delta) and delta >= 0.0
+
+
+# ---------------------------------------------------------------- power gate
+
+
+def test_power_function_matches_dense_solve(rb_level, diffusivity_box):
+    mus = seeded_mus(40)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, mus)
+    gram = mlsurrogate._gaussian(regressor.inputs, regressor.inputs,
+                                 regressor.lengthscale)
+    gram[np.diag_indices_from(gram)] += regressor.ridge
+    for mu in seeded_mus(20, seed=99):
+        k = mlsurrogate._gaussian(regressor.inputs,
+                                  np.atleast_2d(diffusivity_box.scale01(mu)),
+                                  regressor.lengthscale)[:, 0]
+        expected = math.sqrt(1.0 - k @ np.linalg.solve(gram, k))
+        assert abs(regressor.power(mu) - expected) <= 1e-10
+    assert max(regressor.power(mu) for mu in mus) < 1e-3
+    assert regressor.power([10.0, 0.1]) > 0.99  # a corner far from the data
+
+
+def test_power_gate_declines_before_predicting(rb_level, diffusivity_box):
+    regressor = regressor_from_rb(rb_level, diffusivity_box, seeded_mus(40))
+    far, near = [10.0, 0.1], seeded_mus(40)[3]
+    with pytest.raises(NotReadyError):
+        regressor.predict(far, max_power=0.5)
+    assert np.array_equal(regressor.predict(near, max_power=0.5),
+                          regressor.predict(near))
+
+
+def gated_and_ungated_runs(tmp_path, monkeypatch, Q, n_queries):
+    results = []
+    for gate in (mlsurrogate.POWER_GATE, math.inf):
+        monkeypatch.setattr(mlsurrogate, "POWER_GATE", gate)
+        config = harness.config_from_dict({
+            "fom": {"Q": Q}, "parameter_box": [[0.1, 10.0]] * Q,
+            "n_queries": n_queries, "seed": 42,
+            "output": {"results_path": str(tmp_path / f"q{Q}_{gate}.csv")}})
+        results.append(harness.run(config))
+    return results
+
+
+def answer_key(record):
+    answer = record.answer
+    return (answer.stage, answer.payload.qoi,
+            "ref" if answer.is_reference else answer.estimate)
+
+
+@pytest.mark.parametrize("Q,n_queries", [(2, 500), (8, 200)])
+def test_power_gate_keeps_every_answer(tmp_path, monkeypatch, Q, n_queries):
+    gated, ungated = gated_and_ungated_runs(tmp_path, monkeypatch, Q, n_queries)
+    assert ([answer_key(r) for r in gated.records]
+            == [answer_key(r) for r in ungated.records])
+    stage1 = [a for r in gated.records for a in r.answer.attempts if a.stage == 1]
+    assert stage1
+    if Q == 8:  # the kernel sees no data in [0, 1]^8: every attempt declined
+        assert all(a.estimate == math.inf for a in stage1)
+    else:  # some attempts declined, and stage 1 still answers
+        assert any(a.estimate == math.inf for a in stage1)
+        assert any(r.answer.stage == 1 for r in gated.records)
 
 
 # ---------------------------------------------------------------- rebase
