@@ -24,7 +24,7 @@ from .optdemo import (DescentResult, ObjectiveOracle, SurrogateObjectiveLevel,
 from .rb import (BasisChanged, ReducedBasis, ReducedBasisLevel,
                  ReducedSystem, ReducedTrajectory, build_reduced_system,
                  coercivity_lower_bound, error_estimate, extend_basis,
-                 reconstruct, reconstruct_final, residual_dual_norms, solve_rb)
+                 reconstruct_final, residual_dual_norms, solve_rb)
 from .rng import SplitMix64
 
 __version__ = "0.1.0"
@@ -42,7 +42,7 @@ __all__ = [
     "build_scenario", "coercivity_lower_bound", "compute_qoi",
     "default_config", "descend", "draw_parameters", "error_estimate",
     "extend_basis", "fd_gradient", "fit", "himmelblau", "load_config",
-    "predict_trajectory", "rebase", "reconstruct", "reconstruct_final",
+    "predict_trajectory", "rebase", "reconstruct_final",
     "report", "residual_dual_norms", "run", "solve_fom", "solve_rb",
     "summarize", "verify",
 ]

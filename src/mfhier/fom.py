@@ -65,6 +65,14 @@ class AffineSystem:
         return scipy.linalg.cho_solve_banded(self._x_chol, rhs,
                                              check_finite=False)
 
+    def x_half_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve U^T w = rhs (n_h x m) for X = U^T U, so that
+        w^T w = rhs^T X^{-1} rhs."""
+        w, info = scipy.linalg.lapack.dtbtrs(self._x_chol[0], rhs, trans="T")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"banded triangular solve failed (info={info})")
+        return w
+
 
 @dataclass
 class Trajectory:

@@ -1,16 +1,20 @@
 """Reduced-basis stage: Galerkin projection with a certified estimator.
 
 The basis grows adaptively by POD of the projection error of absorbed
-full-order trajectories (POD-Greedy).  All error estimation runs through
-precomputed Riesz cross-Gramians, so the online cost per time step is
-O((Q+1)^2 N^2) and never touches full-order vectors.  The estimator
+full-order trajectories (POD-Greedy).  The estimator
 
     Delta(mu)^2 = ||u0 - V a0||_M^2
                   + dt / alpha_LB(mu) * sum_k ||r^k||_{X'}^2
 
 bounds the final-time M-norm error of ANY coefficient sequence in the
 reduced space, which is what lets the machine-learning stage reuse it
-unchanged.
+unchanged.  Both norms are sums of squares over small upper-triangular
+factors computed once per basis (Buhr, Engwer, Ohlberger & Rave, 2014):
+the residual is r^k = C theta^k with C = [F, M V, A_1 V, .., A_Q V], and
+with X = U^T U and R the triangular factor of a QR of U^{-T} C,
+||r^k||_{X'} = ||R theta^k||.  Online the estimate never touches
+full-order vectors and, unlike an expanded quadratic form, can neither go
+negative nor lose its digits to cancellation.
 """
 
 from __future__ import annotations
@@ -62,74 +66,53 @@ class ReducedTrajectory:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Galerkin-projected operators plus the online estimator blocks.
+    """Galerkin-projected operators plus the two estimator factors.
 
-    The g_* arrays are Riesz cross-Gramians L_a^T X^{-1} L_b for
-    L in {F, M V, A_q V}; together with the initial-error blocks they make
-    residual dual norms and the error bound computable from coefficients
-    alone.
+    ``residual_factor`` is the upper-triangular R of U^{-T} [F, M V,
+    A_1 V, .., A_Q V] (X = U^T U), with min(n_h, 1 + N + Q N) rows: the
+    residual r^k = F - M V d^k - sum_q mu_q A_q V a^k has X' norm
+    ||R [1; -d^k; -mu_1 a^k; ..; -mu_Q a^k]||.  ``initial_error_factor`` is
+    the R of M^{1/2} [u0, V], so ||u0 - V a0||_M = ||R0 [1; -a0]||.  N = 0
+    is an empty column block, not a special case.
     """
 
     generation: int
     N: int
     K: int
-    T: float
     dt: float
     Q: int
     M_N: np.ndarray
     A_N: tuple
     F_N: np.ndarray
     a0: np.ndarray
-    qoi_N: np.ndarray
-    g_ff: float
-    g_fm: np.ndarray      # (N,)
-    g_fa: np.ndarray      # (Q, N)
-    g_mm: np.ndarray      # (N, N)
-    g_ma: np.ndarray      # (Q, N, N)
-    g_aa: np.ndarray      # (Q, Q, N, N), g_aa[q, p] == g_aa[p, q].T
-    u0_m_sq: float        # u0^T M u0
-    m_u0_N: np.ndarray    # V^T M u0
+    residual_factor: np.ndarray       # (min(n_h, 1+N+QN), 1+N+QN)
+    initial_error_factor: np.ndarray  # (min(n_h, 1+N), 1+N)
 
 
 def build_reduced_system(system: AffineSystem, basis: ReducedBasis) -> ReducedSystem:
-    """Offline stage: project operators and precompute estimator blocks."""
+    """Offline stage: project operators and QR-factor the estimator terms."""
     V = basis.V
     MV = system.M @ V
     AV = [A_q @ V for A_q in system.A]
-    R_f = system.x_solve(system.F)
-    R_m = system.x_solve(MV) if basis.N else MV
-    R_a = [system.x_solve(av) if basis.N else av for av in AV]
-
-    def sym(G):
-        return 0.5 * (G + G.T)
-
-    Q = system.Q
-    N = basis.N
-    g_aa = np.zeros((Q, Q, N, N))
-    for q in range(Q):
-        for p in range(q, Q):
-            block = AV[q].T @ R_a[p]
-            if p == q:
-                block = sym(block)
-            g_aa[q, p] = block
-            if p != q:
-                g_aa[p, q] = block.T
-    m_u0 = system.M @ system.u0
+    lifted = system.x_half_solve(np.column_stack([system.F, MV, *AV]))
+    # M^{1/2} is the banded Cholesky factor U_m of M = U_m^T U_m:
+    # ||U_m v|| = ||v||_M
+    m_band = np.zeros((2, system.n_h))
+    m_band[0, 1:] = system.M.diagonal(1)
+    m_band[1] = system.M.diagonal()
+    m_chol = scipy.linalg.cholesky_banded(m_band, check_finite=False)
+    initial = np.column_stack([system.u0, V])
+    m_half = m_chol[1, :, None] * initial
+    m_half[:-1] += m_chol[0, 1:, None] * initial[1:]
+    M_N, *A_N = (0.5 * (G + G.T) for G in (V.T @ L for L in (MV, *AV)))
     return ReducedSystem(
-        generation=basis.generation, N=N,
-        K=system.K, T=system.T, dt=system.dt, Q=Q,
-        M_N=sym(V.T @ MV), A_N=tuple(sym(V.T @ av) for av in AV),
+        generation=basis.generation, N=basis.N,
+        K=system.K, dt=system.dt, Q=system.Q,
+        M_N=M_N, A_N=tuple(A_N),
         F_N=V.T @ system.F,
         a0=V.T @ (system.X @ system.u0),
-        qoi_N=V.T @ system.qoi_vector,
-        g_ff=float(system.F @ R_f),
-        g_fm=system.F @ R_m,
-        g_fa=np.array([system.F @ ra for ra in R_a]).reshape(Q, N),
-        g_mm=sym(MV.T @ R_m),
-        g_ma=np.array([MV.T @ ra for ra in R_a]).reshape(Q, N, N),
-        g_aa=g_aa,
-        u0_m_sq=float(system.u0 @ m_u0),
-        m_u0_N=V.T @ m_u0,
+        residual_factor=np.linalg.qr(lifted, mode="r"),
+        initial_error_factor=np.linalg.qr(m_half, mode="r"),
     )
 
 
@@ -145,9 +128,8 @@ def _x_orthonormalize(system: AffineSystem, V: np.ndarray,
             continue
         for _ in range(2):
             xw = system.X @ w
-            if V.shape[1]:
-                w = w - V @ (V.T @ xw)
-                xw = system.X @ w
+            w = w - V @ (V.T @ xw)
+            xw = system.X @ w
             for v in kept:
                 w = w - v * (v @ xw)
                 xw = system.X @ w
@@ -181,12 +163,8 @@ def extend_basis(basis: ReducedBasis, reduced_system: ReducedSystem,
     if traj_energy <= 0.0:
         return basis, reduced_system, 0
 
-    if basis.N:
-        C = basis.V.T @ XS
-        E = S - basis.V @ C
-        XE = system.X @ E
-    else:
-        E, XE = S, XS
+    E = S - basis.V @ (basis.V.T @ XS)
+    XE = system.X @ E
     gramian = E.T @ XE
     gramian = 0.5 * (gramian + gramian.T)
     evals, evecs = np.linalg.eigh(gramian)
@@ -261,47 +239,26 @@ def _check_generation(reduced_system: ReducedSystem,
             f"used with reduced system of generation {reduced_system.generation}")
 
 
-def _residual_dual_norms_sq(reduced_system: ReducedSystem, mu,
-                            trajectory: ReducedTrajectory) -> np.ndarray:
-    """Squared dual norms ||r^k||_{X'}^2, k = 1..K, from Gramian blocks only.
+def _residuals(reduced_system: ReducedSystem, mu,
+               coefficients: np.ndarray) -> np.ndarray:
+    """Row k-1 is R theta^k, whose 2-norm is ||r^k||_{X'}, k = 1..K.
 
-    r^k = F - (1/dt) M V (a^k - a^{k-1}) - sum_q mu_q A_q V a^k; tiny
-    negative round-off is clamped to zero.
+    r^k = F - (1/dt) M V (a^k - a^{k-1}) - sum_q mu_q A_q V a^k; mu is
+    folded into the A-columns of R before the time loop.
     """
     rs = reduced_system
-    _check_generation(rs, trajectory)
-    mu = np.asarray(mu, dtype=float)
-    a = trajectory.coefficients
-    ak = a[1:]                      # (K, N)
-    d = (a[1:] - a[:-1]) / rs.dt    # (K, N)
-
-    sq = np.empty(rs.K)
-    sq.fill(rs.g_ff)
-    if rs.N:
-        # fold the parameter sums into one symmetric block over z = [d, a];
-        # the whole time loop is then a single quadratic form per step
-        N = rs.N
-        g_fa_w = mu @ rs.g_fa
-        g_ma_w = (mu[:, None, None] * rs.g_ma).sum(axis=0)
-        g_aa_w = ((mu[:, None] * mu[None, :])[:, :, None, None]
-                  * rs.g_aa).sum(axis=(0, 1))
-        big = np.empty((2 * N, 2 * N))
-        big[:N, :N] = rs.g_mm
-        big[:N, N:] = g_ma_w
-        big[N:, :N] = g_ma_w.T
-        big[N:, N:] = g_aa_w
-        z = np.empty((rs.K, 2 * N))
-        z[:, :N] = d
-        z[:, N:] = ak
-        lin = np.concatenate([rs.g_fm, g_fa_w])
-        sq -= 2.0 * (z @ lin)
-        sq += ((z @ big) * z).sum(axis=1)
-    return np.clip(sq, 0.0, None)
+    R = rs.residual_factor
+    N = rs.N
+    R_mu = np.asarray(mu, dtype=float) @ R[:, 1 + N:].reshape(len(R), rs.Q, N)
+    d = (coefficients[1:] - coefficients[:-1]) / rs.dt
+    return R[:, 0] - d @ R[:, 1:1 + N].T - coefficients[1:] @ R_mu.T
 
 
 def residual_dual_norms(reduced_system: ReducedSystem, mu,
                         trajectory: ReducedTrajectory) -> np.ndarray:
-    return np.sqrt(_residual_dual_norms_sq(reduced_system, mu, trajectory))
+    _check_generation(reduced_system, trajectory)
+    residuals = _residuals(reduced_system, mu, trajectory.coefficients)
+    return np.sqrt(np.einsum("ij,ij->i", residuals, residuals))
 
 
 def error_estimate(reduced_system: ReducedSystem, mu,
@@ -309,21 +266,12 @@ def error_estimate(reduced_system: ReducedSystem, mu,
     """Rigorous bound on ||u^K_h(mu) - V a^K||_M for any coefficients."""
     rs = reduced_system
     _check_generation(rs, trajectory)
-    a0 = trajectory.coefficients[0]
-    e0_sq = rs.u0_m_sq
-    if rs.N:
-        e0_sq += a0 @ (rs.M_N @ a0) - 2.0 * (a0 @ rs.m_u0_N)
-    e0_sq = max(e0_sq, 0.0)
-    res_sq = _residual_dual_norms_sq(rs, mu, trajectory)
+    a = trajectory.coefficients
+    e0 = rs.initial_error_factor @ np.concatenate([[1.0], -a[0]])
+    residuals = _residuals(rs, mu, a)
     alpha = coercivity_lower_bound(mu)
-    return float(np.sqrt(e0_sq + rs.dt / alpha * float(res_sq.sum())))
-
-
-def reconstruct(basis: ReducedBasis, trajectory: ReducedTrajectory) -> np.ndarray:
-    """Lift coefficients to full space: row k is V a^k; shape (K+1, n_h)."""
-    if trajectory.generation != basis.generation:
-        raise StaleGenerationError("trajectory does not match basis generation")
-    return trajectory.coefficients @ basis.V.T
+    return float(np.sqrt(e0 @ e0 + rs.dt / alpha
+                         * np.einsum("ij,ij->", residuals, residuals)))
 
 
 def reconstruct_final(basis: ReducedBasis,

@@ -164,13 +164,15 @@ def test_verify_default_passes():
     assert len(report.checks) == 5
 
 
-def flip_online_g_fm(monkeypatch):
-    """Flip the sign of g_fm in the reduced system the online residual
-    norms see, a fault the offline/online check must catch."""
+def flip_online_load_column(monkeypatch):
+    """Flip the sign of the load column of the residual factor the online
+    residual norms see, a fault the offline/online check must catch."""
     online = rb.residual_dual_norms
 
     def flipped(reduced_system, mu, trajectory):
-        return online(dataclasses.replace(reduced_system, g_fm=-reduced_system.g_fm),
+        factor = reduced_system.residual_factor.copy()
+        factor[:, 0] = -factor[:, 0]
+        return online(dataclasses.replace(reduced_system, residual_factor=factor),
                       mu, trajectory)
 
     monkeypatch.setattr(rb, "residual_dual_norms", flipped)
@@ -178,7 +180,7 @@ def flip_online_g_fm(monkeypatch):
 
 def test_verify_sabotage_fails_offline_online(monkeypatch):
     config = harness.default_config("parabolic")
-    flip_online_g_fm(monkeypatch)
+    flip_online_load_column(monkeypatch)
     report = harness.verify(config)
     assert not report.all_passed
     failing = [c.name for c in report.checks if not c.passed]
@@ -365,7 +367,7 @@ def test_cli_exit_codes(tmp_path):
 
 def test_cli_verify_and_sabotage(tmp_path, monkeypatch):
     assert cli_main(["verify", "--seed", "2"]) == 0
-    flip_online_g_fm(monkeypatch)
+    flip_online_load_column(monkeypatch)
     assert cli_main(["verify", "--seed", "2"]) == 1
 
 

@@ -6,7 +6,7 @@ import pytest
 from mfhier import (DomainError, ParameterBox, ReducedBasis, SplitMix64,
                     StaleGenerationError, assemble, build_reduced_system,
                     coercivity_lower_bound, error_estimate, extend_basis,
-                    reconstruct, reconstruct_final, residual_dual_norms,
+                    harness, reconstruct_final, residual_dual_norms,
                     solve_fom, solve_rb)
 from mfhier.rb import (BasisChanged, ReducedBasisLevel, ReducedTrajectory,
                        _x_orthonormalize)
@@ -104,15 +104,30 @@ def test_orthonormality_after_extensions(small_system):
     assert np.max(np.abs(gram - np.eye(basis.N))) <= 1e-8
 
 
-def test_gramian_blocks_symmetric(small_system):
+@pytest.mark.parametrize("n_h, Q, n_vectors", [(60, 2, 5), (20, 4, 6)])
+def test_estimator_factors_match_full_space(n_h, Q, n_vectors):
+    # (20, 4, 6) has 1 + N + QN = 31 columns > n_h rows
+    system = assemble(n_h, 10, 1.0, Q, u0="sine")
     rng = SplitMix64(21)
-    basis = random_basis(small_system, rng, 5)
-    reduced = build_reduced_system(small_system, basis)
-    for q in range(small_system.Q):
-        for p in range(small_system.Q):
-            np.testing.assert_allclose(reduced.g_aa[q, p], reduced.g_aa[p, q].T,
-                                       atol=1e-12)
-    np.testing.assert_allclose(reduced.g_mm, reduced.g_mm.T, atol=1e-12)
+    basis = random_basis(system, rng, n_vectors)
+    reduced = build_reduced_system(system, basis)
+    R = reduced.residual_factor
+    C = np.column_stack([system.F, system.M @ basis.V,
+                         *(A_q @ basis.V for A_q in system.A)])
+    assert R.shape == (min(n_h, C.shape[1]), C.shape[1])
+    assert np.all(np.tril(R, -1) == 0.0)
+    R0 = reduced.initial_error_factor
+    assert R0.shape == (basis.N + 1, basis.N + 1)
+    assert np.all(np.tril(R0, -1) == 0.0)
+    for _ in range(20):
+        theta = random_coefficients(rng, 1, C.shape[1])[0]
+        r = C @ theta
+        np.testing.assert_allclose(np.linalg.norm(R @ theta),
+                                   math.sqrt(r @ system.x_solve(r)), rtol=1e-12)
+        a = random_coefficients(rng, 1, basis.N)[0]
+        np.testing.assert_allclose(np.linalg.norm(R0 @ np.concatenate([[1.0], -a])),
+                                   system.m_norm(system.u0 - basis.V @ a),
+                                   rtol=1e-12)
 
 
 # ---------------------------------------------------------------- solve
@@ -124,7 +139,9 @@ def test_solve_rb_empty_basis(small_system):
     trajectory = solve_rb(reduced, [1.0, 1.0])
     assert trajectory.coefficients.shape == (small_system.K + 1, 0)
     basis = ReducedBasis.empty(small_system.n_h)
-    assert np.all(reconstruct(basis, trajectory) == 0.0)
+    lifted = trajectory.coefficients @ basis.V.T
+    assert lifted.shape == (small_system.K + 1, small_system.n_h)
+    assert np.all(lifted == 0.0)
 
 
 def test_galerkin_reproduction_in_span(small_system):
@@ -133,7 +150,7 @@ def test_galerkin_reproduction_in_span(small_system):
     mu = [1.5, 6.0]
     basis, reduced = grow_basis(small_system, [mu], pod_tol=1e-15, n_add_max=40)
     full = solve_fom(small_system, mu)
-    lifted = reconstruct(basis, solve_rb(reduced, mu))
+    lifted = solve_rb(reduced, mu).coefficients @ basis.V.T
     assert np.max(np.abs(lifted - full.states)) <= 1e-8
 
 
@@ -236,7 +253,8 @@ def test_estimate_empty_basis_closed_form(default_system):
                                    ReducedBasis.empty(default_system.n_h))
     trajectory = solve_rb(reduced, [1.0, 1.0])
     delta = error_estimate(reduced, [1.0, 1.0], trajectory)
-    closed = math.sqrt(default_system.T * reduced.g_ff)
+    F = default_system.F
+    closed = math.sqrt(default_system.T * float(F @ default_system.x_solve(F)))
     assert delta == pytest.approx(closed, rel=1e-12)
     # frozen regression value for the default configuration
     assert delta == pytest.approx(0.28867156194904925, rel=1e-9)
@@ -290,20 +308,44 @@ def test_stale_generation_rejected(small_system):
     with pytest.raises(StaleGenerationError):
         residual_dual_norms(reduced, [1.0, 1.0], stale)
     with pytest.raises(StaleGenerationError):
-        reconstruct(basis, stale)
+        reconstruct_final(basis, stale)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1e-13])
+def test_no_stream_answer_below_estimator_floor(tolerance, tmp_path):
+    # the estimator's round-off floor on this stream is about 1e-12: a
+    # tolerance below it must send every query to the full-order model
+    config = harness.default_config("parabolic", n_queries=150, seed=42,
+                                    tolerance=tolerance)
+    config.output.results_path = str(tmp_path / "results.csv")
+    result = harness.run(config)
+    accepted = [(r.query_id, r.answer.stage, r.answer.estimate)
+                for r in result.records if r.answer.stage < 3]
+    assert accepted == []
+
+
+def test_stream_certificates_hold_without_slack(tmp_path):
+    # the prefix reaches query 143; an estimator that expands ||r||^2 over
+    # Riesz cross-Gramians and clamps it at 0 certifies queries 113, 136
+    # and 143 of this stream with Delta = 0
+    config = harness.default_config("parabolic", n_queries=144, seed=42)
+    config.output.results_path = str(tmp_path / "results.csv")
+    result = harness.run(config)
+    system = result.scenario.system
+    checked = 0
+    for record in result.records:
+        answer = record.answer
+        if answer.stage >= 3:
+            continue
+        checked += 1
+        truth = solve_fom(system, record.mu).states[-1]
+        true_error = system.m_norm(truth - answer.payload.u_final)
+        assert 0.0 < answer.estimate, record.query_id
+        assert true_error <= answer.estimate, (record.query_id, true_error)
+    assert checked > 100
 
 
 # ---------------------------------------------------------------- lifting
-
-
-def test_reconstruct_unit_coefficient(small_system):
-    basis, reduced = grow_basis(small_system, [[1.0, 5.0]])
-    coeffs = np.zeros((small_system.K + 1, basis.N))
-    coeffs[:, 0] = 1.0
-    trajectory = ReducedTrajectory(coefficients=coeffs, mu=np.array([1.0, 5.0]),
-                                   generation=basis.generation, producer="rb")
-    lifted = reconstruct(basis, trajectory)
-    np.testing.assert_allclose(lifted[0], basis.V[:, 0], atol=1e-14)
 
 
 def test_projection_round_trip(small_system):
