@@ -208,26 +208,41 @@ def coercivity_lower_bound(mu) -> float:
 
 
 def solve_rb(reduced_system: ReducedSystem, mu) -> ReducedTrajectory:
-    """Reduced implicit Euler; one dense factorization reused over steps."""
+    """Reduced implicit Euler as one affine propagator per parameter.
+
+    Every step solves B a^k = M_N a^{k-1} + dt F_N with the same
+    B = M_N + dt sum_q mu_q A_q, so a^k = T a^{k-1} + c with
+    B [T, c] = [M_N, dt F_N]: one Cholesky factorization of B and one
+    solve with N + 1 right-hand sides per parameter.  The K steps are then
+    vector-matrix products of the augmented row [a^k, 1] = [a^{k-1}, 1] P,
+    P = [[T^T, 0], [c^T, 1]].  The result is the step-by-step solve up to
+    round-off, and the estimator certifies whatever coefficients it gets.
+    Raises :class:`DomainError` for a non-positive mu or a B that is not
+    positive definite.
+    """
     rs = reduced_system
     mu = np.asarray(mu, dtype=float)
     if np.any(mu <= 0):
         raise DomainError("diffusivity must be strictly positive")
-    coeffs = np.zeros((rs.K + 1, rs.N))
-    if rs.N:
+    N = rs.N
+    rows = np.zeros((rs.K + 1, N + 1))
+    if N:
         B = np.asfortranarray(
             rs.M_N + rs.dt * sum(m_q * A_q for m_q, A_q in zip(mu, rs.A_N)))
         potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (B,))
         factor, info = potrf(B, lower=1, overwrite_a=1)
         if info != 0:
             raise DomainError(f"reduced system not positive definite (info={info})")
-        dt_f = rs.dt * rs.F_N
-        coeffs[0] = rs.a0
-        a = rs.a0
-        for k in range(1, rs.K + 1):
-            a, _ = potrs(factor, rs.M_N @ a + dt_f, lower=1)
-            coeffs[k] = a
-    return ReducedTrajectory(coefficients=coeffs, mu=mu,
+        T_c, _ = potrs(factor, np.column_stack([rs.M_N, rs.dt * rs.F_N]), lower=1)
+        P = np.zeros((N + 1, N + 1))
+        P[:, :N] = T_c.T
+        P[N, N] = 1.0
+        rows[0, :N] = rs.a0
+        rows[0, N] = 1.0
+        for previous, row in zip(rows, rows[1:]):
+            np.dot(previous, P, out=row)
+    # an owned array: a view would keep the (K+1, N+1) work array alive
+    return ReducedTrajectory(coefficients=rows[:, :N].copy(), mu=mu,
                              generation=rs.generation, producer="rb")
 
 

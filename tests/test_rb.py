@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -142,6 +144,48 @@ def test_solve_rb_empty_basis(small_system):
     lifted = trajectory.coefficients @ basis.V.T
     assert lifted.shape == (small_system.K + 1, small_system.n_h)
     assert np.all(lifted == 0.0)
+
+
+def stepwise_implicit_euler(reduced, mu):
+    """Reference: solve B a^k = M_N a^{k-1} + dt F_N afresh at every step."""
+    B = reduced.M_N + reduced.dt * sum(m_q * A_q
+                                       for m_q, A_q in zip(mu, reduced.A_N))
+    coeffs = [reduced.a0]
+    for _ in range(reduced.K):
+        coeffs.append(np.linalg.solve(B, reduced.M_N @ coeffs[-1]
+                                      + reduced.dt * reduced.F_N))
+    return np.array(coeffs)
+
+
+@pytest.mark.parametrize("Q", [2, 4])
+def test_solve_rb_matches_stepwise_reference(Q):
+    system = assemble(n_h=80, K=40, T=1.0, Q=Q)
+    rng = SplitMix64(43)
+    box = ParameterBox([[0.1, 10.0]] * Q)
+    _, reduced = grow_basis(system, [box.sample(rng) for _ in range(3)])
+    assert reduced.N >= 10
+    corners = [np.array(c) for c in itertools.product([0.1, 10.0], repeat=Q)]
+    for mu in [box.sample(rng) for _ in range(10)] + corners:
+        coeffs = solve_rb(reduced, mu).coefficients
+        reference = stepwise_implicit_euler(reduced, mu)
+        assert coeffs.shape == reference.shape
+        assert (np.max(np.abs(coeffs - reference))
+                <= 1e-12 * np.max(np.abs(reference))), mu
+
+
+def test_solve_rb_returns_owned_coefficients(small_system):
+    _, reduced = grow_basis(small_system, [[1.0, 1.0]])
+    coeffs = solve_rb(reduced, [2.0, 0.5]).coefficients
+    assert coeffs.shape == (small_system.K + 1, reduced.N)
+    assert coeffs.flags.c_contiguous
+    assert coeffs.base is None
+
+
+def test_solve_rb_rejects_indefinite_reduced_system(small_system):
+    _, reduced = grow_basis(small_system, [[1.0, 1.0]])
+    broken = dataclasses.replace(reduced, M_N=-reduced.M_N)
+    with pytest.raises(DomainError):
+        solve_rb(broken, [1.0, 1.0])
 
 
 def test_galerkin_reproduction_in_span(small_system):
