@@ -15,7 +15,7 @@ from .fom import (AffineSystem, FullOrderLevel, ParabolicResult, Trajectory,
 from .harness import (RunConfig, StreamSummary, baseline, build_scenario,
                       default_config, draw_parameters, load_config, report,
                       run, summarize, verify)
-from .hierarchy import (REFERENCE, CertifiedAnswer, ModelHierarchy, ModelLevel,
+from .hierarchy import (CertifiedAnswer, ModelHierarchy, ModelLevel,
                         ModelOutput, ParameterBox, QueryRecord)
 from .mlsurrogate import (KernelRegressor, MLCoefficientLevel, fit,
                           predict_trajectory, rebase)
@@ -35,7 +35,7 @@ __all__ = [
     "HierarchyError", "KernelRegressor", "MLCoefficientLevel",
     "ModelHierarchy", "ModelLevel", "ModelOutput", "NotReadyError",
     "ObjectiveOracle", "ParabolicResult", "ParameterBox", "QueryRecord",
-    "REFERENCE", "ReducedBasis", "ReducedBasisLevel", "ReducedSystem",
+    "ReducedBasis", "ReducedBasisLevel", "ReducedSystem",
     "ReducedTrajectory", "RunConfig", "SplitMix64", "StaleGenerationError",
     "StreamAborted", "StreamSummary", "SurrogateObjectiveLevel", "Trajectory",
     "assemble", "baseline", "build_reduced_system",

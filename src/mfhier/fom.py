@@ -19,7 +19,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConfigurationError, DomainError
-from .hierarchy import REFERENCE, ModelLevel, ModelOutput
+from .hierarchy import ModelOutput
 
 
 def _tridiag(diag, off):
@@ -232,14 +232,12 @@ def dump_trajectory(trajectory: Trajectory, path) -> None:
     np.savetxt(path, trajectory.states, delimiter=",", fmt="%.17g")
 
 
-class FullOrderLevel(ModelLevel):
-    """Reference stage: always ready, unconditionally accepted.
+class FullOrderLevel:
+    """Reference stage, the last level of a hierarchy.
 
     Every evaluation emits its trajectory as adaptation data for the
     cheaper levels.
     """
-
-    name = "fom"
 
     def __init__(self, system: AffineSystem):
         self.system = system
@@ -251,12 +249,3 @@ class FullOrderLevel(ModelLevel):
             mu=trajectory.mu, producer="fom",
             u_final=trajectory.states[-1], trajectory=trajectory)
         return ModelOutput(payload=payload, adaptation=trajectory)
-
-    def estimate_error(self, output, mu, next_level=None):
-        return REFERENCE
-
-    def absorb(self, payload):
-        return None
-
-    def is_ready(self) -> bool:
-        return True

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import fom, mlsurrogate, optdemo, rb
 from .errors import ConfigurationError
-from .hierarchy import REFERENCE, ModelHierarchy, ParameterBox
+from .hierarchy import ModelHierarchy, ParameterBox
 from .rng import SplitMix64
 
 CSV_EVENT_SEP = ";"
@@ -76,6 +77,11 @@ class OutputConfig:
     dumps: dict = field(default_factory=dict)  # {"trajectory"|"basis"|"training": path}
 
 
+#: Config fields that count something and must be integers (not bools).
+_COUNT_FIELDS = ("n_queries", "seed", "fom.n_h", "fom.K", "fom.Q",
+                 "rb.n_add_max", "rb.N_max", "ml.n_min", "opt.max_iters")
+
+
 @dataclass
 class RunConfig:
     scenario: str = "parabolic"
@@ -98,23 +104,30 @@ class RunConfig:
             # coefficient surrogate
             self.ml = (MlConfig() if self.scenario == "parabolic"
                        else MlConfig(ridge=optdemo.OPT_RIDGE_DEFAULT))
-        if self.tolerance < 0:
-            raise ConfigurationError("tolerance must be >= 0")
+        for path in _COUNT_FIELDS:
+            value = self
+            for name in path.split("."):
+                value = getattr(value, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{path} must be an integer, "
+                                         f"got {value!r}")
+        for path, value in (("tolerance", self.tolerance),
+                            ("opt.TOL_grad", self.opt.TOL_grad)):
+            if not value >= 0:  # also rejects NaN
+                raise ConfigurationError(f"{path} must be >= 0, got {value!r}")
         if self.n_queries < 0:
             raise ConfigurationError("n_queries must be >= 0")
-        if not (0 <= int(self.seed) < 2**64):
+        if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must fit in 64 bits")
         if self.parameter_box is None:
             self.parameter_box = ([[0.1, 10.0]] * self.fom.Q
                                   if self.scenario == "parabolic"
                                   else [[-5.0, 5.0], [-5.0, 5.0]])
-        for pair in self.parameter_box:
-            if len(pair) != 2 or not float(pair[0]) < float(pair[1]):
-                raise ConfigurationError(f"bad box interval {pair!r}")
+        box = self.box
         if self.scenario == "parabolic":
-            if len(self.parameter_box) != self.fom.Q:
+            if box.dim != self.fom.Q:
                 raise ConfigurationError("parameter box dimension must equal fom.Q")
-            if any(float(pair[0]) <= 0 for pair in self.parameter_box):
+            if np.any(box.lows <= 0):
                 raise ConfigurationError("diffusivity box must be positive")
 
     @property
@@ -275,11 +288,9 @@ def result_row(record, qoi: float, basis_n: int, ml_n: int,
     durations = [0.0] * n_stages
     for attempt in record.answer.attempts:
         durations[attempt.stage - 1] = attempt.duration_s
-    estimate = record.answer.estimate
     return ResultRow(record.query_id, tuple(record.mu.tolist()),
-                     record.answer.stage,
-                     None if estimate is REFERENCE else float(estimate),
-                     float(qoi), tuple(durations), basis_n, ml_n,
+                     record.answer.stage, record.answer.estimate, float(qoi),
+                     tuple(durations), basis_n, ml_n,
                      tuple(record.adaptation_events))
 
 

@@ -7,7 +7,8 @@ otherwise, or when the model fails, the request falls through to the next
 model.  Whenever a model is evaluated, its evaluation data is offered to
 all cheaper models so they can improve themselves, which over a stream of
 requests shifts the load towards the cheap end of the hierarchy.  The last
-model acts as reference and is accepted unconditionally.
+model is the reference by its position alone: it is always evaluated when
+a request reaches it, and its answer is accepted unconditionally.
 """
 
 from __future__ import annotations
@@ -30,34 +31,21 @@ SURROGATE_FAILURES = (NotReadyError, StaleGenerationError,
                       np.linalg.LinAlgError)
 
 
-class _Reference:
-    """Sentinel estimate of the reference model (accepted unconditionally)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Reference"
-
-
-#: Singleton returned by ``estimate_error`` of the top model.
-REFERENCE = _Reference()
-
-
 class ParameterBox:
     """Admissible input domain: a closed box in R^Q."""
 
     def __init__(self, bounds: Sequence[Sequence[float]]):
-        bounds = [(float(lo), float(hi)) for lo, hi in bounds]
+        try:
+            bounds = [(float(lo), float(hi)) for lo, hi in bounds]
+        except (TypeError, ValueError):
+            raise ConfigurationError("parameter box must be a list of "
+                                     "number pairs") from None
         if not bounds:
             raise ConfigurationError("parameter box needs at least one dimension")
         for lo, hi in bounds:
-            if not lo < hi:
-                raise ConfigurationError(f"empty interval [{lo}, {hi}]")
+            if not -math.inf < lo < hi < math.inf:  # also false for NaN
+                raise ConfigurationError(f"box interval [{lo}, {hi}] needs "
+                                         "finite bounds with lo < hi")
         self.lows = np.array([b[0] for b in bounds])
         self.highs = np.array([b[1] for b in bounds])
         self._lows_list = self.lows.tolist()
@@ -97,20 +85,18 @@ class ModelOutput:
     """Result of one model evaluation.
 
     ``payload`` is opaque to the hierarchy; ``adaptation`` is the data
-    offered to cheaper models (None if the model emits nothing).  The
-    hierarchy fills ``duration_s`` from its own monotonic clock.
+    offered to cheaper models (None if the model emits nothing).
     """
 
     payload: Any
     adaptation: Any = None
-    duration_s: float = 0.0
 
 
 @dataclass(frozen=True)
 class Attempt:
     stage: int
     duration_s: float
-    estimate: Any  # nonnegative float (inf: the level failed) or REFERENCE
+    estimate: float | None  # inf: the level failed; None: the reference
     criterion_s: float = 0.0
 
 
@@ -118,13 +104,13 @@ class Attempt:
 class CertifiedAnswer:
     payload: Any
     stage: int
-    estimate: Any  # nonnegative float or REFERENCE
+    estimate: float | None  # None for the reference's answer
     tolerance: float
     attempts: list[Attempt]
 
     @property
     def is_reference(self) -> bool:
-        return self.estimate is REFERENCE
+        return self.estimate is None
 
 
 @dataclass
@@ -136,25 +122,26 @@ class QueryRecord:
 
 
 class ModelLevel(abc.ABC):
-    """Contract every hierarchy stage implements.
+    """Contract of a surrogate stage, i.e. of every level but the last.
 
     ``evaluate`` may assume ``is_ready()`` returned True immediately
-    before.  ``evaluate`` and ``estimate_error`` of any level but the last
-    may decline a request by raising one of :data:`SURROGATE_FAILURES`;
-    the request then goes on to the next level.  ``absorb`` returns None
-    when the payload is ignored, or a (possibly empty) list of follow-on
-    payloads to offer to the levels below this one; it must never
-    invalidate answers already emitted.
-    """
+    before.  ``evaluate`` and ``estimate_error`` may decline a request by
+    raising one of :data:`SURROGATE_FAILURES`; the request then goes on to
+    the next level.  ``absorb`` returns None when the payload is ignored,
+    or a (possibly empty) list of follow-on payloads to offer to the levels
+    below this one; it must never invalidate answers already emitted.
 
-    name: str = "model"
+    The last level of a hierarchy is the reference.  The hierarchy calls
+    only its ``evaluate``, so it needs no other method and need not derive
+    from this class; an error it raises propagates.
+    """
 
     @abc.abstractmethod
     def evaluate(self, mu) -> ModelOutput: ...
 
     @abc.abstractmethod
-    def estimate_error(self, output: ModelOutput, mu, next_level=None):
-        """Nonnegative error estimate, or REFERENCE for the top model."""
+    def estimate_error(self, output: ModelOutput, mu) -> float:
+        """Nonnegative bound on the error of ``output`` at ``mu``."""
 
     @abc.abstractmethod
     def absorb(self, payload):
@@ -169,16 +156,17 @@ class ModelHierarchy:
 
     From the outside this behaves like a single model: ``handle_request``
     maps an admissible parameter to a :class:`CertifiedAnswer`.  All model
-    selection and adaptation is internal.  Instances are stateful and must
-    be driven from a single thread.
+    selection and adaptation is internal.  ``levels[:-1]`` are
+    :class:`ModelLevel` surrogates, ``levels[-1]`` is the reference.
+    Instances are stateful and must be driven from a single thread.
     """
 
-    def __init__(self, levels: Sequence[ModelLevel], tolerance: float,
+    def __init__(self, levels: Sequence, tolerance: float,
                  box: ParameterBox, adaptation_enabled: bool = True):
         if not levels:
             raise ConfigurationError("hierarchy needs at least one level")
-        if tolerance < 0:
-            raise ConfigurationError("tolerance must be >= 0")
+        if not tolerance >= 0:
+            raise ConfigurationError(f"tolerance must be >= 0, got {tolerance!r}")
         self.levels = list(levels)
         self.tolerance = float(tolerance)
         self.box = box
@@ -189,44 +177,40 @@ class ModelHierarchy:
     def handle_request(self, mu) -> tuple[CertifiedAnswer, list[tuple[int, int]]]:
         """Answer one request; returns (answer, adaptation events fired)."""
         mu = self.box.validate(mu)
-        if not any(level.is_ready() for level in self.levels):
-            raise ConfigurationError("no level is ready; the reference level "
-                                     "must always be ready")
         attempts: list[Attempt] = []
         events: list[tuple[int, int]] = []
-        n = len(self.levels)
-        for i, level in enumerate(self.levels):
+        for i, level in enumerate(self.levels[:-1]):
             if not level.is_ready():
                 continue  # skipped silently, not recorded as an attempt
-            next_level = self.levels[i + 1] if i + 1 < n else None
             t0 = time.perf_counter()
             try:
                 output = level.evaluate(mu)
             except SURROGATE_FAILURES:
-                if next_level is None:
-                    raise
                 attempts.append(Attempt(i + 1, time.perf_counter() - t0, math.inf))
                 continue
-            output.duration_s = time.perf_counter() - t0
-            if self.adaptation_enabled and output.adaptation is not None:
-                self._broadcast(i, output.adaptation, events)
+            duration_s = time.perf_counter() - t0
+            self._adapt(i, output, events)
             t0 = time.perf_counter()
             try:
-                estimate = level.estimate_error(output, mu, next_level)
+                estimate = level.estimate_error(output, mu)
             except SURROGATE_FAILURES:
-                if next_level is None:
-                    raise
                 estimate = math.inf
-            criterion_s = time.perf_counter() - t0
-            if estimate is REFERENCE and next_level is not None:
-                raise ConfigurationError(
-                    f"level {i + 1} returned a Reference estimate but is not "
-                    "the last level")
-            attempts.append(Attempt(i + 1, output.duration_s, estimate, criterion_s))
-            if estimate is REFERENCE or estimate <= self.tolerance:
+            attempts.append(Attempt(i + 1, duration_s, estimate,
+                                    time.perf_counter() - t0))
+            if estimate <= self.tolerance:
                 return (CertifiedAnswer(output.payload, i + 1, estimate,
                                         self.tolerance, attempts), events)
-        raise ConfigurationError("top level did not return a Reference estimate")
+        stage = len(self.levels)
+        t0 = time.perf_counter()
+        output = self.levels[-1].evaluate(mu)
+        attempts.append(Attempt(stage, time.perf_counter() - t0, None))
+        self._adapt(stage - 1, output, events)
+        return (CertifiedAnswer(output.payload, stage, None, self.tolerance,
+                                attempts), events)
+
+    def _adapt(self, source_index: int, output: ModelOutput, events) -> None:
+        if self.adaptation_enabled and output.adaptation is not None:
+            self._broadcast(source_index, output.adaptation, events)
 
     def _broadcast(self, source_index: int, payload, events) -> None:
         """Offer ``payload`` to every level below ``source_index``.

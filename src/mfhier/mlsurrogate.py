@@ -289,12 +289,10 @@ class MLCoefficientLevel(ModelLevel):
 
     Absorbs reduced-basis solutions as training pairs (full-order
     trajectories are ignored, the regressor learns only from the reduced
-    model) and rebases on basis-change notifications.  Error estimation
-    consults the next level's reduced system, which is exactly the
-    "criterion may use the next model" pathway of the hierarchy.
+    model) and rebases on basis-change notifications.  The error estimate
+    is the residual bound of ``rb_level``'s reduced system, the space the
+    coefficients are predicted and lifted in.
     """
-
-    name = "ml"
 
     def __init__(self, box: ParameterBox, rb_level, n_min: int = 10,
                  lengthscale: float = 0.12, ridge: float = 1e-8):
@@ -316,11 +314,8 @@ class MLCoefficientLevel(ModelLevel):
             u_final=u_final, reduced=trajectory)
         return ModelOutput(payload=payload)
 
-    def estimate_error(self, output, mu, next_level=None):
-        if next_level is None:
-            raise ConfigurationError("the learned stage certifies against the "
-                                     "reduced-basis stage and needs it as next level")
-        return error_estimate(next_level.reduced_system, mu,
+    def estimate_error(self, output, mu):
+        return error_estimate(self.rb_level.reduced_system, mu,
                               output.payload.reduced)
 
     def absorb(self, payload):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .hierarchy import REFERENCE, ModelLevel, ModelOutput, ParameterBox
+from .hierarchy import ModelLevel, ModelOutput, ParameterBox
 from .mlsurrogate import KernelRegressor
 
 OPT_RIDGE_DEFAULT = 1e-12  # interpolation sharpness the gradient check needs
@@ -142,10 +142,8 @@ def descend(objective, x0, box: ParameterBox, max_iters: int = 500,
                          n_iters=n_iters, converged=converged, samples=samples)
 
 
-class FullObjectiveLevel(ModelLevel):
+class FullObjectiveLevel:
     """Reference stage: descend on the true objective; emit descent samples."""
-
-    name = "opt-full"
 
     def __init__(self, oracle: ObjectiveOracle, box: ParameterBox,
                  max_iters: int = 500):
@@ -161,15 +159,6 @@ class FullObjectiveLevel(ModelLevel):
         return ModelOutput(payload=payload,
                            adaptation=DescentSamples(result.samples))
 
-    def estimate_error(self, output, mu, next_level=None):
-        return REFERENCE
-
-    def absorb(self, payload):
-        return None
-
-    def is_ready(self) -> bool:
-        return True
-
 
 class SurrogateObjectiveLevel(ModelLevel):
     """Cheap stage: descend on a learned objective, certify with true gradient.
@@ -177,11 +166,9 @@ class SurrogateObjectiveLevel(ModelLevel):
     Training data are the iterate samples of true-objective descents;
     near-coincident points (closer than ``min_separation`` in scaled
     coordinates) are skipped to keep the kernel system well conditioned.
-    The error estimate is ||grad J(x*)|| computed on the NEXT level's
-    oracle with 2*dim calls, plus one call to report the true J(x*).
+    The error estimate is ||grad J(x*)|| computed on the true objective
+    with 2*dim calls, plus one call to report the true J(x*).
     """
-
-    name = "opt-surrogate"
 
     #: true-objective calls charged per attempt: 2*dim for the gradient
     #: certificate plus one for the reported value.
@@ -209,15 +196,14 @@ class SurrogateObjectiveLevel(ModelLevel):
                             descent_calls=0)
         return ModelOutput(payload=payload)
 
-    def estimate_error(self, output, mu, next_level=None):
+    def estimate_error(self, output, mu):
         """Norm of the finite-difference gradient of the true objective.
 
         Accurate to the truncation of the differences (at most 2e-9 per
         component for central ones on [-5, 5]^2), which the estimate does
         not include: an FD-accurate certificate, not a rigorous bound.
         """
-        oracle = next_level.oracle if next_level is not None else self.oracle
-        grad = fd_gradient(oracle, output.payload.x, self.box)
+        grad = fd_gradient(self.oracle, output.payload.x, self.box)
         g = float(np.linalg.norm(grad))
         output.payload.grad_norm = g
         return g

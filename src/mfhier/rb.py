@@ -311,8 +311,6 @@ class ReducedBasisLevel(ModelLevel):
     bumps, so the learned stage can re-express its training data.
     """
 
-    name = "rb"
-
     def __init__(self, system: AffineSystem, pod_tol: float = 1e-13,
                  n_add_max: int = 12, n_max: int = 60):
         self.system = system
@@ -335,8 +333,7 @@ class ReducedBasisLevel(ModelLevel):
             u_final=u_final, reduced=trajectory)
         return ModelOutput(payload=payload, adaptation=trajectory)
 
-    def estimate_error(self, output, mu, next_level=None):
-        # self-contained estimator; the next-level handle is not needed
+    def estimate_error(self, output, mu):
         return error_estimate(self.reduced_system, mu, output.payload.reduced)
 
     def absorb(self, payload):

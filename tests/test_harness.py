@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ def test_config_defaults_validate():
     opt = harness.default_config("optdemo")
     assert opt.parameter_box == [[-5.0, 5.0], [-5.0, 5.0]]
     assert opt.hierarchy_tolerance == opt.opt.TOL_grad
+    # an infinite tolerance is valid: every ready surrogate is accepted
+    assert harness.default_config("parabolic", tolerance=math.inf).tolerance == math.inf
 
 
 def test_config_from_json_roundtrip(tmp_path):
@@ -59,6 +62,22 @@ def test_config_from_json_roundtrip(tmp_path):
     {"ml": {"lengthscale": "median"}},
     {"ml": {"lengthscale": 0.0}},
     {"ml": {"ridge": -1e-8}},
+    {"tolerance": float("nan")},
+    {"scenario": "optdemo", "opt": {"TOL_grad": float("nan")}},
+    {"parameter_box": [[0.1, float("inf")], [0.1, 1.0]]},
+    {"parameter_box": [[0.1, 1.0, 2.0], [0.1, 1.0]]},
+    {"parameter_box": [[None, 1.0], [0.1, 1.0]]},
+    {"parameter_box": 5},
+    {"n_queries": 2.5},
+    {"n_queries": True},
+    {"seed": 1.5},
+    {"fom": {"n_h": 50.5}},
+    {"fom": {"K": 10.0}},
+    {"fom": {"Q": 2.0}},
+    {"rb": {"n_add_max": 4.5}},
+    {"rb": {"N_max": 20.0}},
+    {"ml": {"n_min": 10.0}},
+    {"opt": {"max_iters": 1.5}},
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ConfigurationError):
@@ -356,6 +375,15 @@ def test_cli_exit_codes(tmp_path):
     bad_config.write_text("{not json")
     assert cli_main(["run", "--config", str(bad_config)]) == 2
     assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+    # a NaN tolerance would send every query on to the reference, and an
+    # infinite box bound would reach the solvers
+    nan_out = tmp_path / "nan.csv"
+    assert cli_main(["run", "--tolerance", "nan", "--queries", "60",
+                     "--out", str(nan_out)]) == 2
+    assert not nan_out.exists()
+    inf_box = tmp_path / "inf_box.json"
+    inf_box.write_text('{"parameter_box": [[0.1, Infinity], [0.1, 10.0]]}')
+    assert cli_main(["run", "--config", str(inf_box)]) == 2
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("query_id,nope\n")
     assert cli_main(["report", str(bad_csv)]) == 2

@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from mfhier import (REFERENCE, ConfigurationError, DomainError, ModelHierarchy,
+from mfhier import (ConfigurationError, DomainError, ModelHierarchy,
                     ModelLevel, ModelOutput, NotReadyError, ParameterBox,
                     StaleGenerationError, StreamAborted, harness)
 
 
 class StubLevel(ModelLevel):
-    """Scriptable level: fixed estimate, optional emission and absorption."""
+    """Scriptable surrogate: fixed estimate, optional emission and absorption."""
 
-    def __init__(self, name, estimate=0.5, reference=False, ready=True,
-                 emits=None, accepts=(), forwards=()):
+    def __init__(self, name, estimate=0.5, ready=True, emits=None,
+                 accepts=(), forwards=()):
         self.name = name
         self.estimate = estimate
-        self.reference = reference
         self.ready = ready
         self.emits = emits          # adaptation payload attached to outputs
         self.accepts = accepts      # payload values this level absorbs
@@ -27,8 +26,8 @@ class StubLevel(ModelLevel):
         self.n_evals += 1
         return ModelOutput(payload=(self.name, tuple(mu)), adaptation=self.emits)
 
-    def estimate_error(self, output, mu, next_level=None):
-        return REFERENCE if self.reference else self.estimate
+    def estimate_error(self, output, mu):
+        return self.estimate
 
     def absorb(self, payload):
         if payload in self.accepts:
@@ -38,6 +37,22 @@ class StubLevel(ModelLevel):
 
     def is_ready(self):
         return self.ready
+
+
+class Reference:
+    """Bare last level: the hierarchy needs nothing of it but ``evaluate``."""
+
+    def __init__(self, name="ref", emits=None, error=None):
+        self.name = name
+        self.emits = emits
+        self.error = error
+        self.n_evals = 0
+
+    def evaluate(self, mu):
+        self.n_evals += 1
+        if self.error is not None:
+            raise self.error
+        return ModelOutput(payload=(self.name, tuple(mu)), adaptation=self.emits)
 
 
 class FailingLevel(StubLevel):
@@ -53,10 +68,10 @@ class FailingLevel(StubLevel):
             raise self.error
         return output
 
-    def estimate_error(self, output, mu, next_level=None):
+    def estimate_error(self, output, mu):
         if self.method == "estimate_error":
             raise self.error
-        return super().estimate_error(output, mu, next_level)
+        return super().estimate_error(output, mu)
 
 
 SURROGATE_ERRORS = [NotReadyError("declined"), StaleGenerationError("stale"),
@@ -69,13 +84,29 @@ def unit_box():
 
 
 def test_single_reference_level(unit_box):
-    hierarchy = ModelHierarchy([StubLevel("ref", reference=True)],
-                               tolerance=1e-3, box=unit_box)
+    hierarchy = ModelHierarchy([Reference()], tolerance=1e-3, box=unit_box)
     answer, events = hierarchy.handle_request([0.5])
     assert answer.stage == 1
-    assert answer.estimate is REFERENCE
+    assert answer.estimate is None and answer.is_reference
     assert len(answer.attempts) == 1
     assert events == []
+
+
+def test_last_level_is_reference_by_position(unit_box):
+    # the last level needs only ``evaluate``: it is never asked whether it
+    # is ready, for an estimate or to absorb the data it emits itself
+    lvl1 = StubLevel("m1", estimate=0.9, accepts=("d2",))
+    top = Reference("m2", emits="d2")
+    hierarchy = ModelHierarchy([lvl1, top], tolerance=1e-3, box=unit_box)
+    answer, events = hierarchy.handle_request([0.5])
+    assert answer.stage == 2 and answer.payload == ("m2", (0.5,))
+    assert answer.estimate is None and answer.is_reference
+    assert [a.stage for a in answer.attempts] == [1, 2]
+    reference_attempt = answer.attempts[-1]
+    assert reference_attempt.estimate is None
+    assert reference_attempt.duration_s >= 0.0
+    assert top.n_evals == 1
+    assert events == [(2, 1)] and lvl1.absorbed == ["d2"]
 
 
 def test_zero_tolerance_forces_fallthrough_and_events(unit_box):
@@ -83,7 +114,7 @@ def test_zero_tolerance_forces_fallthrough_and_events(unit_box):
     # fires the (3->2) and (2->1) adaptation events
     lvl1 = StubLevel("m1", estimate=0.1, accepts=("d2",))
     lvl2 = StubLevel("m2", estimate=0.1, emits="d2", accepts=("d3",))
-    lvl3 = StubLevel("m3", reference=True, emits="d3")
+    lvl3 = Reference("m3", emits="d3")
     hierarchy = ModelHierarchy([lvl1, lvl2, lvl3], tolerance=0.0, box=unit_box)
     for x in (0.2, 0.7):
         answer, events = hierarchy.handle_request([x])
@@ -96,7 +127,7 @@ def test_zero_tolerance_forces_fallthrough_and_events(unit_box):
 def test_first_accept_rule(unit_box):
     lvl1 = StubLevel("m1", estimate=0.9)
     lvl2 = StubLevel("m2", estimate=1e-4)
-    lvl3 = StubLevel("m3", reference=True)
+    lvl3 = Reference("m3")
     hierarchy = ModelHierarchy([lvl1, lvl2, lvl3], tolerance=1e-3, box=unit_box)
     answer, _ = hierarchy.handle_request([0.1])
     assert answer.stage == 2
@@ -110,7 +141,7 @@ def test_first_accept_rule(unit_box):
 def test_not_ready_levels_skipped_silently(unit_box):
     lvl1 = StubLevel("m1", ready=False)
     lvl2 = StubLevel("m2", estimate=1e-9)
-    lvl3 = StubLevel("m3", reference=True)
+    lvl3 = Reference("m3")
     hierarchy = ModelHierarchy([lvl1, lvl2, lvl3], tolerance=1e-3, box=unit_box)
     answer, _ = hierarchy.handle_request([0.3])
     assert answer.stage == 2
@@ -122,7 +153,7 @@ def test_cascading_emission_reaches_cheapest_level(unit_box):
     # level 2 absorbs level 3 data and notifies level 1 in turn
     lvl1 = StubLevel("m1", estimate=0.9, ready=False, accepts=("note",))
     lvl2 = StubLevel("m2", estimate=0.9, accepts=("d3",), forwards=("note",))
-    lvl3 = StubLevel("m3", reference=True, emits="d3")
+    lvl3 = Reference("m3", emits="d3")
     hierarchy = ModelHierarchy([lvl1, lvl2, lvl3], tolerance=1e-3, box=unit_box)
     _, events = hierarchy.handle_request([0.4])
     assert events == [(3, 2), (2, 1)]
@@ -132,7 +163,7 @@ def test_cascading_emission_reaches_cheapest_level(unit_box):
 def test_adaptation_disabled_suppresses_events(unit_box):
     lvl1 = StubLevel("m1", estimate=0.9, accepts=("d2",))
     lvl2 = StubLevel("m2", estimate=0.9, emits="d2", accepts=("d3",))
-    lvl3 = StubLevel("m3", reference=True, emits="d3")
+    lvl3 = Reference("m3", emits="d3")
     hierarchy = ModelHierarchy([lvl1, lvl2, lvl3], tolerance=0.0, box=unit_box,
                                adaptation_enabled=False)
     _, events = hierarchy.handle_request([0.5])
@@ -145,7 +176,7 @@ def test_adaptation_disabled_suppresses_events(unit_box):
 def test_surrogate_failure_falls_through(unit_box, error, method):
     lvl1 = FailingLevel("m1", error, method, estimate=1e-9)
     lvl2 = StubLevel("m2", estimate=1e-6)
-    lvl3 = StubLevel("m3", reference=True)
+    lvl3 = Reference("m3")
     hierarchy = ModelHierarchy([lvl1, lvl2, lvl3], tolerance=1e-3, box=unit_box)
     records = hierarchy.run_query_stream([[0.1], [0.5], [0.9]])
     for record in records:
@@ -157,11 +188,12 @@ def test_surrogate_failure_falls_through(unit_box, error, method):
     assert lvl3.n_evals == 0
 
 
-@pytest.mark.parametrize("method", ["evaluate", "estimate_error"])
+# the reference has no estimate, so only its evaluate can fail
+@pytest.mark.parametrize("method", ["evaluate"])
 @pytest.mark.parametrize("error", SURROGATE_ERRORS, ids=lambda e: type(e).__name__)
 def test_top_level_failure_propagates(unit_box, error, method):
-    top = FailingLevel("m2", error, method, reference=True)
-    hierarchy = ModelHierarchy([StubLevel("m1", estimate=0.9), top],
+    hierarchy = ModelHierarchy([StubLevel("m1", estimate=0.9),
+                                Reference("m2", error=error)],
                                tolerance=1e-3, box=unit_box)
     with pytest.raises(type(error)):
         hierarchy.handle_request([0.5])
@@ -171,40 +203,18 @@ def test_top_level_failure_propagates(unit_box, error, method):
                          ids=lambda e: type(e).__name__)
 def test_other_surrogate_errors_propagate(unit_box, error):
     lvl1 = FailingLevel("m1", error)
-    hierarchy = ModelHierarchy([lvl1, StubLevel("m2", reference=True)],
+    hierarchy = ModelHierarchy([lvl1, Reference("m2")],
                                tolerance=1e-3, box=unit_box)
     with pytest.raises(type(error)):
         hierarchy.handle_request([0.5])
 
 
 def test_domain_error_before_any_evaluation(unit_box):
-    lvl = StubLevel("ref", reference=True)
+    lvl = Reference()
     hierarchy = ModelHierarchy([lvl], tolerance=1e-3, box=unit_box)
     with pytest.raises(DomainError):
         hierarchy.handle_request([1.5])
     assert lvl.n_evals == 0
-
-
-def test_reference_from_non_last_level_rejected(unit_box):
-    bad = StubLevel("m1", reference=True)
-    hierarchy = ModelHierarchy([bad, StubLevel("m2", reference=True)],
-                               tolerance=1e-3, box=unit_box)
-    with pytest.raises(ConfigurationError):
-        hierarchy.handle_request([0.5])
-
-
-def test_top_level_must_be_reference(unit_box):
-    hierarchy = ModelHierarchy([StubLevel("m1", estimate=9.9)],
-                               tolerance=1e-3, box=unit_box)
-    with pytest.raises(ConfigurationError):
-        hierarchy.handle_request([0.5])
-
-
-def test_no_ready_level_is_configuration_error(unit_box):
-    hierarchy = ModelHierarchy([StubLevel("m1", ready=False)],
-                               tolerance=1e-3, box=unit_box)
-    with pytest.raises(ConfigurationError):
-        hierarchy.handle_request([0.5])
 
 
 def test_empty_hierarchy_rejected(unit_box):
@@ -212,14 +222,20 @@ def test_empty_hierarchy_rejected(unit_box):
         ModelHierarchy([], tolerance=1e-3, box=unit_box)
 
 
+@pytest.mark.parametrize("tolerance", [-1e-3, math.nan])
+def test_invalid_tolerance_rejected(unit_box, tolerance):
+    with pytest.raises(ConfigurationError):
+        ModelHierarchy([Reference()], tolerance=tolerance, box=unit_box)
+
+
 def test_stream_empty_sequence(unit_box):
-    hierarchy = ModelHierarchy([StubLevel("ref", reference=True)],
+    hierarchy = ModelHierarchy([Reference()],
                                tolerance=1e-3, box=unit_box)
     assert hierarchy.run_query_stream([]) == []
 
 
 def test_stream_aborts_with_partial_log(unit_box):
-    hierarchy = ModelHierarchy([StubLevel("ref", reference=True)],
+    hierarchy = ModelHierarchy([Reference()],
                                tolerance=1e-3, box=unit_box)
     with pytest.raises(StreamAborted) as excinfo:
         hierarchy.run_query_stream([[0.1], [0.2], [7.0], [0.3]])
@@ -229,7 +245,7 @@ def test_stream_aborts_with_partial_log(unit_box):
 
 
 def test_stream_records_are_sequential(unit_box):
-    hierarchy = ModelHierarchy([StubLevel("ref", reference=True)],
+    hierarchy = ModelHierarchy([Reference()],
                                tolerance=1e-3, box=unit_box)
     records = hierarchy.run_query_stream([[0.1], [0.5], [0.9]])
     assert [r.query_id for r in records] == [0, 1, 2]
@@ -252,7 +268,7 @@ def test_summarize_empty():
 def test_summarize_counts_and_halves(unit_box):
     lvl1 = StubLevel("m1", estimate=0.9, accepts=("d2",))
     lvl2 = StubLevel("m2", estimate=1e-6, emits="d2")
-    lvl3 = StubLevel("m3", reference=True)
+    lvl3 = Reference("m3")
     hierarchy = ModelHierarchy([lvl1, lvl2, lvl3], tolerance=1e-3, box=unit_box)
     records = hierarchy.run_query_stream([[x] for x in (0.1, 0.2, 0.3, 0.4)])
     s = summarize_records(records, 3)
@@ -266,7 +282,7 @@ def test_summarize_counts_and_halves(unit_box):
 
 def test_summarize_all_top_stage(unit_box):
     hierarchy = ModelHierarchy(
-        [StubLevel("m1", estimate=9.0), StubLevel("m3", reference=True)],
+        [StubLevel("m1", estimate=9.0), Reference("m3")],
         tolerance=1e-3, box=unit_box)
     records = hierarchy.run_query_stream([[0.5]] * 6)
     s = summarize_records(records, 2)
@@ -279,8 +295,10 @@ def test_summarize_all_top_stage(unit_box):
 def test_parameter_box_validation():
     with pytest.raises(ConfigurationError):
         ParameterBox([])
-    with pytest.raises(ConfigurationError):
-        ParameterBox([[1.0, 1.0]])
+    for bad in ([[1.0, 1.0]], [[0.0, math.inf]], [[math.nan, 1.0]],
+                [[0.0, 1.0, 2.0]], [[None, 1.0]], [0.0, 1.0]):
+        with pytest.raises(ConfigurationError):
+            ParameterBox(bad)
     box = ParameterBox([[0.0, 2.0], [-1.0, 1.0]])
     assert box.contains([1.0, 0.0])
     assert not box.contains([3.0, 0.0])

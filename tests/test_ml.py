@@ -298,7 +298,7 @@ def test_ml_level_ready_after_n_min(small_system, diffusivity_box):
     assert ml.is_ready()
     mu = np.array([2.0, 3.0])
     output = ml.evaluate(mu)
-    delta = ml.estimate_error(output, mu, next_level=rb)
+    delta = ml.estimate_error(output, mu)
     assert np.isfinite(delta) and delta >= 0.0
     assert output.payload.producer == "ml"
 
@@ -329,11 +329,12 @@ def test_ml_level_stale_generation_guard(small_system, diffusivity_box):
         ml.evaluate(np.array([1.0, 1.0]))
 
 
-def test_ml_estimate_requires_next_level(small_system, diffusivity_box):
+def test_ml_estimate_uses_its_own_reduced_system(small_system, diffusivity_box):
     rb, ml = make_ml(small_system, diffusivity_box, n_absorb=10)
-    output = ml.evaluate(np.array([2.0, 2.0]))
-    with pytest.raises(ConfigurationError):
-        ml.estimate_error(output, np.array([2.0, 2.0]), next_level=None)
+    mu = np.array([2.0, 2.0])
+    output = ml.evaluate(mu)
+    assert ml.estimate_error(output, mu) == error_estimate(
+        ml.rb_level.reduced_system, mu, output.payload.reduced)
 
 
 def test_ml_training_set_monotone(small_system, diffusivity_box):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfhier import (REFERENCE, ModelHierarchy, ObjectiveOracle, ParameterBox,
+from mfhier import (ModelHierarchy, ObjectiveOracle, ParameterBox,
                     descend, fd_gradient, himmelblau)
 from mfhier.optdemo import (DescentSamples, FullObjectiveLevel,
                             SurrogateObjectiveLevel)
@@ -120,7 +120,7 @@ def test_first_request_goes_to_full_and_trains_surrogate(opt_box):
     assert not surrogate.is_ready()
     answer, events = hierarchy.handle_request([3.5, 2.0])
     assert answer.stage == 2
-    assert answer.estimate is REFERENCE
+    assert answer.estimate is None and answer.is_reference
     assert surrogate.regressor.n_train >= 1
     assert (2, 1) in events
 
@@ -133,6 +133,25 @@ def test_infinite_tolerance_accepts_any_ready_candidate(opt_box):
     answer, _ = hierarchy.handle_request([-2.0, 3.0])
     assert answer.stage == 1
     assert answer.estimate <= float("inf")
+
+
+def test_surrogate_certifies_on_its_own_oracle(opt_box):
+    # the certificate is charged to the surrogate's oracle, whatever the
+    # last level descends on
+    own, other = ObjectiveOracle(delay_s=0.0), ObjectiveOracle(delay_s=0.0)
+    surrogate = SurrogateObjectiveLevel(own, opt_box)
+    surrogate.absorb(DescentSamples(descend(other, [3.5, 2.0], opt_box).samples))
+    hierarchy = ModelHierarchy([surrogate, FullObjectiveLevel(other, opt_box)],
+                               tolerance=float("inf"), box=opt_box)
+    other_before = other.eval_counter
+    answer, _ = hierarchy.handle_request([-2.0, 3.0])
+    assert answer.stage == 1
+    assert own.eval_counter == SurrogateObjectiveLevel.CRITERION_CALLS
+    assert other.eval_counter == other_before
+    output = surrogate.evaluate([1.0, 1.0])
+    before = own.eval_counter
+    surrogate.estimate_error(output, [1.0, 1.0])
+    assert own.eval_counter - before == 2 * opt_box.dim
 
 
 def test_accepted_candidates_reverify(opt_box):
