@@ -7,6 +7,7 @@ time step quartered).
 """
 
 import math
+import time
 
 import numpy as np
 
@@ -16,10 +17,12 @@ from mfhier.fom import dump_trajectory
 # parametrized run: two subdomains, different conductivities
 system = assemble(n_h=200, K=100, T=1.0, Q=2)
 for mu in ([1.0, 1.0], [0.1, 10.0], [10.0, 0.1]):
+    t0 = time.perf_counter()
     trajectory = solve_fom(system, mu)
+    duration_s = time.perf_counter() - t0
     print(f"mu = {mu}:  QoI = {compute_qoi(system, trajectory):.6f}  "
           f"max u(x, T) = {trajectory.states[-1].max():.6f}  "
-          f"({trajectory.duration_s * 1e3:.1f} ms)")
+          f"({duration_s * 1e3:.1f} ms)")
 
 # analytic check: u0 = sin(pi x), f = 0, unit diffusivity decays as
 # e^{-pi^2 t} sin(pi x)

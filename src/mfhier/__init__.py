@@ -21,8 +21,8 @@ from .mlsurrogate import (KernelRegressor, MLCoefficientLevel, fit,
                           predict_trajectory, rebase)
 from .optdemo import (DescentResult, ObjectiveOracle, SurrogateObjectiveLevel,
                       FullObjectiveLevel, descend, fd_gradient, himmelblau)
-from .rb import (BasisChanged, ReducedBasis, ReducedBasisLevel,
-                 ReducedSystem, ReducedTrajectory, build_reduced_system,
+from .rb import (ReducedBasis, ReducedBasisLevel, ReducedSystem,
+                 ReducedTrajectory, build_reduced_system,
                  coercivity_lower_bound, error_estimate, extend_basis,
                  reconstruct_final, residual_dual_norms, solve_rb)
 from .rng import SplitMix64
@@ -30,7 +30,7 @@ from .rng import SplitMix64
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSystem", "BasisChanged", "CertifiedAnswer", "ConfigurationError",
+    "AffineSystem", "CertifiedAnswer", "ConfigurationError",
     "DescentResult", "DomainError", "FullObjectiveLevel", "FullOrderLevel",
     "HierarchyError", "KernelRegressor", "MLCoefficientLevel",
     "ModelHierarchy", "ModelLevel", "ModelOutput", "NotReadyError",

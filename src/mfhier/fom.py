@@ -9,7 +9,6 @@ estimation possible downstream.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -80,7 +79,6 @@ class Trajectory:
 
     states: np.ndarray  # (K+1, n_h)
     mu: np.ndarray
-    duration_s: float = 0.0
 
 
 @dataclass
@@ -117,8 +115,6 @@ def _initial_values(u0, x: np.ndarray) -> np.ndarray:
         if u0 == "sine":
             return np.sin(np.pi * x)
         raise ConfigurationError(f"unknown initial-value tag {u0!r}")
-    if callable(u0):
-        return np.asarray([float(u0(xi)) for xi in x])
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != x.shape:
         raise ConfigurationError("initial vector has wrong length")
@@ -204,7 +200,6 @@ def _check_mu(system: AffineSystem, mu) -> np.ndarray:
 def solve_fom(system: AffineSystem, mu) -> Trajectory:
     """Implicit Euler march; one sparse factorization reused over all steps."""
     mu = _check_mu(system, mu)
-    t0 = time.perf_counter()
     B = (system.M + system.dt * sum(m_q * A_q for m_q, A_q in zip(mu, system.A)))
     lu = scipy.sparse.linalg.splu(B.tocsc())
     states = np.empty((system.K + 1, system.n_h))
@@ -214,7 +209,7 @@ def solve_fom(system: AffineSystem, mu) -> Trajectory:
     for k in range(1, system.K + 1):
         u = lu.solve(system.M @ u + dt_f)
         states[k] = u
-    return Trajectory(states=states, mu=mu, duration_s=time.perf_counter() - t0)
+    return Trajectory(states=states, mu=mu)
 
 
 def compute_qoi(system: AffineSystem, state) -> float:

@@ -74,8 +74,12 @@ class OptConfig:
 @dataclass
 class OutputConfig:
     results_path: str = "results.csv"
-    dumps: dict = field(default_factory=dict)  # {"trajectory"|"basis"|"training": path}
+    dumps: dict = field(default_factory=dict)  # {kind: path}, see _DUMP_KINDS
 
+
+#: What each scenario can dump at the end of a run (``output.dumps`` keys).
+_DUMP_KINDS = {"parabolic": ("trajectory", "basis", "training"),
+              "optdemo": ("training",)}
 
 #: Config fields that count something and must be integers (not bools).
 _COUNT_FIELDS = ("n_queries", "seed", "fom.n_h", "fom.K", "fom.Q",
@@ -119,6 +123,19 @@ class RunConfig:
             raise ConfigurationError("n_queries must be >= 0")
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must fit in 64 bits")
+        dumps = self.output.dumps
+        if not isinstance(dumps, dict):
+            raise ConfigurationError("output.dumps must be an object mapping "
+                                     "a dump kind to a path")
+        kinds = _DUMP_KINDS[self.scenario]
+        for kind, path in dumps.items():
+            if kind not in kinds:
+                raise ConfigurationError(
+                    f"{self.scenario} cannot dump {kind!r}; "
+                    f"output.dumps takes {list(kinds)}")
+            if not isinstance(path, str) or not path:
+                raise ConfigurationError(f"output.dumps.{kind} must be a "
+                                         f"non-empty path, got {path!r}")
         if self.parameter_box is None:
             self.parameter_box = ([[0.1, 10.0]] * self.fom.Q
                                   if self.scenario == "parabolic"
@@ -504,12 +521,14 @@ def _execute(config: RunConfig, adaptation_enabled: bool) -> RunResult:
 
 
 def _write_dumps(config: RunConfig, scenario: Scenario, records) -> None:
-    dumps = config.output.dumps or {}
-    if "basis" in dumps and scenario.rb_level is not None:
+    """Write the dumps ``RunConfig`` validated for the scenario."""
+    dumps = config.output.dumps
+    if "basis" in dumps:
         rb.dump_basis(scenario.rb_level.basis, scenario.rb_level.pod_tol,
                       dumps["basis"])
-    if "training" in dumps and scenario.ml_level is not None:
-        mlsurrogate.dump_training(scenario.ml_level.regressor, dumps["training"])
+    if "training" in dumps:
+        level = scenario.ml_level or scenario.opt_surrogate
+        mlsurrogate.dump_training(level.regressor, dumps["training"])
     if "trajectory" in dumps:
         for record in reversed(records):
             trajectory = getattr(record.answer.payload, "trajectory", None)

@@ -5,10 +5,12 @@ from an outer loop.  Each request is evaluated by the cheapest ready model
 first; a result is accepted once its error estimate meets the tolerance,
 otherwise, or when the model fails, the request falls through to the next
 model.  Whenever a model is evaluated, its evaluation data is offered to
-all cheaper models so they can improve themselves, which over a stream of
-requests shifts the load towards the cheap end of the hierarchy.  The last
-model is the reference by its position alone: it is always evaluated when
-a request reaches it, and its answer is accepted unconditionally.
+every cheaper model, costliest first; each one takes it or not, and each
+take is logged as a (source, target) adaptation event.  Over a stream of
+requests this shifts the load towards the cheap end of the hierarchy.
+The last model is the reference by its position alone: it is always
+evaluated when a request reaches it, and its answer is accepted
+unconditionally.
 """
 
 from __future__ import annotations
@@ -97,7 +99,6 @@ class Attempt:
     stage: int
     duration_s: float
     estimate: float | None  # inf: the level failed; None: the reference
-    criterion_s: float = 0.0
 
 
 @dataclass
@@ -127,9 +128,10 @@ class ModelLevel(abc.ABC):
     ``evaluate`` may assume ``is_ready()`` returned True immediately
     before.  ``evaluate`` and ``estimate_error`` may decline a request by
     raising one of :data:`SURROGATE_FAILURES`; the request then goes on to
-    the next level.  ``absorb`` returns None when the payload is ignored,
-    or a (possibly empty) list of follow-on payloads to offer to the levels
-    below this one; it must never invalidate answers already emitted.
+    the next level.  ``absorb`` returns True when the level took the
+    payload and False when it does not apply; it must never invalidate
+    answers already emitted.  Payloads are offered costliest level first,
+    so a level sees the data a costlier level has absorbed before it.
 
     The last level of a hierarchy is the reference.  The hierarchy calls
     only its ``evaluate``, so it needs no other method and need not derive
@@ -144,8 +146,8 @@ class ModelLevel(abc.ABC):
         """Nonnegative bound on the error of ``output`` at ``mu``."""
 
     @abc.abstractmethod
-    def absorb(self, payload):
-        """Consume adaptation data; None means 'not applicable to me'."""
+    def absorb(self, payload) -> bool:
+        """Consume adaptation data; False means 'not applicable to me'."""
 
     @abc.abstractmethod
     def is_ready(self) -> bool: ...
@@ -190,13 +192,11 @@ class ModelHierarchy:
                 continue
             duration_s = time.perf_counter() - t0
             self._adapt(i, output, events)
-            t0 = time.perf_counter()
             try:
                 estimate = level.estimate_error(output, mu)
             except SURROGATE_FAILURES:
                 estimate = math.inf
-            attempts.append(Attempt(i + 1, duration_s, estimate,
-                                    time.perf_counter() - t0))
+            attempts.append(Attempt(i + 1, duration_s, estimate))
             if estimate <= self.tolerance:
                 return (CertifiedAnswer(output.payload, i + 1, estimate,
                                         self.tolerance, attempts), events)
@@ -209,22 +209,13 @@ class ModelHierarchy:
                                 attempts), events)
 
     def _adapt(self, source_index: int, output: ModelOutput, events) -> None:
-        if self.adaptation_enabled and output.adaptation is not None:
-            self._broadcast(source_index, output.adaptation, events)
-
-    def _broadcast(self, source_index: int, payload, events) -> None:
-        """Offer ``payload`` to every level below ``source_index``.
-
-        A level that absorbs the payload may emit follow-on payloads,
-        which cascade further down from that level.
-        """
+        """Offer ``output.adaptation`` to every cheaper level, costliest
+        first, and log (source, target) stages for each level that took it."""
+        if not self.adaptation_enabled or output.adaptation is None:
+            return
         for j in range(source_index - 1, -1, -1):
-            emitted = self.levels[j].absorb(payload)
-            if emitted is None:
-                continue
-            events.append((source_index + 1, j + 1))
-            for follow_on in emitted:
-                self._broadcast(j, follow_on, events)
+            if self.levels[j].absorb(output.adaptation):
+                events.append((source_index + 1, j + 1))
 
     # ------------------------------------------------------------------
 

@@ -3,8 +3,12 @@
 The cheapest stage regresses parameter -> reduced coefficient trajectory in
 the SAME reduced space as the reduced-basis stage, trains exclusively on
 reduced-basis solutions, and is certified by the shared residual estimator.
-A Gaussian kernel with a constant lengthscale on box-scaled inputs keeps
-the regressor deterministic and cheap to update.
+It follows the basis of its reduced-basis level: the coefficients live in
+the reduced space, so when that level's basis generation moves, the next
+``absorb`` re-expresses the stored targets in the new basis
+(:func:`rebase`) before it takes anything else.  A Gaussian kernel with a
+constant lengthscale on box-scaled inputs keeps the regressor
+deterministic and cheap to update.
 
 :class:`KernelRegressor` is the only owner of the training pairs and has
 one update rule, :meth:`KernelRegressor.add`: a new, distinct input is
@@ -26,10 +30,9 @@ import numpy as np
 import scipy.linalg
 import scipy.spatial.distance
 
-from .errors import ConfigurationError, NotReadyError, StaleGenerationError
-from .fom import ParabolicResult
+from .errors import ConfigurationError, NotReadyError
 from .hierarchy import ModelLevel, ModelOutput, ParameterBox
-from .rb import BasisChanged, ReducedTrajectory, error_estimate, solve_rb
+from .rb import ReducedSystem, ReducedTrajectory, error_estimate, solve_rb
 
 _trtrs = scipy.linalg.lapack.dtrtrs
 
@@ -261,17 +264,12 @@ def predict_trajectory(regressor: KernelRegressor, mu, n_steps: int,
                              generation=regressor.generation, producer="ml")
 
 
-def rebase(regressor: KernelRegressor, new_generation: int, rb_solve) -> None:
-    """Re-express the stored targets in a new basis generation.
-
-    Re-solves the (cheap) reduced model at every stored input; a no-op
-    when the generation already matches.
-    """
-    if new_generation == regressor.generation:
-        return
-    regressor.generation = new_generation
+def rebase(regressor: KernelRegressor, reduced_system: ReducedSystem) -> None:
+    """Re-express the stored targets in the generation of ``reduced_system``
+    by re-solving the (cheap) reduced model at every stored input."""
+    regressor.generation = reduced_system.generation
     regressor._set_targets(
-        [np.asarray(rb_solve(mu).coefficients, dtype=float).ravel()
+        [solve_rb(reduced_system, mu).coefficients.ravel()
          for mu in regressor.raw_inputs])
 
 
@@ -287,11 +285,12 @@ def dump_training(regressor: KernelRegressor, path) -> None:
 class MLCoefficientLevel(ModelLevel):
     """Cheapest stage: learned reduced coefficients, certified by stage 2.
 
-    Absorbs reduced-basis solutions as training pairs (full-order
-    trajectories are ignored, the regressor learns only from the reduced
-    model) and rebases on basis-change notifications.  The error estimate
-    is the residual bound of ``rb_level``'s reduced system, the space the
-    coefficients are predicted and lifted in.
+    Follows the basis of ``rb_level``: every ``absorb`` first rebases the
+    training targets if the basis has grown since the last one, then takes
+    reduced-basis solutions as training pairs (the regressor learns only
+    from the reduced model).  The error estimate is the residual bound of
+    ``rb_level``'s reduced system, the space the coefficients are predicted
+    and lifted in.
     """
 
     def __init__(self, box: ParameterBox, rb_level, n_min: int = 10,
@@ -301,37 +300,23 @@ class MLCoefficientLevel(ModelLevel):
                                          generation=rb_level.generation)
 
     def evaluate(self, mu) -> ModelOutput:
-        reduced_system = self.rb_level.reduced_system
-        if self.regressor.generation != reduced_system.generation:
-            raise StaleGenerationError("regressor does not match the current "
-                                       "reduced space")
-        trajectory = predict_trajectory(self.regressor, mu, reduced_system.K,
+        trajectory = predict_trajectory(self.regressor, mu,
+                                        self.rb_level.reduced_system.K,
                                         POWER_GATE)
-        u_final = self.rb_level.basis.V @ trajectory.coefficients[-1]
-        payload = ParabolicResult(
-            qoi=float(self.rb_level.system.qoi_vector @ u_final),
-            mu=trajectory.mu, producer="ml",
-            u_final=u_final, reduced=trajectory)
-        return ModelOutput(payload=payload)
+        return ModelOutput(payload=self.rb_level.lift(trajectory))
 
     def estimate_error(self, output, mu):
         return error_estimate(self.rb_level.reduced_system, mu,
                               output.payload.reduced)
 
-    def absorb(self, payload):
+    def absorb(self, payload) -> bool:
+        rebased = self.regressor.generation != self.rb_level.generation
+        if rebased:
+            rebase(self.regressor, self.rb_level.reduced_system)
         if isinstance(payload, ReducedTrajectory) and payload.producer == "rb":
-            if payload.generation != self.regressor.generation:
-                # targets are stale anyway; sync before storing
-                rebase(self.regressor, payload.generation, self._rb_solve)
             self.regressor.add(payload.mu, payload.coefficients)
-            return []
-        if isinstance(payload, BasisChanged):
-            rebase(self.regressor, payload.generation, self._rb_solve)
-            return []
-        return None
-
-    def _rb_solve(self, mu):
-        return solve_rb(self.rb_level.reduced_system, mu)
+            return True
+        return rebased
 
     def is_ready(self) -> bool:
         return (self.regressor.ready

@@ -208,9 +208,9 @@ class SurrogateObjectiveLevel(ModelLevel):
         output.payload.grad_norm = g
         return g
 
-    def absorb(self, payload):
+    def absorb(self, payload) -> bool:
         if not isinstance(payload, DescentSamples):
-            return None
+            return False
         regressor = self.regressor
         for x, j in payload.samples:
             if (regressor.n_train and not regressor.has_input(x)
@@ -219,7 +219,7 @@ class SurrogateObjectiveLevel(ModelLevel):
                     < self.min_separation):
                 continue  # near-coincident with a different stored point
             regressor.add(x, [j])
-        return []
+        return True
 
     def is_ready(self) -> bool:
         return self.regressor.ready

@@ -15,6 +15,11 @@ with X = U^T U and R the triangular factor of a QR of U^{-T} C,
 ||r^k||_{X'} = ||R theta^k||.  Online the estimate never touches
 full-order vectors and, unlike an expanded quadratic form, can neither go
 negative nor lose its digits to cancellation.
+
+The learned stage also shares the lift to full space
+(:meth:`ReducedBasisLevel.lift`).  Every basis extension bumps the
+generation; the learned stage holds its reduced-basis level and rebases
+when it sees the generation move, so no notification is sent.
 """
 
 from __future__ import annotations
@@ -41,13 +46,6 @@ class ReducedBasis:
     @staticmethod
     def empty(n_h: int) -> "ReducedBasis":
         return ReducedBasis(V=np.zeros((n_h, 0)), generation=0)
-
-
-@dataclass(frozen=True)
-class BasisChanged:
-    """Notification payload emitted after a basis extension."""
-
-    generation: int
 
 
 @dataclass
@@ -306,9 +304,8 @@ def dump_basis(basis: ReducedBasis, pod_tol: float, path) -> None:
 class ReducedBasisLevel(ModelLevel):
     """Middle stage: certified Galerkin surrogate on an adaptive basis.
 
-    Absorbs full-order trajectories into the basis; emits a
-    :class:`BasisChanged` notification downward whenever the generation
-    bumps, so the learned stage can re-express its training data.
+    Absorbs full-order trajectories into the basis, which bumps the
+    generation whenever modes are added.
     """
 
     def __init__(self, system: AffineSystem, pod_tol: float = 1e-13,
@@ -324,28 +321,31 @@ class ReducedBasisLevel(ModelLevel):
     def generation(self) -> int:
         return self.basis.generation
 
+    def lift(self, trajectory: ReducedTrajectory) -> ParabolicResult:
+        """The answer for coefficients of the current generation: the
+        final state in full space and its QoI.  Raises
+        :class:`StaleGenerationError` for another generation."""
+        u_final = reconstruct_final(self.basis, trajectory)
+        return ParabolicResult(
+            qoi=float(self.system.qoi_vector @ u_final),
+            mu=trajectory.mu, producer=trajectory.producer,
+            u_final=u_final, reduced=trajectory)
+
     def evaluate(self, mu) -> ModelOutput:
         trajectory = solve_rb(self.reduced_system, mu)
-        u_final = reconstruct_final(self.basis, trajectory)
-        payload = ParabolicResult(
-            qoi=float(self.system.qoi_vector @ u_final),
-            mu=trajectory.mu, producer="rb",
-            u_final=u_final, reduced=trajectory)
-        return ModelOutput(payload=payload, adaptation=trajectory)
+        return ModelOutput(payload=self.lift(trajectory),
+                           adaptation=trajectory)
 
     def estimate_error(self, output, mu):
         return error_estimate(self.reduced_system, mu, output.payload.reduced)
 
-    def absorb(self, payload):
+    def absorb(self, payload) -> bool:
         if not isinstance(payload, Trajectory):
-            return None
-        old_generation = self.basis.generation
+            return False
         self.basis, self.reduced_system, _ = extend_basis(
             self.basis, self.reduced_system, self.system, payload,
             pod_tol=self.pod_tol, n_add_max=self.n_add_max, n_max=self.n_max)
-        if self.basis.generation != old_generation:
-            return [BasisChanged(self.basis.generation)]
-        return []
+        return True
 
     def is_ready(self) -> bool:
         return self.basis.N >= 1

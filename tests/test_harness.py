@@ -78,6 +78,13 @@ def test_config_from_json_roundtrip(tmp_path):
     {"rb": {"N_max": 20.0}},
     {"ml": {"n_min": 10.0}},
     {"opt": {"max_iters": 1.5}},
+    {"output": {"dumps": "basis.csv"}},
+    {"output": {"dumps": None}},
+    {"output": {"dumps": {"basis_csv": "b.csv"}}},
+    {"output": {"dumps": {"basis": 5}}},
+    {"output": {"dumps": {"training": ""}}},
+    {"scenario": "optdemo", "output": {"dumps": {"basis": "b.csv"}}},
+    {"scenario": "optdemo", "output": {"dumps": {"trajectory": "t.csv"}}},
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ConfigurationError):
@@ -132,6 +139,21 @@ def test_determinism_modulo_durations(tmp_path):
     harness.run(config_b)
     assert (strip_duration_columns(tmp_path / "a.csv")
             == strip_duration_columns(tmp_path / "b.csv"))
+
+
+def test_adaptation_events_follow_the_basis(tmp_path):
+    # 3>2: a full-order trajectory offered to the basis; 3>1: the learned
+    # stage rebased onto a grown basis; 2>1: one training pair
+    config = harness.default_config("parabolic", n_queries=150, seed=42)
+    config.output.results_path = str(tmp_path / "results.csv")
+    result = harness.run(config)
+    events = [row.events for row in result.rows]
+    rebases = [row for row in events if (3, 1) in row]
+    assert sum(row.count((3, 1)) for row in events) == len(rebases) > 0
+    assert len(rebases) == result.scenario.rb_level.generation
+    assert all((3, 2) in row for row in rebases)
+    assert (sum(row.count((2, 1)) for row in events)
+            == result.scenario.ml_level.regressor.n_train)
 
 
 def test_same_mu_twice_stage_does_not_increase(tmp_path):
@@ -321,6 +343,19 @@ def test_dumps_written(tmp_path):
     assert train.shape[0] == result.scenario.ml_level.regressor.n_train
 
 
+def test_optdemo_training_dump(tmp_path):
+    config = harness.default_config(
+        "optdemo", n_queries=3, opt={"delay_s": 0.0},
+        output={"results_path": str(tmp_path / "opt.csv"),
+                "dumps": {"training": str(tmp_path / "train.csv")}})
+    result = harness.run(config)
+    regressor = result.scenario.opt_surrogate.regressor
+    train = np.loadtxt(tmp_path / "train.csv", delimiter=",", ndmin=2)
+    assert regressor.n_train > 0
+    # one (x_1, x_2, J) row per stored pair
+    assert train.shape == (regressor.n_train, 3)
+
+
 # ---------------------------------------------------------------- cli
 
 
@@ -388,6 +423,12 @@ def test_cli_exit_codes(tmp_path):
     bad_csv.write_text("query_id,nope\n")
     assert cli_main(["report", str(bad_csv)]) == 2
     assert cli_main(["report", str(tmp_path / "missing.csv")]) == 3
+    # a dump the scenario cannot write is refused before any query runs
+    opt_out = tmp_path / "opt.csv"
+    assert cli_main(["run", "--scenario", "optdemo", "--queries", "5",
+                     "--out", str(opt_out),
+                     "--dump-basis", str(tmp_path / "b.csv")]) == 2
+    assert not opt_out.exists() and not (tmp_path / "b.csv").exists()
     # unwritable output directory -> I/O failure
     assert cli_main(["run", "--queries", "1",
                      "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 3

@@ -12,13 +12,13 @@ class StubLevel(ModelLevel):
     """Scriptable surrogate: fixed estimate, optional emission and absorption."""
 
     def __init__(self, name, estimate=0.5, ready=True, emits=None,
-                 accepts=(), forwards=()):
+                 accepts=(), calls=None):
         self.name = name
         self.estimate = estimate
         self.ready = ready
         self.emits = emits          # adaptation payload attached to outputs
         self.accepts = accepts      # payload values this level absorbs
-        self.forwards = forwards    # payloads emitted again after absorbing
+        self.calls = calls          # shared log of absorb calls, by name
         self.absorbed = []
         self.n_evals = 0
 
@@ -30,10 +30,12 @@ class StubLevel(ModelLevel):
         return self.estimate
 
     def absorb(self, payload):
+        if self.calls is not None:
+            self.calls.append(self.name)
         if payload in self.accepts:
             self.absorbed.append(payload)
-            return list(self.forwards)
-        return None
+            return True
+        return False
 
     def is_ready(self):
         return self.ready
@@ -149,15 +151,20 @@ def test_not_ready_levels_skipped_silently(unit_box):
     assert lvl1.n_evals == 0
 
 
-def test_cascading_emission_reaches_cheapest_level(unit_box):
-    # level 2 absorbs level 3 data and notifies level 1 in turn
-    lvl1 = StubLevel("m1", estimate=0.9, ready=False, accepts=("note",))
-    lvl2 = StubLevel("m2", estimate=0.9, accepts=("d3",), forwards=("note",))
-    lvl3 = Reference("m3", emits="d3")
-    hierarchy = ModelHierarchy([lvl1, lvl2, lvl3], tolerance=1e-3, box=unit_box)
+def test_adaptation_offered_costliest_first(unit_box):
+    # every cheaper level is offered the payload, costliest first, ready or
+    # not; only the levels whose absorb returns True are logged as events
+    calls = []
+    lvl1 = StubLevel("m1", ready=False, accepts=("d4",), calls=calls)
+    lvl2 = StubLevel("m2", ready=False, calls=calls)
+    lvl3 = StubLevel("m3", ready=False, accepts=("d4",), calls=calls)
+    top = Reference("m4", emits="d4")
+    hierarchy = ModelHierarchy([lvl1, lvl2, lvl3, top], tolerance=1e-3,
+                               box=unit_box)
     _, events = hierarchy.handle_request([0.4])
-    assert events == [(3, 2), (2, 1)]
-    assert lvl1.absorbed == ["note"]
+    assert calls == ["m3", "m2", "m1"]
+    assert events == [(4, 3), (4, 1)]
+    assert lvl1.absorbed == lvl3.absorbed == ["d4"] and lvl2.absorbed == []
 
 
 def test_adaptation_disabled_suppresses_events(unit_box):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from mfhier import (ConfigurationError, KernelRegressor, NotReadyError,
                     solve_fom, solve_rb)
 from mfhier import mlsurrogate
 from mfhier.mlsurrogate import MLCoefficientLevel
-from mfhier.rb import BasisChanged, ReducedBasisLevel
+from mfhier.rb import ReducedBasisLevel
 
 
 @pytest.fixture
@@ -165,7 +166,7 @@ def test_rebase_refits_bitwise(small_system, diffusivity_box):
     probe = np.array([3.3, 0.4])
     regressor.predict(probe)
     rb.absorb(solve_fom(small_system, [8.0, 0.2]))
-    rebase(regressor, rb.generation, lambda mu: solve_rb(rb.reduced_system, mu))
+    rebase(regressor, rb.reduced_system)
     assert regressor._factor is None
     assert np.array_equal(regressor.predict(probe),
                           fresh_copy(regressor).predict(probe))
@@ -245,18 +246,9 @@ def test_power_gate_keeps_every_answer(tmp_path, monkeypatch, Q, n_queries):
 
 def test_rebase_empty_set_stays_empty(rb_level, diffusivity_box):
     regressor = KernelRegressor(diffusivity_box, generation=0)
-    rebase(regressor, rb_level.generation,
-           lambda mu: solve_rb(rb_level.reduced_system, mu))
+    rebase(regressor, rb_level.reduced_system)
     assert regressor.n_train == 0
     assert regressor.generation == rb_level.generation
-
-
-def test_rebase_same_generation_is_noop(rb_level, diffusivity_box):
-    regressor = regressor_from_rb(rb_level, diffusivity_box, seeded_mus(4))
-    before = regressor.targets
-    rebase(regressor, regressor.generation,
-           lambda mu: pytest.fail("solver must not run"))
-    np.testing.assert_array_equal(before, regressor.targets)
 
 
 def test_rebase_restores_interpolation(small_system, diffusivity_box):
@@ -267,7 +259,7 @@ def test_rebase_restores_interpolation(small_system, diffusivity_box):
                                   ridge=1e-8)
     # basis grows: stored targets now have the wrong width and generation
     rb.absorb(solve_fom(small_system, [8.0, 0.2]))
-    rebase(regressor, rb.generation, lambda mu: solve_rb(rb.reduced_system, mu))
+    rebase(regressor, rb.reduced_system)
     fresh = solve_rb(rb.reduced_system, mus[3]).coefficients.ravel()
     pred = regressor.predict(mus[3])
     assert np.linalg.norm(pred - fresh) / np.linalg.norm(fresh) <= 1e-4
@@ -304,22 +296,53 @@ def test_ml_level_ready_after_n_min(small_system, diffusivity_box):
 
 
 def test_ml_level_ignores_fom_trajectories(small_system, diffusivity_box):
+    # a full-order trajectory the basis did not take changes nothing here
     rb, ml = make_ml(small_system, diffusivity_box, n_absorb=3)
-    assert ml.absorb(solve_fom(small_system, [1.0, 1.0])) is None
+    before = ml.regressor.targets
+    assert ml.absorb(solve_fom(small_system, [1.0, 1.0])) is False
     assert ml.regressor.n_train == 3
+    np.testing.assert_array_equal(ml.regressor.targets, before)
+
+
+def test_ml_level_takes_rb_trajectories_only(small_system, diffusivity_box):
+    rb, ml = make_ml(small_system, diffusivity_box, n_absorb=0)
+    mu = np.array([2.0, 3.0])
+    trajectory = solve_rb(rb.reduced_system, mu)
+    assert ml.absorb(trajectory) is True
+    assert ml.regressor.n_train == 1
+    predicted = dataclasses.replace(trajectory, mu=np.array([3.0, 2.0]),
+                                    producer="ml")
+    assert ml.absorb(predicted) is False
+    assert ml.absorb({"not": "a trajectory"}) is False
+    assert ml.regressor.n_train == 1
 
 
 def test_ml_level_rebases_on_basis_change(small_system, diffusivity_box):
     rb, ml = make_ml(small_system, diffusivity_box, n_absorb=12)
     assert ml.is_ready()
     old_width = ml.regressor.targets.shape[1]
-    emitted = rb.absorb(solve_fom(small_system, [9.0, 0.15]))
-    assert isinstance(emitted[0], BasisChanged)
+    # the full-order trajectory is offered to the basis first, then here
+    trajectory = solve_fom(small_system, [9.0, 0.15])
+    assert rb.absorb(trajectory) is True
+    assert rb.generation == 2
     assert not ml.is_ready()  # regressor is stale now
-    assert ml.absorb(emitted[0]) == []
-    assert ml.is_ready()
+    assert ml.absorb(trajectory) is True  # the rebase counts as taking it
+    assert ml.is_ready() and ml.regressor.generation == 2
     assert ml.regressor.targets.shape[1] > old_width
     assert ml.regressor.n_train == 12  # inputs never shrink
+
+
+def test_ml_level_rebases_only_when_stale(small_system, diffusivity_box,
+                                          monkeypatch):
+    rb, ml = make_ml(small_system, diffusivity_box, n_absorb=3)
+
+    def no_rebase(*args):
+        pytest.fail("rebase of a current regressor")
+
+    monkeypatch.setattr(mlsurrogate, "rebase", no_rebase)
+    assert ml.absorb(solve_rb(rb.reduced_system, [2.0, 3.0])) is True
+    assert ml.absorb(solve_fom(small_system, [2.0, 3.0])) is False
+    assert ml.regressor.n_train == 4
 
 
 def test_ml_level_stale_generation_guard(small_system, diffusivity_box):
@@ -341,6 +364,6 @@ def test_ml_training_set_monotone(small_system, diffusivity_box):
     rb, ml = make_ml(small_system, diffusivity_box, n_absorb=0)
     sizes = []
     for mu in seeded_mus(15):
-        ml.absorb(solve_rb(rb.reduced_system, np.asarray(mu)))
+        assert ml.absorb(solve_rb(rb.reduced_system, np.asarray(mu))) is True
         sizes.append(ml.regressor.n_train)
     assert sizes == sorted(sizes)

@@ -169,7 +169,10 @@ def test_accepted_candidates_reverify(opt_box):
 
 def test_surrogate_ignores_foreign_payloads(opt_box):
     _, _, surrogate, _ = build_hierarchy(opt_box)
-    assert surrogate.absorb({"alien": 1}) is None
+    assert surrogate.absorb({"alien": 1}) is False
+    samples = DescentSamples([(np.array([1.0, 1.0]), 2.0)])
+    assert surrogate.absorb(samples) is True
+    assert surrogate.regressor.n_train == 1
 
 
 def test_near_duplicate_samples_thinned(opt_box):

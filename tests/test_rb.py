@@ -10,8 +10,7 @@ from mfhier import (DomainError, ParameterBox, ReducedBasis, SplitMix64,
                     coercivity_lower_bound, error_estimate, extend_basis,
                     harness, reconstruct_final, residual_dual_norms,
                     solve_fom, solve_rb)
-from mfhier.rb import (BasisChanged, ReducedBasisLevel, ReducedTrajectory,
-                       _x_orthonormalize)
+from mfhier.rb import ReducedBasisLevel, ReducedTrajectory, _x_orthonormalize
 
 from conftest import random_coefficients
 
@@ -407,9 +406,8 @@ def test_projection_round_trip(small_system):
 def test_rb_level_not_ready_until_first_trajectory(small_system):
     level = ReducedBasisLevel(small_system)
     assert not level.is_ready()
-    emitted = level.absorb(solve_fom(small_system, [1.0, 1.0]))
-    assert level.is_ready()
-    assert len(emitted) == 1 and isinstance(emitted[0], BasisChanged)
+    assert level.absorb(solve_fom(small_system, [1.0, 1.0])) is True
+    assert level.is_ready() and level.generation == 1
 
 
 def test_rb_level_requery_accepts(small_system):
@@ -433,15 +431,15 @@ def test_rb_level_deep_capture_requery_below_1e8(small_system):
 
 def test_rb_level_ignores_foreign_payloads(small_system):
     level = ReducedBasisLevel(small_system)
-    assert level.absorb({"not": "a trajectory"}) is None
-    assert level.absorb(12.5) is None
+    assert level.absorb({"not": "a trajectory"}) is False
+    assert level.absorb(12.5) is False
+    assert level.absorb(solve_fom(small_system, [1.0, 1.0])) is True
 
 
 def test_rb_level_zero_mode_absorb_keeps_generation(small_system):
     level = ReducedBasisLevel(small_system)
     trajectory = solve_fom(small_system, [1.0, 1.0])
-    first = level.absorb(trajectory)
-    assert len(first) == 1
-    second = level.absorb(trajectory)  # same data: absorbed, nothing emitted
-    assert second == []
+    assert level.absorb(trajectory) is True
+    # same data: taken, but no mode is added
+    assert level.absorb(trajectory) is True
     assert level.generation == 1
