@@ -6,13 +6,17 @@ tolerance of 1e-3.  Early requests fall through to the full-order solver;
 its trajectories grow the reduced basis, reduced solves train the
 coefficient regressor, and the load shifts to the cheap stages.  Every
 returned answer carries a rigorous error bound.
+
+The learned stage is opt-in (``ml.enabled``; the default parabolic
+hierarchy is reduced basis + full order), so this demo asks for it.
 """
 
 import numpy as np
 
 from mfhier import harness
 
-config = harness.default_config("parabolic", n_queries=200, seed=42)
+config = harness.default_config("parabolic", n_queries=200, seed=42,
+                                ml={"enabled": True})
 config.output.results_path = "parabolic_results.csv"
 
 print("running 200 seeded queries at tolerance", config.tolerance, "...")
@@ -24,12 +28,13 @@ print(f"  wall time: {result.wall_s:.3f} s")
 # how the accepting stage evolves over the stream
 print("\naccepting stage per quarter of the stream:")
 quarter = len(result.records) // 4
+stages = range(1, result.scenario.levels_total + 1)
 for i in range(4):
     chunk = result.records[i * quarter:(i + 1) * quarter]
-    counts = {s: 0 for s in (1, 2, 3)}
+    counts = {s: 0 for s in stages}
     for record in chunk:
         counts[record.answer.stage] += 1
-    bars = "  ".join(f"stage {s}: {counts[s]:3d}" for s in (1, 2, 3))
+    bars = "  ".join(f"stage {s}: {counts[s]:3d}" for s in stages)
     print(f"  queries {i * quarter:3d}-{(i + 1) * quarter - 1:3d}   {bars}")
 
 rb_level = result.scenario.rb_level

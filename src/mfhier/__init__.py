@@ -3,9 +3,9 @@
 A request is answered by the cheapest model in an ordered hierarchy whose
 error estimate meets the tolerance, with automatic fallback to more
 accurate models and feedback of evaluation data into the cheaper ones.
-Ships a three-stage instantiation for a parametrized parabolic PDE
-(full-order / reduced-basis / learned coefficients) and a two-stage
-optimization demo, plus a Monte Carlo outer-loop harness.
+Ships an instantiation for a parametrized parabolic PDE (full-order /
+reduced-basis, plus an opt-in stage of learned reduced coefficients) and a
+two-stage optimization demo, plus a Monte Carlo outer-loop harness.
 """
 
 from .errors import (ConfigurationError, DomainError, HierarchyError,

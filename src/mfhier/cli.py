@@ -26,6 +26,9 @@ def _add_override_flags(parser):
     parser.add_argument("--queries", type=int, dest="n_queries")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="results CSV path")
+    parser.add_argument("--ml", action=argparse.BooleanOptionalAction,
+                        help="include the learned stage (default: on for "
+                        "optdemo, off for parabolic)")
     parser.add_argument("--dump-trajectory", help="CSV path for the last "
                         "full-order trajectory of the run")
     parser.add_argument("--dump-basis", help="CSV path for the final reduced basis")
@@ -64,6 +67,7 @@ _OVERRIDES = (
     ("n_queries", ("n_queries",)),
     ("seed", ("seed",)),
     ("out", ("output", "results_path")),
+    ("ml", ("ml", "enabled")),
     ("dump_trajectory", ("output", "dumps", "trajectory")),
     ("dump_basis", ("output", "dumps", "basis")),
     ("dump_training", ("output", "dumps", "training")),

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -51,17 +52,10 @@ class RbConfig:
 
 @dataclass
 class MlConfig:
+    enabled: bool | None = None  # None: the scenario's default, see _ML_DEFAULTS
     n_min: int = 10
     lengthscale: float = 0.12  # box-scaled units
-    ridge: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("lengthscale", "ridge"):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or value <= 0):
-                raise ConfigurationError(f"ml.{name} must be a positive number, "
-                                         f"got {value!r}")
+    ridge: float | None = None  # None: the scenario's default, see _ML_DEFAULTS
 
 
 @dataclass
@@ -81,6 +75,16 @@ class OutputConfig:
 _DUMP_KINDS = {"parabolic": ("trajectory", "basis", "training"),
               "optdemo": ("training",)}
 
+#: The ``ml`` fields whose default depends on the scenario, resolved one
+#: field at a time.  The learned coefficient stage costs the parabolic
+#: streams more than it saves (README, "Which stages pay"), so it is
+#: opt-in there; the optimization surrogate saves oracle calls and
+#: interpolates sharply clustered descent data, which needs a much
+#: smaller ridge.
+_ML_DEFAULTS = {"parabolic": {"enabled": False, "ridge": 1e-8},
+                "optdemo": {"enabled": True,
+                            "ridge": optdemo.OPT_RIDGE_DEFAULT}}
+
 #: Config fields that count something and must be integers (not bools).
 _COUNT_FIELDS = ("n_queries", "seed", "fom.n_h", "fom.K", "fom.Q",
                  "rb.n_add_max", "rb.N_max", "ml.n_min", "opt.max_iters")
@@ -95,19 +99,25 @@ class RunConfig:
     parameter_box: list = None
     fom: FomConfig = field(default_factory=FomConfig)
     rb: RbConfig = field(default_factory=RbConfig)
-    ml: MlConfig = None  # scenario-dependent default, see __post_init__
+    ml: MlConfig = field(default_factory=MlConfig)
     opt: OptConfig = field(default_factory=OptConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def __post_init__(self):
         if self.scenario not in ("parabolic", "optdemo"):
             raise ConfigurationError(f"unknown scenario {self.scenario!r}")
-        if self.ml is None:
-            # the optimization surrogate interpolates sharply clustered
-            # descent data and needs a much smaller ridge than the
-            # coefficient surrogate
-            self.ml = (MlConfig() if self.scenario == "parabolic"
-                       else MlConfig(ridge=optdemo.OPT_RIDGE_DEFAULT))
+        for name, default in _ML_DEFAULTS[self.scenario].items():
+            if getattr(self.ml, name) is None:
+                setattr(self.ml, name, default)
+        if not isinstance(self.ml.enabled, bool):
+            raise ConfigurationError("ml.enabled must be true or false, "
+                                     f"got {self.ml.enabled!r}")
+        for name in ("lengthscale", "ridge"):
+            value = getattr(self.ml, name)
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or value <= 0):
+                raise ConfigurationError(f"ml.{name} must be a positive number, "
+                                         f"got {value!r}")
         for path in _COUNT_FIELDS:
             value = self
             for name in path.split("."):
@@ -136,6 +146,9 @@ class RunConfig:
             if not isinstance(path, str) or not path:
                 raise ConfigurationError(f"output.dumps.{kind} must be a "
                                          f"non-empty path, got {path!r}")
+        if "training" in dumps and not self.ml.enabled:
+            raise ConfigurationError("a training dump needs the learned stage "
+                                     "(ml.enabled)")
         if self.parameter_box is None:
             self.parameter_box = ([[0.1, 10.0]] * self.fom.Q
                                   if self.scenario == "parabolic"
@@ -230,36 +243,39 @@ class Scenario:
 
 
 def build_scenario(config: RunConfig, adaptation_enabled: bool = True) -> Scenario:
+    """The scenario's levels, cheapest first; the learned stage is among
+    them only with ``ml.enabled``.  Stages are numbered by position."""
     box = config.box
     if config.scenario == "parabolic":
         system = fom.assemble(config.fom.n_h, config.fom.K, config.fom.T,
                               config.fom.Q, source=config.fom.source,
                               u0=config.fom.u0)
-        fom_level = fom.FullOrderLevel(system)
         rb_level = rb.ReducedBasisLevel(system, pod_tol=config.rb.pod_tol,
                                         n_add_max=config.rb.n_add_max,
                                         n_max=config.rb.N_max)
-        ml_level = mlsurrogate.MLCoefficientLevel(
-            box, rb_level, n_min=config.ml.n_min,
-            lengthscale=config.ml.lengthscale, ridge=config.ml.ridge)
-        hierarchy = ModelHierarchy([ml_level, rb_level, fom_level],
-                                   tolerance=config.hierarchy_tolerance,
-                                   box=box, adaptation_enabled=adaptation_enabled)
-        return Scenario(hierarchy=hierarchy, system=system,
-                        rb_level=rb_level, ml_level=ml_level)
-
-    oracle = optdemo.ObjectiveOracle(delay_s=config.opt.delay_s)
-    full_level = optdemo.FullObjectiveLevel(oracle, box,
-                                            max_iters=config.opt.max_iters)
-    surrogate = optdemo.SurrogateObjectiveLevel(
-        oracle, box, n_min=config.ml.n_min,
-        lengthscale=config.ml.lengthscale, ridge=config.ml.ridge,
-        max_iters=config.opt.max_iters)
-    hierarchy = ModelHierarchy([surrogate, full_level],
-                               tolerance=config.hierarchy_tolerance,
-                               box=box, adaptation_enabled=adaptation_enabled)
-    return Scenario(hierarchy=hierarchy, oracle=oracle,
-                    opt_surrogate=surrogate)
+        levels = [rb_level, fom.FullOrderLevel(system)]
+        scenario = Scenario(hierarchy=None, system=system, rb_level=rb_level)
+        if config.ml.enabled:
+            scenario.ml_level = mlsurrogate.MLCoefficientLevel(
+                box, rb_level, n_min=config.ml.n_min,
+                lengthscale=config.ml.lengthscale, ridge=config.ml.ridge)
+            levels.insert(0, scenario.ml_level)
+    else:
+        oracle = optdemo.ObjectiveOracle(delay_s=config.opt.delay_s)
+        levels = [optdemo.FullObjectiveLevel(oracle, box,
+                                             max_iters=config.opt.max_iters)]
+        scenario = Scenario(hierarchy=None, oracle=oracle)
+        if config.ml.enabled:
+            scenario.opt_surrogate = optdemo.SurrogateObjectiveLevel(
+                oracle, box, n_min=config.ml.n_min,
+                lengthscale=config.ml.lengthscale, ridge=config.ml.ridge,
+                max_iters=config.opt.max_iters)
+            levels.insert(0, scenario.opt_surrogate)
+    scenario.hierarchy = ModelHierarchy(levels,
+                                        tolerance=config.hierarchy_tolerance,
+                                        box=box,
+                                        adaptation_enabled=adaptation_enabled)
+    return scenario
 
 
 def draw_parameters(config: RunConfig) -> np.ndarray:
@@ -535,6 +551,9 @@ def _write_dumps(config: RunConfig, scenario: Scenario, records) -> None:
             if trajectory is not None:
                 fom.dump_trajectory(trajectory, dumps["trajectory"])
                 break
+        else:
+            print("no full-order trajectory was produced; "
+                  f"{dumps['trajectory']} not written", file=sys.stderr)
 
 
 def run(config: RunConfig) -> RunResult:

@@ -283,7 +283,10 @@ def dump_training(regressor: KernelRegressor, path) -> None:
 
 
 class MLCoefficientLevel(ModelLevel):
-    """Cheapest stage: learned reduced coefficients, certified by stage 2.
+    """Learned reduced coefficients, certified by the reduced-basis bound.
+
+    The cheapest stage of the parabolic hierarchy when it is in it: the
+    harness adds it only with ``ml.enabled``.
 
     Follows the basis of ``rb_level``: every ``absorb`` first rebases the
     training targets if the basis has grown since the last one, then takes

@@ -80,7 +80,7 @@ class ReducedSystem:
     dt: float
     Q: int
     M_N: np.ndarray
-    A_N: tuple
+    A_N: np.ndarray   # (Q, N, N), the projected A_q stacked
     F_N: np.ndarray
     a0: np.ndarray
     residual_factor: np.ndarray       # (min(n_h, 1+N+QN), 1+N+QN)
@@ -106,7 +106,7 @@ def build_reduced_system(system: AffineSystem, basis: ReducedBasis) -> ReducedSy
     return ReducedSystem(
         generation=basis.generation, N=basis.N,
         K=system.K, dt=system.dt, Q=system.Q,
-        M_N=M_N, A_N=tuple(A_N),
+        M_N=M_N, A_N=np.stack(A_N),
         F_N=V.T @ system.F,
         a0=V.T @ (system.X @ system.u0),
         residual_factor=np.linalg.qr(lifted, mode="r"),
@@ -225,8 +225,10 @@ def solve_rb(reduced_system: ReducedSystem, mu) -> ReducedTrajectory:
     N = rs.N
     rows = np.zeros((rs.K + 1, N + 1))
     if N:
+        # one broadcast product, summed over q in order: the same
+        # arithmetic as a running sum of the mu_q A_q
         B = np.asfortranarray(
-            rs.M_N + rs.dt * sum(m_q * A_q for m_q, A_q in zip(mu, rs.A_N)))
+            rs.M_N + rs.dt * (mu[:, None, None] * rs.A_N).sum(axis=0))
         potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (B,))
         factor, info = potrf(B, lower=1, overwrite_a=1)
         if info != 0:

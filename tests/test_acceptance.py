@@ -24,9 +24,11 @@ def _report(name: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def reference_run(tmp_path_factory):
-    """The 400-query parabolic reference run at defaults."""
+    """The 400-query parabolic reference run at defaults, with the learned
+    stage."""
     out = tmp_path_factory.mktemp("reference") / "run400.csv"
-    config = harness.default_config("parabolic", n_queries=400)
+    config = harness.default_config("parabolic", n_queries=400,
+                                    ml={"enabled": True})
     config.output.results_path = str(out)
     t0 = time.perf_counter()
     result = harness.run(config)
@@ -35,12 +37,15 @@ def reference_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def speed_runs(tmp_path_factory):
-    """500-query hierarchy and FOM-only baseline on the identical stream."""
+    """500-query three-stage hierarchy and FOM-only baseline on the
+    identical stream."""
     base = tmp_path_factory.mktemp("speed")
-    config_h = harness.default_config("parabolic", n_queries=500)
+    config_h = harness.default_config("parabolic", n_queries=500,
+                                      ml={"enabled": True})
     config_h.output.results_path = str(base / "hierarchy.csv")
     result_h = harness.run(config_h)
-    config_b = harness.default_config("parabolic", n_queries=500)
+    config_b = harness.default_config("parabolic", n_queries=500,
+                                      ml={"enabled": True})
     config_b.output.results_path = str(base / "baseline.csv")
     result_b = harness.baseline(config_b)
     return result_h, result_b
@@ -54,7 +59,7 @@ def test_criterion_1_certification_soundness(reference_run):
     checked = 0
     worst_gap = -np.inf
     for record in result.records:
-        if record.answer.stage >= 3:
+        if record.answer.is_reference:
             continue
         checked += 1
         truth = solve_fom(system, record.mu).states[-1]
@@ -167,7 +172,8 @@ def test_criterion_5_complexity_ordering_and_speedup(speed_runs):
 
 
 def test_criterion_6_exact_reproduction():
-    config = harness.default_config("parabolic", n_queries=0)
+    config = harness.default_config("parabolic", n_queries=0,
+                                    ml={"enabled": True})
     config.output.results_path = ""
     scenario = harness.build_scenario(config)
     mu = ParameterBox(config.parameter_box).sample(SplitMix64(42))

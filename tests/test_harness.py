@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mfhier import cli, harness, rb
+from mfhier import cli, fom, harness, optdemo, rb
 from mfhier.cli import main as cli_main
 from mfhier.errors import ConfigurationError
 
@@ -85,10 +85,47 @@ def test_config_from_json_roundtrip(tmp_path):
     {"output": {"dumps": {"training": ""}}},
     {"scenario": "optdemo", "output": {"dumps": {"basis": "b.csv"}}},
     {"scenario": "optdemo", "output": {"dumps": {"trajectory": "t.csv"}}},
+    {"ml": {"enabled": 1}},
+    {"ml": {"enabled": "false"}},
+    {"output": {"dumps": {"training": "t.csv"}}},
+    {"scenario": "optdemo", "ml": {"enabled": False},
+     "output": {"dumps": {"training": "t.csv"}}},
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ConfigurationError):
         harness.config_from_dict(bad)
+
+
+def test_scenario_defaults_resolved_per_field():
+    # a partial ml section keeps the scenario's defaults for the rest
+    opt = harness.default_config("optdemo", ml={"n_min": 10})
+    assert opt.ml.ridge == optdemo.OPT_RIDGE_DEFAULT == 1e-12
+    assert opt.ml.enabled is True
+    assert harness.default_config("optdemo", ml={"enabled": True}).ml.ridge == 1e-12
+    parabolic = harness.default_config("parabolic", ml={"n_min": 5})
+    assert parabolic.ml.ridge == 1e-8 and parabolic.ml.enabled is False
+    assert harness.default_config("optdemo", ml={"ridge": 1e-9}).ml.ridge == 1e-9
+    args = cli.build_parser().parse_args(["run", "--scenario", "optdemo", "--ml"])
+    assert cli._load_config(args).ml.ridge == 1e-12
+
+
+def test_default_hierarchies():
+    def level_types(scenario, **kw):
+        built = harness.build_scenario(harness.default_config(scenario, **kw))
+        return built, [type(level) for level in built.hierarchy.levels]
+
+    parabolic, types = level_types("parabolic")
+    assert types == [rb.ReducedBasisLevel, fom.FullOrderLevel]
+    assert parabolic.ml_level is None and parabolic.ml_n() == 0
+    three, types = level_types("parabolic", ml={"enabled": True})
+    assert types[1:] == [rb.ReducedBasisLevel, fom.FullOrderLevel]
+    assert three.hierarchy.levels[0] is three.ml_level is not None
+    opt, types = level_types("optdemo")
+    assert types == [optdemo.SurrogateObjectiveLevel, optdemo.FullObjectiveLevel]
+    assert opt.hierarchy.levels[0] is opt.opt_surrogate
+    opt_off, types = level_types("optdemo", ml={"enabled": False})
+    assert types == [optdemo.FullObjectiveLevel]
+    assert opt_off.opt_surrogate is None and opt_off.ml_n() == 0
 
 
 def test_parameter_stream_reproducible():
@@ -107,7 +144,7 @@ def test_zero_queries_header_only(tmp_path):
     config = small_parabolic(tmp_path, n_queries=0)
     result = harness.run(config)
     lines = (tmp_path / "results.csv").read_text().splitlines()
-    assert lines == [harness.csv_header(2, 3)]
+    assert lines == [harness.csv_header(2, 2)]
     assert result.summary.n_queries == 0
     assert result.summary.qoi_mean == 0.0
 
@@ -116,7 +153,7 @@ def test_run_writes_schema_and_monotone_state(tmp_path):
     config = small_parabolic(tmp_path, n_queries=25)
     result = harness.run(config)
     rows, n_stages = harness.read_results(config.output.results_path)
-    assert n_stages == 3 and len(rows) == 25
+    assert n_stages == 2 and len(rows) == 25
     # every cell but the durations, which the CSV rounds, reads back exactly
     assert ([row._replace(durations=()) for row in rows]
             == [row._replace(durations=()) for row in result.rows])
@@ -126,7 +163,7 @@ def test_run_writes_schema_and_monotone_state(tmp_path):
     assert ml_sizes == sorted(ml_sizes)
     for row in rows:
         assert len(row.mu) == 2
-        if row.stage < 3:
+        if row.stage < n_stages:
             assert row.estimate is not None and row.estimate <= config.tolerance
 
 
@@ -144,7 +181,8 @@ def test_determinism_modulo_durations(tmp_path):
 def test_adaptation_events_follow_the_basis(tmp_path):
     # 3>2: a full-order trajectory offered to the basis; 3>1: the learned
     # stage rebased onto a grown basis; 2>1: one training pair
-    config = harness.default_config("parabolic", n_queries=150, seed=42)
+    config = harness.default_config("parabolic", n_queries=150, seed=42,
+                                    ml={"enabled": True})
     config.output.results_path = str(tmp_path / "results.csv")
     result = harness.run(config)
     events = [row.events for row in result.rows]
@@ -164,6 +202,30 @@ def test_same_mu_twice_stage_does_not_increase(tmp_path):
     assert records[1].answer.stage <= records[0].answer.stage
 
 
+def test_learned_stage_only_replaces_rb_answers():
+    # the learned stage answers in place of the reduced basis and changes
+    # nothing the reduced basis or the full-order model do
+    runs = []
+    for enabled in (False, True):
+        config = harness.default_config("parabolic", n_queries=400, seed=42,
+                                        ml={"enabled": enabled})
+        config.output.results_path = ""
+        runs.append(harness.run(config))
+    off, on = runs
+    assert off.scenario.levels_total == 2 and on.scenario.levels_total == 3
+    assert ([r.query_id for r in off.records if r.answer.is_reference]
+            == [r.query_id for r in on.records if r.answer.is_reference])
+    assert [row.basis_n for row in off.rows] == [row.basis_n for row in on.rows]
+    rb_on = {r.query_id: r.answer for r in on.records
+             if r.answer.payload.producer == "rb"}
+    both = [(r.answer, rb_on[r.query_id]) for r in off.records
+            if r.query_id in rb_on]
+    assert len(both) == len(rb_on) > 0
+    for answer_off, answer_on in both:
+        assert answer_off.estimate == answer_on.estimate
+        assert answer_off.payload.qoi == answer_on.payload.qoi
+
+
 # ---------------------------------------------------------------- baseline
 
 
@@ -175,10 +237,10 @@ def test_baseline_matches_zero_tolerance_run(tmp_path):
     config_zero.tolerance = 0.0
     config_zero.output.results_path = str(tmp_path / "zero.csv")
     zero = harness.run(config_zero)
-    base_rows = harness.read_results(str(tmp_path / "base.csv"))[0]
+    base_rows, n_stages = harness.read_results(str(tmp_path / "base.csv"))
     zero_rows = harness.read_results(str(tmp_path / "zero.csv"))[0]
     for row_b, row_z in zip(base_rows, zero_rows):
-        assert row_b.stage == row_z.stage == 3  # always the top
+        assert row_b.stage == row_z.stage == n_stages  # always the top
         assert row_b.qoi == row_z.qoi           # QoIs agree bitwise
     assert all(r.estimate is None for r in base_rows)  # estimate column is "ref"
 
@@ -325,7 +387,7 @@ def test_report_rejects_bad_stage_and_estimate(tmp_path):
 
 
 def test_dumps_written(tmp_path):
-    config = small_parabolic(tmp_path, n_queries=8)
+    config = small_parabolic(tmp_path, n_queries=8, ml={"enabled": True})
     config.output.dumps = {
         "trajectory": str(tmp_path / "traj.csv"),
         "basis": str(tmp_path / "basis.csv"),
@@ -341,6 +403,25 @@ def test_dumps_written(tmp_path):
     assert f"N={result.scenario.rb_level.basis.N}" in meta
     train = np.loadtxt(tmp_path / "train.csv", delimiter=",", ndmin=2)
     assert train.shape[0] == result.scenario.ml_level.regressor.n_train
+
+
+def test_training_dump_needs_the_learned_stage(tmp_path):
+    out, train = tmp_path / "run.csv", tmp_path / "train.csv"
+    args = ["run", "--queries", "3", "--out", str(out),
+            "--dump-training", str(train)]
+    assert cli_main(args) == 2  # refused before any query runs
+    assert not out.exists() and not train.exists()
+    assert cli_main(args + ["--ml"]) == 0
+    assert out.exists() and train.exists()
+
+
+def test_empty_trajectory_dump_is_reported(tmp_path, capsys):
+    path = tmp_path / "traj.csv"
+    code = cli_main(["run", "--queries", "0", "--out", str(tmp_path / "r.csv"),
+                     "--dump-trajectory", str(path)])
+    assert code == 0 and not path.exists()
+    err = capsys.readouterr().err
+    assert "no full-order trajectory" in err and str(path) in err
 
 
 def test_optdemo_training_dump(tmp_path):
@@ -378,7 +459,7 @@ def test_cli_run_and_report(tmp_path, capsys):
                 if not line.startswith(("  wall time", "results written",
                                         "summary written"))]
     assert block(reported) == block(ran)
-    assert len(block(ran)) == 1 + 3 + 4
+    assert len(block(ran)) == 1 + 2 + 4  # stage 1 is RB, stage 2 the FOM
 
 
 def test_cli_overrides_config_file(tmp_path):
@@ -405,6 +486,28 @@ def test_cli_scenario_override_takes_its_defaults(tmp_path):
     assert overridden.n_queries == 3
 
 
+@pytest.mark.parametrize("command", ["run", "baseline"])
+@pytest.mark.parametrize("scenario", ["parabolic", "optdemo"])
+def test_cli_ml_flag_roundtrip(tmp_path, command, scenario):
+    parser = cli.build_parser()
+
+    def enabled(*flags):
+        args = parser.parse_args([command, "--scenario", scenario, *flags])
+        return cli._load_config(args).ml.enabled
+
+    assert enabled() is (scenario == "optdemo")
+    assert enabled("--ml") is True
+    assert enabled("--no-ml") is False
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"ml": {"enabled": True, "n_min": 7}}))
+    assert enabled("--config", str(path)) is True
+    assert enabled("--config", str(path), "--no-ml") is False
+    # the flag overrides one field; the rest of the section is kept
+    args = parser.parse_args([command, "--scenario", scenario, "--no-ml",
+                              "--config", str(path)])
+    assert cli._load_config(args).ml.n_min == 7
+
+
 def test_cli_exit_codes(tmp_path):
     bad_config = tmp_path / "bad.json"
     bad_config.write_text("{not json")
@@ -419,6 +522,9 @@ def test_cli_exit_codes(tmp_path):
     inf_box = tmp_path / "inf_box.json"
     inf_box.write_text('{"parameter_box": [[0.1, Infinity], [0.1, 10.0]]}')
     assert cli_main(["run", "--config", str(inf_box)]) == 2
+    not_bool = tmp_path / "not_bool.json"
+    not_bool.write_text('{"ml": {"enabled": "yes"}}')
+    assert cli_main(["run", "--config", str(not_bool)]) == 2
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("query_id,nope\n")
     assert cli_main(["report", str(bad_csv)]) == 2
@@ -467,7 +573,8 @@ def test_certified_monte_carlo_rows(tmp_path):
     config = small_parabolic(tmp_path, n_queries=40)
     result = harness.run(config)
     system = result.scenario.system
-    surrogate_records = [r for r in result.records if r.answer.stage < 3][:25]
+    surrogate_records = [r for r in result.records
+                         if not r.answer.is_reference][:25]
     assert surrogate_records
     for record in surrogate_records:
         qoi_fom = compute_qoi(system, solve_fom(system, record.mu))
@@ -483,8 +590,7 @@ def test_mean_eval_time_ordering_with_enough_samples(tmp_path):
     config = small_parabolic(tmp_path, n_queries=150)
     result = harness.run(config)
     s = result.summary
-    means = [s.eval_mean_s[stage] for stage in (1, 2, 3)]
-    counts = [s.evaluations[stage] for stage in (1, 2, 3)]
-    for cheap, costly in ((0, 1), (1, 2)):
-        if counts[cheap] >= 50 and counts[costly] >= 50:
-            assert means[cheap] < means[costly]
+    for cheap in range(1, result.scenario.levels_total):
+        costly = cheap + 1
+        if s.evaluations[cheap] >= 50 and s.evaluations[costly] >= 50:
+            assert s.eval_mean_s[cheap] < s.eval_mean_s[costly]

@@ -215,7 +215,7 @@ def gated_and_ungated_runs(tmp_path, monkeypatch, Q, n_queries):
         monkeypatch.setattr(mlsurrogate, "POWER_GATE", gate)
         config = harness.config_from_dict({
             "fom": {"Q": Q}, "parameter_box": [[0.1, 10.0]] * Q,
-            "n_queries": n_queries, "seed": 42,
+            "n_queries": n_queries, "seed": 42, "ml": {"enabled": True},
             "output": {"results_path": str(tmp_path / f"q{Q}_{gate}.csv")}})
         results.append(harness.run(config))
     return results

@@ -354,31 +354,39 @@ def test_stale_generation_rejected(small_system):
         reconstruct_final(basis, stale)
 
 
+#: Both parabolic hierarchies: RB+FOM (the default) and ML+RB+FOM.
+HIERARCHIES = pytest.mark.parametrize("ml", [False, True],
+                                      ids=["rb-fom", "ml-rb-fom"])
+
+
+@HIERARCHIES
 @pytest.mark.parametrize("tolerance", [0.0, 1e-13])
-def test_no_stream_answer_below_estimator_floor(tolerance, tmp_path):
+def test_no_stream_answer_below_estimator_floor(tolerance, ml, tmp_path):
     # the estimator's round-off floor on this stream is about 1e-12: a
     # tolerance below it must send every query to the full-order model
     config = harness.default_config("parabolic", n_queries=150, seed=42,
-                                    tolerance=tolerance)
+                                    tolerance=tolerance, ml={"enabled": ml})
     config.output.results_path = str(tmp_path / "results.csv")
     result = harness.run(config)
     accepted = [(r.query_id, r.answer.stage, r.answer.estimate)
-                for r in result.records if r.answer.stage < 3]
+                for r in result.records if not r.answer.is_reference]
     assert accepted == []
 
 
-def test_stream_certificates_hold_without_slack(tmp_path):
+@HIERARCHIES
+def test_stream_certificates_hold_without_slack(ml, tmp_path):
     # the prefix reaches query 143; an estimator that expands ||r||^2 over
     # Riesz cross-Gramians and clamps it at 0 certifies queries 113, 136
     # and 143 of this stream with Delta = 0
-    config = harness.default_config("parabolic", n_queries=144, seed=42)
+    config = harness.default_config("parabolic", n_queries=144, seed=42,
+                                    ml={"enabled": ml})
     config.output.results_path = str(tmp_path / "results.csv")
     result = harness.run(config)
     system = result.scenario.system
     checked = 0
     for record in result.records:
         answer = record.answer
-        if answer.stage >= 3:
+        if answer.is_reference:
             continue
         checked += 1
         truth = solve_fom(system, record.mu).states[-1]
