@@ -56,9 +56,6 @@ class AffineSystem:
     def m_norm(self, v) -> float:
         return float(np.sqrt(max(v @ (self.M @ v), 0.0)))
 
-    def x_norm(self, v) -> float:
-        return float(np.sqrt(max(v @ (self.X @ v), 0.0)))
-
     def x_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Riesz lift: solve X w = rhs (rhs may have multiple columns)."""
         return scipy.linalg.cho_solve_banded(self._x_chol, rhs,
@@ -78,19 +75,16 @@ class Trajectory:
     """Time-discrete solution u^0..u^K at one parameter."""
 
     states: np.ndarray  # (K+1, n_h)
-    mu: np.ndarray
 
 
 @dataclass
 class ParabolicResult:
-    """Answer payload shared by all three parabolic levels."""
+    """Answer payload of the parabolic levels, only what the outer loop
+    reads; the evaluation's trajectory is its ``ModelOutput.adaptation``."""
 
     qoi: float
-    mu: np.ndarray
     producer: str            # "fom" | "rb" | "ml"
     u_final: np.ndarray      # full-space final state (reconstructed for surrogates)
-    trajectory: Any = None   # Trajectory, FOM only
-    reduced: Any = None      # ReducedTrajectory, surrogates only
 
 
 def _source_values(source, Q: int) -> np.ndarray:
@@ -209,7 +203,7 @@ def solve_fom(system: AffineSystem, mu) -> Trajectory:
     for k in range(1, system.K + 1):
         u = lu.solve(system.M @ u + dt_f)
         states[k] = u
-    return Trajectory(states=states, mu=mu)
+    return Trajectory(states=states)
 
 
 def compute_qoi(system: AffineSystem, state) -> float:
@@ -230,8 +224,8 @@ def dump_trajectory(trajectory: Trajectory, path) -> None:
 class FullOrderLevel:
     """Reference stage, the last level of a hierarchy.
 
-    Every evaluation emits its trajectory as adaptation data for the
-    cheaper levels.
+    Every evaluation emits its trajectory as ``adaptation``; the answer
+    keeps a copy of u^K, since a view would keep all K+1 states alive.
     """
 
     def __init__(self, system: AffineSystem):
@@ -240,7 +234,6 @@ class FullOrderLevel:
     def evaluate(self, mu) -> ModelOutput:
         trajectory = solve_fom(self.system, mu)
         payload = ParabolicResult(
-            qoi=compute_qoi(self.system, trajectory),
-            mu=trajectory.mu, producer="fom",
-            u_final=trajectory.states[-1], trajectory=trajectory)
+            qoi=compute_qoi(self.system, trajectory), producer="fom",
+            u_final=trajectory.states[-1].copy())
         return ModelOutput(payload=payload, adaptation=trajectory)

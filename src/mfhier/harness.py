@@ -546,10 +546,11 @@ def _write_dumps(config: RunConfig, scenario: Scenario, records) -> None:
         level = scenario.ml_level or scenario.opt_surrogate
         mlsurrogate.dump_training(level.regressor, dumps["training"])
     if "trajectory" in dumps:
+        # answers keep no trajectory: re-solve the last reference answer
         for record in reversed(records):
-            trajectory = getattr(record.answer.payload, "trajectory", None)
-            if trajectory is not None:
-                fom.dump_trajectory(trajectory, dumps["trajectory"])
+            if record.answer.is_reference:
+                fom.dump_trajectory(fom.solve_fom(scenario.system, record.mu),
+                                    dumps["trajectory"])
                 break
         else:
             print("no full-order trajectory was produced; "

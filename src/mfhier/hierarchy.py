@@ -86,8 +86,10 @@ class ParameterBox:
 class ModelOutput:
     """Result of one model evaluation.
 
-    ``payload`` is opaque to the hierarchy; ``adaptation`` is the data
-    offered to cheaper models (None if the model emits nothing).
+    ``payload`` is the answer, opaque to the hierarchy and all that an
+    answer keeps.  ``adaptation`` is the evaluation's data (None if none):
+    the level's own ``estimate_error`` reads it, the hierarchy offers it to
+    the cheaper levels, and it is dropped when the query ends.
     """
 
     payload: Any
@@ -125,13 +127,16 @@ class QueryRecord:
 class ModelLevel(abc.ABC):
     """Contract of a surrogate stage, i.e. of every level but the last.
 
-    ``evaluate`` may assume ``is_ready()`` returned True immediately
-    before.  ``evaluate`` and ``estimate_error`` may decline a request by
-    raising one of :data:`SURROGATE_FAILURES`; the request then goes on to
-    the next level.  ``absorb`` returns True when the level took the
-    payload and False when it does not apply; it must never invalidate
-    answers already emitted.  Payloads are offered costliest level first,
-    so a level sees the data a costlier level has absorbed before it.
+    ``evaluate`` may assume ``is_ready()`` returned True immediately before.
+    Its output's ``adaptation`` is the evaluation's data: ``estimate_error``
+    reads it, the hierarchy offers it to the cheaper levels, and it is
+    dropped when the query ends; the answer keeps only ``payload``.
+    ``evaluate`` and ``estimate_error`` may decline a request by raising one
+    of :data:`SURROGATE_FAILURES`; the request then goes on to the next
+    level.  ``absorb`` returns True when the level took the payload and
+    False when it does not apply; it must never invalidate answers already
+    emitted.  Payloads are offered costliest level first, so a level sees
+    the data a costlier level has absorbed before it.
 
     The last level of a hierarchy is the reference.  The hierarchy calls
     only its ``evaluate``, so it needs no other method and need not derive

@@ -306,11 +306,12 @@ class MLCoefficientLevel(ModelLevel):
         trajectory = predict_trajectory(self.regressor, mu,
                                         self.rb_level.reduced_system.K,
                                         POWER_GATE)
-        return ModelOutput(payload=self.rb_level.lift(trajectory))
+        return ModelOutput(payload=self.rb_level.lift(trajectory),
+                           adaptation=trajectory)
 
     def estimate_error(self, output, mu):
         return error_estimate(self.rb_level.reduced_system, mu,
-                              output.payload.reduced)
+                              output.adaptation)
 
     def absorb(self, payload) -> bool:
         rebased = self.regressor.generation != self.rb_level.generation

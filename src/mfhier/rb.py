@@ -330,8 +330,7 @@ class ReducedBasisLevel(ModelLevel):
         u_final = reconstruct_final(self.basis, trajectory)
         return ParabolicResult(
             qoi=float(self.system.qoi_vector @ u_final),
-            mu=trajectory.mu, producer=trajectory.producer,
-            u_final=u_final, reduced=trajectory)
+            producer=trajectory.producer, u_final=u_final)
 
     def evaluate(self, mu) -> ModelOutput:
         trajectory = solve_rb(self.reduced_system, mu)
@@ -339,7 +338,7 @@ class ReducedBasisLevel(ModelLevel):
                            adaptation=trajectory)
 
     def estimate_error(self, output, mu):
-        return error_estimate(self.reduced_system, mu, output.payload.reduced)
+        return error_estimate(self.reduced_system, mu, output.adaptation)
 
     def absorb(self, payload) -> bool:
         if not isinstance(payload, Trajectory):

@@ -158,7 +158,8 @@ def test_fom_level_contract(small_system):
     mu = np.array([1.0, 2.0])
     output = level.evaluate(mu)
     reference = solve_fom(small_system, mu)
-    np.testing.assert_array_equal(output.payload.trajectory.states,
-                                  reference.states)
-    assert output.adaptation is output.payload.trajectory
+    np.testing.assert_array_equal(output.adaptation.states, reference.states)
     assert output.payload.qoi == compute_qoi(small_system, reference)
+    np.testing.assert_array_equal(output.payload.u_final, reference.states[-1])
+    # an owned final state: the answer must not keep the trajectory alive
+    assert output.payload.u_final.base is None

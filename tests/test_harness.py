@@ -396,6 +396,10 @@ def test_dumps_written(tmp_path):
     result = harness.run(config)
     trajectory = np.loadtxt(tmp_path / "traj.csv", delimiter=",")
     assert trajectory.shape == (config.fom.K + 1, config.fom.n_h)
+    # the state of the run's last reference answer, bit for bit
+    last = next(record.answer for record in reversed(result.records)
+                if record.answer.is_reference)
+    np.testing.assert_array_equal(trajectory[-1], last.payload.u_final)
     basis = np.loadtxt(tmp_path / "basis.csv", delimiter=",", ndmin=2)
     assert basis.shape[0] == config.fom.n_h
     assert basis.shape[1] == result.scenario.rb_level.basis.N
@@ -403,6 +407,17 @@ def test_dumps_written(tmp_path):
     assert f"N={result.scenario.rb_level.basis.N}" in meta
     train = np.loadtxt(tmp_path / "train.csv", delimiter=",", ndmin=2)
     assert train.shape[0] == result.scenario.ml_level.regressor.n_train
+
+
+def test_baseline_trajectory_dump(tmp_path):
+    config = small_parabolic(tmp_path, n_queries=5)
+    config.output.dumps = {"trajectory": str(tmp_path / "traj.csv")}
+    result = harness.baseline(config)
+    last = result.records[-1].answer
+    assert last.is_reference
+    trajectory = np.loadtxt(tmp_path / "traj.csv", delimiter=",")
+    assert trajectory.shape == (config.fom.K + 1, config.fom.n_h)
+    np.testing.assert_array_equal(trajectory[-1], last.payload.u_final)
 
 
 def test_training_dump_needs_the_learned_stage(tmp_path):

@@ -10,7 +10,7 @@ from mfhier import (ConfigurationError, KernelRegressor, NotReadyError,
                     solve_fom, solve_rb)
 from mfhier import mlsurrogate
 from mfhier.mlsurrogate import MLCoefficientLevel
-from mfhier.rb import ReducedBasisLevel
+from mfhier.rb import ReducedBasisLevel, ReducedTrajectory
 
 
 @pytest.fixture
@@ -293,6 +293,8 @@ def test_ml_level_ready_after_n_min(small_system, diffusivity_box):
     delta = ml.estimate_error(output, mu)
     assert np.isfinite(delta) and delta >= 0.0
     assert output.payload.producer == "ml"
+    assert isinstance(output.adaptation, ReducedTrajectory)
+    assert output.adaptation.producer == "ml"
 
 
 def test_ml_level_ignores_fom_trajectories(small_system, diffusivity_box):
@@ -357,7 +359,7 @@ def test_ml_estimate_uses_its_own_reduced_system(small_system, diffusivity_box):
     mu = np.array([2.0, 2.0])
     output = ml.evaluate(mu)
     assert ml.estimate_error(output, mu) == error_estimate(
-        ml.rb_level.reduced_system, mu, output.payload.reduced)
+        ml.rb_level.reduced_system, mu, output.adaptation)
 
 
 def test_ml_training_set_monotone(small_system, diffusivity_box):
