@@ -17,36 +17,35 @@ import numpy as np
 from mfhier import (ParameterBox, SplitMix64, assemble, build_reduced_system,
                     error_estimate, reconstruct_final, residual_dual_norms,
                     solve_fom, solve_rb)
-from mfhier.rb import ReducedBasis, ReducedTrajectory, _x_orthonormalize
+from mfhier.rb import ReducedTrajectory, _x_orthonormalize
 
 system = assemble(n_h=200, K=100, T=1.0, Q=2)
 box = ParameterBox([[0.1, 10.0], [0.1, 10.0]])
 rng = SplitMix64(2024)
 
 
-def random_basis(n_vectors):
+def random_reduced_system(n_vectors):
     W = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n_vectors)]
                   for _ in range(system.n_h)])
-    return ReducedBasis(V=_x_orthonormalize(system, np.zeros((system.n_h, 0)), W),
-                        generation=1)
+    V = _x_orthonormalize(system, np.zeros((system.n_h, 0)), W)
+    return build_reduced_system(system, V, 1)
 
 
 print("sampling 60 (parameter, basis, trajectory) triples ...")
 effectivities = []
 violations = 0
 for trial in range(60):
-    basis = random_basis(2 + trial % 6)
-    reduced = build_reduced_system(system, basis)
+    reduced = random_reduced_system(2 + trial % 6)
     mu = box.sample(rng)
     trajectory = solve_rb(reduced, mu)
     if trial % 2:  # perturb: same certificate machinery, worse trajectory
-        noise = np.array([[rng.uniform(-0.02, 0.02) for _ in range(basis.N)]
+        noise = np.array([[rng.uniform(-0.02, 0.02) for _ in range(reduced.N)]
                           for _ in range(system.K + 1)])
         trajectory = ReducedTrajectory(trajectory.coefficients + noise,
                                        mu, 1, "ml")
     delta = error_estimate(reduced, mu, trajectory)
     truth = solve_fom(system, mu).states[-1]
-    true_error = system.m_norm(truth - reconstruct_final(basis, trajectory))
+    true_error = system.m_norm(truth - reconstruct_final(reduced, trajectory))
     if delta < true_error:
         violations += 1
     effectivities.append(delta / max(true_error, 1e-14))
@@ -95,9 +94,9 @@ X_ld = tridiagonal(system.X)
 F_ld = system.F.astype(np.longdouble)
 
 
-def reference_norms(basis, mu, coeffs):
+def reference_norms(V, mu, coeffs):
     """||r^k||_{X'} for k = 1..K, every operation in long double."""
-    U = coeffs.astype(np.longdouble) @ basis.V.astype(np.longdouble).T
+    U = coeffs.astype(np.longdouble) @ V.astype(np.longdouble).T
     r = (F_ld - tri_matvec(M_ld, U[1:] - U[:-1]) / np.longdouble(system.dt)
          - sum(np.longdouble(m) * tri_matvec(A, U[1:]) for m, A in zip(mu, A_ld)))
     return np.sqrt(np.einsum("ij,ij->i", r, tri_solve(X_ld, r)))
@@ -107,13 +106,12 @@ print("\nonline residual dual norms against a long-double reference "
       f"(eps {np.finfo(np.longdouble).eps:.1e}), 30 random cases:")
 errors = []
 for _ in range(30):
-    basis = random_basis(4)
-    reduced = build_reduced_system(system, basis)
+    reduced = random_reduced_system(4)
     mu = box.sample(rng)
-    coeffs = np.array([[rng.uniform(-1, 1) for _ in range(basis.N)]
+    coeffs = np.array([[rng.uniform(-1, 1) for _ in range(reduced.N)]
                        for _ in range(system.K + 1)])
     online = residual_dual_norms(reduced, mu, ReducedTrajectory(coeffs, mu, 1, "rb"))
-    reference = reference_norms(basis, mu, coeffs)
+    reference = reference_norms(reduced.V, mu, coeffs)
     errors.append(float(np.max(np.abs(online - reference)) / np.max(reference)))
 print("  max_k |online - reference| / max_k reference: "
       f"median {np.median(errors):.2e}, max {np.max(errors):.2e}")

@@ -39,7 +39,7 @@ for i in range(4):
 
 rb_level = result.scenario.rb_level
 ml_level = result.scenario.ml_level
-print(f"\nfinal reduced basis: N = {rb_level.basis.N} "
+print(f"\nfinal reduced basis: N = {rb_level.reduced_system.N} "
       f"(generation {rb_level.generation})")
 print(f"final training set: {ml_level.regressor.n_train} parameter points")
 

@@ -21,28 +21,25 @@ from .mlsurrogate import (KernelRegressor, MLCoefficientLevel, fit,
                           predict_trajectory, rebase)
 from .optdemo import (DescentResult, ObjectiveOracle, SurrogateObjectiveLevel,
                       FullObjectiveLevel, descend, fd_gradient, himmelblau)
-from .rb import (ReducedBasis, ReducedBasisLevel, ReducedSystem,
-                 ReducedTrajectory, build_reduced_system,
-                 coercivity_lower_bound, error_estimate, extend_basis,
-                 reconstruct_final, residual_dual_norms, solve_rb)
+from .rb import (ReducedBasisLevel, ReducedSystem, ReducedTrajectory,
+                 build_reduced_system, coercivity_lower_bound, error_estimate,
+                 extend_basis, reconstruct_final, residual_dual_norms, solve_rb)
 from .rng import SplitMix64
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSystem", "CertifiedAnswer", "ConfigurationError",
-    "DescentResult", "DomainError", "FullObjectiveLevel", "FullOrderLevel",
-    "HierarchyError", "KernelRegressor", "MLCoefficientLevel",
-    "ModelHierarchy", "ModelLevel", "ModelOutput", "NotReadyError",
-    "ObjectiveOracle", "ParabolicResult", "ParameterBox", "QueryRecord",
-    "ReducedBasis", "ReducedBasisLevel", "ReducedSystem",
+    "AffineSystem", "CertifiedAnswer", "ConfigurationError", "DescentResult",
+    "DomainError", "FullObjectiveLevel", "FullOrderLevel", "HierarchyError",
+    "KernelRegressor", "MLCoefficientLevel", "ModelHierarchy", "ModelLevel",
+    "ModelOutput", "NotReadyError", "ObjectiveOracle", "ParabolicResult",
+    "ParameterBox", "QueryRecord", "ReducedBasisLevel", "ReducedSystem",
     "ReducedTrajectory", "RunConfig", "SplitMix64", "StaleGenerationError",
     "StreamAborted", "StreamSummary", "SurrogateObjectiveLevel", "Trajectory",
-    "assemble", "baseline", "build_reduced_system",
-    "build_scenario", "coercivity_lower_bound", "compute_qoi",
-    "default_config", "descend", "draw_parameters", "error_estimate",
-    "extend_basis", "fd_gradient", "fit", "himmelblau", "load_config",
-    "predict_trajectory", "rebase", "reconstruct_final",
-    "report", "residual_dual_norms", "run", "solve_fom", "solve_rb",
-    "summarize", "verify",
+    "assemble", "baseline", "build_reduced_system", "build_scenario",
+    "coercivity_lower_bound", "compute_qoi", "default_config", "descend",
+    "draw_parameters", "error_estimate", "extend_basis", "fd_gradient", "fit",
+    "himmelblau", "load_config", "predict_trajectory", "rebase",
+    "reconstruct_final", "report", "residual_dual_norms", "run", "solve_fom",
+    "solve_rb", "summarize", "verify",
 ]

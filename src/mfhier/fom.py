@@ -25,6 +25,14 @@ def _tridiag(diag, off):
     return scipy.sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
 
 
+def _band_cholesky(S) -> np.ndarray:
+    """Upper banded Cholesky factor U of a tridiagonal S = U^T U."""
+    band = np.zeros((2, S.shape[0]))
+    band[0, 1:] = S.diagonal(1)
+    band[1] = S.diagonal()
+    return scipy.linalg.cholesky_banded(band, check_finite=False)
+
+
 @dataclass(frozen=True)
 class AffineSystem:
     """Assembled discrete operators, immutable and safely shareable.
@@ -49,12 +57,21 @@ class AffineSystem:
     qoi_vector: np.ndarray
     qoi_const: float  # ||1||_M, certifies |s - s~| <= qoi_const * Delta
     _x_chol: Any = field(repr=False, compare=False, default=None)
+    _m_chol: Any = field(repr=False, compare=False, default=None)
 
     def nodes(self) -> np.ndarray:
         return self.h * np.arange(1, self.n_h + 1)
 
     def m_norm(self, v) -> float:
         return float(np.sqrt(max(v @ (self.M @ v), 0.0)))
+
+    def m_half(self, v: np.ndarray) -> np.ndarray:
+        """U_m v for M = U_m^T U_m (v may have multiple columns), so that
+        ||m_half(v)|| = ||v||_M."""
+        U = self._m_chol
+        w = (U[1] * v.T).T
+        w[:-1] += (U[0, 1:] * v[1:].T).T
+        return w
 
     def x_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Riesz lift: solve X w = rhs (rhs may have multiple columns)."""
@@ -164,12 +181,6 @@ def assemble(n_h: int, K: int, T: float, Q: int,
     A = tuple(_tridiag(A_diag[q], A_off[q]) for q in range(Q))
     X = sum(A[1:], start=A[0]).tocsr()
 
-    x_banded = np.zeros((2, n_h))
-    x_banded[0, 1:] = X.diagonal(1)
-    x_banded[1, :] = X.diagonal(0)
-    x_chol = (scipy.linalg.cholesky_banded(x_banded, lower=False,
-                                           check_finite=False), False)
-
     u0_vec = _initial_values(u0, x)
     ones = np.ones(n_h)
     qoi_vector = M @ ones
@@ -178,7 +189,8 @@ def assemble(n_h: int, K: int, T: float, Q: int,
         M=M, A=A, X=X, F=F, u0=u0_vec,
         qoi_vector=qoi_vector,
         qoi_const=float(np.sqrt(ones @ qoi_vector)),
-        _x_chol=x_chol,
+        _x_chol=(_band_cholesky(X), False),
+        _m_chol=_band_cholesky(M),
     )
 
 

@@ -235,7 +235,8 @@ class Scenario:
         return len(self.hierarchy.levels)
 
     def basis_n(self) -> int:
-        return self.rb_level.basis.N if self.rb_level is not None else 0
+        level = self.rb_level
+        return level.reduced_system.N if level is not None else 0
 
     def ml_n(self) -> int:
         level = self.ml_level or self.opt_surrogate
@@ -540,8 +541,8 @@ def _write_dumps(config: RunConfig, scenario: Scenario, records) -> None:
     """Write the dumps ``RunConfig`` validated for the scenario."""
     dumps = config.output.dumps
     if "basis" in dumps:
-        rb.dump_basis(scenario.rb_level.basis, scenario.rb_level.pod_tol,
-                      dumps["basis"])
+        rb.dump_basis(scenario.rb_level.reduced_system,
+                      scenario.rb_level.pod_tol, dumps["basis"])
     if "training" in dumps:
         level = scenario.ml_level or scenario.opt_surrogate
         mlsurrogate.dump_training(level.regressor, dumps["training"])
@@ -646,48 +647,48 @@ def verify(config: RunConfig) -> VerifyReport:
                         worst, 1e-8, worst <= 1e-8))
 
     # 3. X-orthonormality of an adaptively grown basis
-    basis, reduced_system = _grown_basis(system, box, config)
-    gram = basis.V.T @ (system.X @ basis.V)
-    ortho = float(np.max(np.abs(gram - np.eye(basis.N)))) if basis.N else 0.0
+    reduced_system = _grown_basis(system, box, config)
+    V, N = reduced_system.V, reduced_system.N
+    gram = V.T @ (system.X @ V)
+    ortho = float(np.max(np.abs(gram - np.eye(N)))) if N else 0.0
     checks.append(Check("basis X-orthonormality max|V^T X V - I|",
-                        ortho, 1e-8, ortho <= 1e-8, note=f"N={basis.N}"))
+                        ortho, 1e-8, ortho <= 1e-8, note=f"N={N}"))
 
     # 4. estimator rigor on random triples (true error by fresh FOM solves)
-    margin = _rigor_margin(system, box, config, basis, reduced_system,
-                           trials=25)
+    margin = _rigor_margin(system, box, config, reduced_system, trials=25)
     checks.append(Check("estimator rigor min(Delta - true error)",
                         margin, -1e-10, margin >= -1e-10))
     return VerifyReport(checks)
 
 
-def _random_basis(system, rng, n_vectors: int) -> rb.ReducedBasis:
+def _random_reduced_system(system, rng, n_vectors: int) -> rb.ReducedSystem:
     W = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n_vectors)]
                   for _ in range(system.n_h)])
     V = rb._x_orthonormalize(system, np.zeros((system.n_h, 0)), W)
-    return rb.ReducedBasis(V=V, generation=1)
+    return rb.build_reduced_system(system, V, generation=1)
 
 
 def _offline_online_discrepancy(system, box, config, trials: int) -> float:
     rng = SplitMix64(config.seed ^ 0xA5A5A5A5)
     worst = 0.0
     for _ in range(trials):
-        basis = _random_basis(system, rng, 4)
-        reduced_system = rb.build_reduced_system(system, basis)
+        reduced_system = _random_reduced_system(system, rng, 4)
         mu = box.sample(rng)
-        coeffs = np.array([[rng.uniform(-1.0, 1.0) for _ in range(basis.N)]
+        coeffs = np.array([[rng.uniform(-1.0, 1.0)
+                            for _ in range(reduced_system.N)]
                            for _ in range(system.K + 1)])
         trajectory = rb.ReducedTrajectory(coefficients=coeffs, mu=mu,
                                           generation=1, producer="rb")
         online = rb.residual_dual_norms(reduced_system, mu, trajectory)
-        direct = _direct_residual_norms(system, basis, mu, coeffs)
+        direct = _direct_residual_norms(system, reduced_system.V, mu, coeffs)
         scale = max(float(np.max(direct)), 1e-30)
         worst = max(worst, float(np.max(np.abs(online - direct))) / scale)
     return worst
 
 
-def _direct_residual_norms(system, basis, mu, coeffs) -> np.ndarray:
+def _direct_residual_norms(system, V, mu, coeffs) -> np.ndarray:
     """Brute-force oracle: assemble each residual in full space and lift."""
-    U = coeffs @ basis.V.T  # (K+1, n_h)
+    U = coeffs @ V.T  # (K+1, n_h)
     norms = np.empty(system.K)
     for k in range(1, system.K + 1):
         r = (system.F - (system.M @ (U[k] - U[k - 1])) / system.dt
@@ -697,22 +698,18 @@ def _direct_residual_norms(system, basis, mu, coeffs) -> np.ndarray:
     return norms
 
 
-def _grown_basis(system, box, config):
-    """A basis grown by three full-order solves, with its reduced system."""
+def _grown_basis(system, box, config) -> rb.ReducedSystem:
+    """The reduced system of a basis grown by three full-order solves."""
     rng = SplitMix64(config.seed ^ 0x5A5A5A5A)
-    basis = rb.ReducedBasis.empty(system.n_h)
-    reduced_system = rb.build_reduced_system(system, basis)
+    level = rb.ReducedBasisLevel(system, pod_tol=config.rb.pod_tol,
+                                 n_add_max=config.rb.n_add_max,
+                                 n_max=config.rb.N_max)
     for _ in range(3):
-        trajectory = fom.solve_fom(system, box.sample(rng))
-        basis, reduced_system, _ = rb.extend_basis(
-            basis, reduced_system, system, trajectory,
-            pod_tol=config.rb.pod_tol, n_add_max=config.rb.n_add_max,
-            n_max=config.rb.N_max)
-    return basis, reduced_system
+        level.absorb(fom.solve_fom(system, box.sample(rng)))
+    return level.reduced_system
 
 
-def _rigor_margin(system, box, config, basis, reduced_system,
-                  trials: int) -> float:
+def _rigor_margin(system, box, config, reduced_system, trials: int) -> float:
     """min over samples of (Delta - true final-time M-norm error)."""
     rng = SplitMix64(config.seed ^ 0x3C3C3C3C)
     margin = float("inf")
@@ -721,13 +718,14 @@ def _rigor_margin(system, box, config, basis, reduced_system,
         if trial % 2 == 0:
             trajectory = rb.solve_rb(reduced_system, mu)
         else:
-            coeffs = np.array([[rng.uniform(-0.5, 0.5) for _ in range(basis.N)]
+            coeffs = np.array([[rng.uniform(-0.5, 0.5)
+                                for _ in range(reduced_system.N)]
                                for _ in range(system.K + 1)])
-            trajectory = rb.ReducedTrajectory(coefficients=coeffs, mu=mu,
-                                              generation=basis.generation,
-                                              producer="ml")
+            trajectory = rb.ReducedTrajectory(
+                coefficients=coeffs, mu=mu,
+                generation=reduced_system.generation, producer="ml")
         delta = rb.error_estimate(reduced_system, mu, trajectory)
         u_true = fom.solve_fom(system, mu).states[-1]
-        u_red = rb.reconstruct_final(basis, trajectory)
+        u_red = rb.reconstruct_final(reduced_system, trajectory)
         margin = min(margin, delta - system.m_norm(u_true - u_red))
     return margin

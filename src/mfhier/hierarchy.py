@@ -148,7 +148,8 @@ class ModelLevel(abc.ABC):
 
     @abc.abstractmethod
     def estimate_error(self, output: ModelOutput, mu) -> float:
-        """Nonnegative bound on the error of ``output`` at ``mu``."""
+        """Nonnegative bound on the error of ``output`` at ``mu``; reads
+        ``output`` and never changes it."""
 
     @abc.abstractmethod
     def absorb(self, payload) -> bool:

@@ -51,7 +51,6 @@ class ObjectiveOracle:
 class OptAnswer:
     x: np.ndarray
     j: float
-    grad_norm: float            # final gradient norm seen by the producer
     descent_calls: int = 0      # objective calls charged to the descent
 
 
@@ -154,7 +153,7 @@ class FullObjectiveLevel:
     def evaluate(self, x0) -> ModelOutput:
         calls_before = self.oracle.eval_counter
         result = descend(self.oracle, x0, self.box, max_iters=self.max_iters)
-        payload = OptAnswer(x=result.x, j=result.j, grad_norm=result.grad_norm,
+        payload = OptAnswer(x=result.x, j=result.j,
                             descent_calls=self.oracle.eval_counter - calls_before)
         return ModelOutput(payload=payload,
                            adaptation=DescentSamples(result.samples))
@@ -192,9 +191,7 @@ class SurrogateObjectiveLevel(ModelLevel):
 
         result = descend(surrogate, x0, self.box, max_iters=self.max_iters)
         j_true = self.oracle(result.x)
-        payload = OptAnswer(x=result.x, j=j_true, grad_norm=result.grad_norm,
-                            descent_calls=0)
-        return ModelOutput(payload=payload)
+        return ModelOutput(payload=OptAnswer(x=result.x, j=j_true))
 
     def estimate_error(self, output, mu):
         """Norm of the finite-difference gradient of the true objective.
@@ -204,9 +201,7 @@ class SurrogateObjectiveLevel(ModelLevel):
         not include: an FD-accurate certificate, not a rigorous bound.
         """
         grad = fd_gradient(self.oracle, output.payload.x, self.box)
-        g = float(np.linalg.norm(grad))
-        output.payload.grad_norm = g
-        return g
+        return float(np.linalg.norm(grad))
 
     def absorb(self, payload) -> bool:
         if not isinstance(payload, DescentSamples):

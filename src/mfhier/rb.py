@@ -16,10 +16,12 @@ with X = U^T U and R the triangular factor of a QR of U^{-T} C,
 full-order vectors and, unlike an expanded quadratic form, can neither go
 negative nor lose its digits to cancellation.
 
-The learned stage also shares the lift to full space
-(:meth:`ReducedBasisLevel.lift`).  Every basis extension bumps the
-generation; the learned stage holds its reduced-basis level and rebases
-when it sees the generation move, so no notification is sent.
+One immutable :class:`ReducedSystem` is one basis generation: it carries
+its basis V beside the projected operators and factors.  A basis extension
+that adds modes builds the next generation's system; the level swaps it
+in whole.  The learned stage also shares the lift to full space
+(:meth:`ReducedBasisLevel.lift`); it holds its reduced-basis level and
+rebases when it sees the generation move, so no notification is sent.
 """
 
 from __future__ import annotations
@@ -32,20 +34,6 @@ import scipy.linalg
 from .errors import DomainError, StaleGenerationError
 from .fom import AffineSystem, ParabolicResult, Trajectory
 from .hierarchy import ModelLevel, ModelOutput
-
-
-@dataclass(frozen=True)
-class ReducedBasis:
-    V: np.ndarray       # (n_h, N), X-orthonormal columns
-    generation: int
-
-    @property
-    def N(self) -> int:
-        return self.V.shape[1]
-
-    @staticmethod
-    def empty(n_h: int) -> "ReducedBasis":
-        return ReducedBasis(V=np.zeros((n_h, 0)), generation=0)
 
 
 @dataclass
@@ -64,18 +52,20 @@ class ReducedTrajectory:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Galerkin-projected operators plus the two estimator factors.
+    """One basis generation: the basis V, the Galerkin-projected operators
+    and the two estimator factors, all derived from V and never changed.
 
     ``residual_factor`` is the upper-triangular R of U^{-T} [F, M V,
     A_1 V, .., A_Q V] (X = U^T U), with min(n_h, 1 + N + Q N) rows: the
     residual r^k = F - M V d^k - sum_q mu_q A_q V a^k has X' norm
     ||R [1; -d^k; -mu_1 a^k; ..; -mu_Q a^k]||.  ``initial_error_factor`` is
-    the R of M^{1/2} [u0, V], so ||u0 - V a0||_M = ||R0 [1; -a0]||.  N = 0
-    is an empty column block, not a special case.
+    the R of U_m [u0, V] (M = U_m^T U_m, :meth:`AffineSystem.m_half`), so
+    ||u0 - V a0||_M = ||R0 [1; -a0]||.  N = 0 is an empty column block, not
+    a special case.
     """
 
+    V: np.ndarray     # (n_h, N), X-orthonormal columns
     generation: int
-    N: int
     K: int
     dt: float
     Q: int
@@ -86,31 +76,26 @@ class ReducedSystem:
     residual_factor: np.ndarray       # (min(n_h, 1+N+QN), 1+N+QN)
     initial_error_factor: np.ndarray  # (min(n_h, 1+N), 1+N)
 
+    @property
+    def N(self) -> int:
+        return self.V.shape[1]
 
-def build_reduced_system(system: AffineSystem, basis: ReducedBasis) -> ReducedSystem:
+
+def build_reduced_system(system: AffineSystem, V: np.ndarray,
+                         generation: int) -> ReducedSystem:
     """Offline stage: project operators and QR-factor the estimator terms."""
-    V = basis.V
     MV = system.M @ V
     AV = [A_q @ V for A_q in system.A]
     lifted = system.x_half_solve(np.column_stack([system.F, MV, *AV]))
-    # M^{1/2} is the banded Cholesky factor U_m of M = U_m^T U_m:
-    # ||U_m v|| = ||v||_M
-    m_band = np.zeros((2, system.n_h))
-    m_band[0, 1:] = system.M.diagonal(1)
-    m_band[1] = system.M.diagonal()
-    m_chol = scipy.linalg.cholesky_banded(m_band, check_finite=False)
-    initial = np.column_stack([system.u0, V])
-    m_half = m_chol[1, :, None] * initial
-    m_half[:-1] += m_chol[0, 1:, None] * initial[1:]
+    initial = system.m_half(np.column_stack([system.u0, V]))
     M_N, *A_N = (0.5 * (G + G.T) for G in (V.T @ L for L in (MV, *AV)))
     return ReducedSystem(
-        generation=basis.generation, N=basis.N,
-        K=system.K, dt=system.dt, Q=system.Q,
+        V=V, generation=generation, K=system.K, dt=system.dt, Q=system.Q,
         M_N=M_N, A_N=np.stack(A_N),
         F_N=V.T @ system.F,
         a0=V.T @ (system.X @ system.u0),
         residual_factor=np.linalg.qr(lifted, mode="r"),
-        initial_error_factor=np.linalg.qr(m_half, mode="r"),
+        initial_error_factor=np.linalg.qr(initial, mode="r"),
     )
 
 
@@ -140,10 +125,9 @@ def _x_orthonormalize(system: AffineSystem, V: np.ndarray,
     return np.column_stack(kept)
 
 
-def extend_basis(basis: ReducedBasis, reduced_system: ReducedSystem,
-                 system: AffineSystem, trajectory: Trajectory,
-                 pod_tol: float = 1e-13, n_add_max: int = 12,
-                 n_max: int = 60):
+def extend_basis(reduced_system: ReducedSystem, system: AffineSystem,
+                 trajectory: Trajectory, pod_tol: float = 1e-13,
+                 n_add_max: int = 12, n_max: int = 60) -> ReducedSystem:
     """POD-Greedy step: append leading POD modes of the projection error.
 
     Subtracts the X-orthogonal projection onto the current span from every
@@ -152,16 +136,17 @@ def extend_basis(basis: ReducedBasis, reduced_system: ReducedSystem,
     modes until the trajectory's uncaptured X-energy fraction drops below
     ``pod_tol``, capped at ``n_add_max`` new modes and ``n_max`` total.
 
-    Returns ``(basis, reduced_system, n_added)``; adding zero modes keeps
-    the generation (and the reduced system) unchanged.
+    Returns the next generation's reduced system, or ``reduced_system``
+    itself when no mode is added.
     """
+    V = reduced_system.V
     S = trajectory.states.T  # (n_h, K+1)
     XS = system.X @ S
     traj_energy = float(np.einsum("ij,ij->", S, XS))
     if traj_energy <= 0.0:
-        return basis, reduced_system, 0
+        return reduced_system
 
-    E = S - basis.V @ (basis.V.T @ XS)
+    E = S - V @ (V.T @ XS)
     XE = system.X @ E
     gramian = E.T @ XE
     gramian = 0.5 * (gramian + gramian.T)
@@ -172,10 +157,10 @@ def extend_basis(basis: ReducedBasis, reduced_system: ReducedSystem,
 
     target = pod_tol * traj_energy
     if total_residual <= target:
-        return basis, reduced_system, 0
-    room = min(n_add_max, n_max - basis.N)
+        return reduced_system
+    room = min(n_add_max, n_max - V.shape[1])
     if room <= 0:
-        return basis, reduced_system, 0
+        return reduced_system
 
     # smallest mode count that leaves at most `target` uncaptured energy
     remaining = total_residual - np.cumsum(evals)
@@ -186,15 +171,14 @@ def extend_basis(basis: ReducedBasis, reduced_system: ReducedSystem,
     while n_new > 0 and evals[n_new - 1] <= floor:
         n_new -= 1
     if n_new == 0:
-        return basis, reduced_system, 0
+        return reduced_system
 
     modes = E @ (evecs[:, :n_new] / np.sqrt(evals[:n_new]))
-    modes = _x_orthonormalize(system, basis.V, modes)
+    modes = _x_orthonormalize(system, V, modes)
     if modes.shape[1] == 0:
-        return basis, reduced_system, 0
-    new_basis = ReducedBasis(V=np.hstack([basis.V, modes]),
-                             generation=basis.generation + 1)
-    return new_basis, build_reduced_system(system, new_basis), modes.shape[1]
+        return reduced_system
+    return build_reduced_system(system, np.hstack([V, modes]),
+                                reduced_system.generation + 1)
 
 
 def coercivity_lower_bound(mu) -> float:
@@ -289,25 +273,25 @@ def error_estimate(reduced_system: ReducedSystem, mu,
                          * np.einsum("ij,ij->", residuals, residuals)))
 
 
-def reconstruct_final(basis: ReducedBasis,
+def reconstruct_final(reduced_system: ReducedSystem,
                       trajectory: ReducedTrajectory) -> np.ndarray:
-    if trajectory.generation != basis.generation:
-        raise StaleGenerationError("trajectory does not match basis generation")
-    return basis.V @ trajectory.coefficients[-1]
+    _check_generation(reduced_system, trajectory)
+    return reduced_system.V @ trajectory.coefficients[-1]
 
 
-def dump_basis(basis: ReducedBasis, pod_tol: float, path) -> None:
+def dump_basis(reduced_system: ReducedSystem, pod_tol: float, path) -> None:
     """CSV dump (n_h rows x N columns) plus a sidecar metadata line."""
-    np.savetxt(path, basis.V, delimiter=",", fmt="%.17g")
+    rs = reduced_system
+    np.savetxt(path, rs.V, delimiter=",", fmt="%.17g")
     with open(f"{path}.meta", "w", encoding="utf-8") as fh:
-        fh.write(f"generation={basis.generation},N={basis.N},pod_tol={pod_tol:g}\n")
+        fh.write(f"generation={rs.generation},N={rs.N},pod_tol={pod_tol:g}\n")
 
 
 class ReducedBasisLevel(ModelLevel):
     """Middle stage: certified Galerkin surrogate on an adaptive basis.
 
-    Absorbs full-order trajectories into the basis, which bumps the
-    generation whenever modes are added.
+    Absorbs full-order trajectories into the basis; whenever modes are
+    added, ``reduced_system`` is replaced by the next generation's.
     """
 
     def __init__(self, system: AffineSystem, pod_tol: float = 1e-13,
@@ -316,18 +300,18 @@ class ReducedBasisLevel(ModelLevel):
         self.pod_tol = pod_tol
         self.n_add_max = n_add_max
         self.n_max = n_max
-        self.basis = ReducedBasis.empty(system.n_h)
-        self.reduced_system = build_reduced_system(system, self.basis)
+        self.reduced_system = build_reduced_system(
+            system, np.zeros((system.n_h, 0)), generation=0)
 
     @property
     def generation(self) -> int:
-        return self.basis.generation
+        return self.reduced_system.generation
 
     def lift(self, trajectory: ReducedTrajectory) -> ParabolicResult:
         """The answer for coefficients of the current generation: the
         final state in full space and its QoI.  Raises
         :class:`StaleGenerationError` for another generation."""
-        u_final = reconstruct_final(self.basis, trajectory)
+        u_final = reconstruct_final(self.reduced_system, trajectory)
         return ParabolicResult(
             qoi=float(self.system.qoi_vector @ u_final),
             producer=trajectory.producer, u_final=u_final)
@@ -343,10 +327,10 @@ class ReducedBasisLevel(ModelLevel):
     def absorb(self, payload) -> bool:
         if not isinstance(payload, Trajectory):
             return False
-        self.basis, self.reduced_system, _ = extend_basis(
-            self.basis, self.reduced_system, self.system, payload,
-            pod_tol=self.pod_tol, n_add_max=self.n_add_max, n_max=self.n_max)
+        self.reduced_system = extend_basis(
+            self.reduced_system, self.system, payload, pod_tol=self.pod_tol,
+            n_add_max=self.n_add_max, n_max=self.n_max)
         return True
 
     def is_ready(self) -> bool:
-        return self.basis.N >= 1
+        return self.reduced_system.N >= 1

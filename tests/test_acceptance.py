@@ -12,7 +12,7 @@ from mfhier import (ParameterBox, SplitMix64, assemble, build_reduced_system,
                     error_estimate, harness, reconstruct_final,
                     residual_dual_norms, solve_fom, solve_rb)
 from mfhier.optdemo import fd_gradient, himmelblau
-from mfhier.rb import ReducedBasis, ReducedTrajectory, _x_orthonormalize
+from mfhier.rb import ReducedTrajectory, _x_orthonormalize
 
 from conftest import random_coefficients, strip_duration_columns
 
@@ -81,38 +81,36 @@ def test_criterion_2_estimator_rigor_isolated(default_system):
     box = ParameterBox([[0.1, 10.0]] * 2)
     rng = SplitMix64(271828)
 
-    def random_basis(n_vectors):
+    def random_reduced_system(n_vectors):
         W = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n_vectors)]
                       for _ in range(system.n_h)])
         V = _x_orthonormalize(system, np.zeros((system.n_h, 0)), W)
-        return ReducedBasis(V=V, generation=1)
+        return build_reduced_system(system, V, 1)
 
     min_margin = np.inf
     for trial in range(200):
-        basis = random_basis(1 + trial % 8)  # N <= 8
-        reduced = build_reduced_system(system, basis)
+        reduced = random_reduced_system(1 + trial % 8)  # N <= 8
         mu = box.sample(rng)
         if trial % 3 == 0:
             trajectory = solve_rb(reduced, mu)
         else:
-            coeffs = random_coefficients(rng, system.K + 1, basis.N, 0.5)
+            coeffs = random_coefficients(rng, system.K + 1, reduced.N, 0.5)
             trajectory = ReducedTrajectory(coefficients=coeffs, mu=mu,
                                            generation=1, producer="ml")
         delta = error_estimate(reduced, mu, trajectory)
         true_error = system.m_norm(solve_fom(system, mu).states[-1]
-                                   - reconstruct_final(basis, trajectory))
+                                   - reconstruct_final(reduced, trajectory))
         min_margin = min(min_margin, delta - true_error)
 
     worst_rel = 0.0
     for _ in range(50):
-        basis = random_basis(4)
-        reduced = build_reduced_system(system, basis)
+        reduced = random_reduced_system(4)
         mu = box.sample(rng)
-        coeffs = random_coefficients(rng, system.K + 1, basis.N)
+        coeffs = random_coefficients(rng, system.K + 1, reduced.N)
         trajectory = ReducedTrajectory(coefficients=coeffs, mu=mu,
                                        generation=1, producer="rb")
         online = residual_dual_norms(reduced, mu, trajectory)
-        U = coeffs @ basis.V.T
+        U = coeffs @ reduced.V.T
         direct = np.empty(system.K)
         for k in range(1, system.K + 1):
             r = (system.F - (system.M @ (U[k] - U[k - 1])) / system.dt

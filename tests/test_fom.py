@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mfhier import (ConfigurationError, DomainError,
-                    FullOrderLevel, assemble, compute_qoi, solve_fom)
+from mfhier import (ConfigurationError, DomainError, FullOrderLevel,
+                    SplitMix64, assemble, compute_qoi, solve_fom)
+
+from conftest import random_coefficients
 
 
 def analytic_error(n_h, K, T=0.1):
@@ -45,6 +47,19 @@ def test_mass_matrix_spd_and_x_spd(small_system):
     assert np.all(np.linalg.eigvalsh(X) > 0)
     for A in small_system.A:
         assert np.all(np.linalg.eigvalsh(A.toarray()) > -1e-12)
+
+
+def test_m_half_matches_m_norm(small_system):
+    # M = U_m^T U_m, so ||U_m v|| = ||v||_M for vectors and column blocks
+    rng = SplitMix64(19)
+    for _ in range(20):
+        v = random_coefficients(rng, 1, small_system.n_h)[0]
+        np.testing.assert_allclose(np.linalg.norm(small_system.m_half(v)),
+                                   small_system.m_norm(v), rtol=1e-14)
+    block = random_coefficients(rng, small_system.n_h, 5)
+    norms = np.linalg.norm(small_system.m_half(block), axis=0)
+    np.testing.assert_allclose(
+        norms, [small_system.m_norm(v) for v in block.T], rtol=1e-14)
 
 
 def test_piecewise_source_exact_integration():

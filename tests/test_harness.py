@@ -402,9 +402,9 @@ def test_dumps_written(tmp_path):
     np.testing.assert_array_equal(trajectory[-1], last.payload.u_final)
     basis = np.loadtxt(tmp_path / "basis.csv", delimiter=",", ndmin=2)
     assert basis.shape[0] == config.fom.n_h
-    assert basis.shape[1] == result.scenario.rb_level.basis.N
+    assert basis.shape[1] == result.scenario.rb_level.reduced_system.N
     meta = (tmp_path / "basis.csv.meta").read_text()
-    assert f"N={result.scenario.rb_level.basis.N}" in meta
+    assert f"N={result.scenario.rb_level.reduced_system.N}" in meta
     train = np.loadtxt(tmp_path / "train.csv", delimiter=",", ndmin=2)
     assert train.shape[0] == result.scenario.ml_level.regressor.n_train
 

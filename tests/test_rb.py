@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mfhier import (DomainError, ParameterBox, ReducedBasis, SplitMix64,
+from mfhier import (DomainError, ParameterBox, SplitMix64,
                     StaleGenerationError, assemble, build_reduced_system,
                     coercivity_lower_bound, error_estimate, extend_basis,
                     harness, reconstruct_final, residual_dual_norms,
@@ -15,26 +15,29 @@ from mfhier.rb import ReducedBasisLevel, ReducedTrajectory, _x_orthonormalize
 from conftest import random_coefficients
 
 
+def empty_reduced_system(system):
+    return build_reduced_system(system, np.zeros((system.n_h, 0)), 0)
+
+
 def grow_basis(system, mus, pod_tol=1e-13, n_add_max=12, n_max=60):
-    basis = ReducedBasis.empty(system.n_h)
-    reduced = build_reduced_system(system, basis)
+    reduced = empty_reduced_system(system)
     for mu in mus:
         trajectory = solve_fom(system, mu)
-        basis, reduced, _ = extend_basis(basis, reduced, system, trajectory,
-                                         pod_tol, n_add_max, n_max)
-    return basis, reduced
+        reduced = extend_basis(reduced, system, trajectory,
+                               pod_tol, n_add_max, n_max)
+    return reduced
 
 
-def random_basis(system, rng, n_vectors):
+def random_reduced_system(system, rng, n_vectors):
     W = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n_vectors)]
                   for _ in range(system.n_h)])
     V = _x_orthonormalize(system, np.zeros((system.n_h, 0)), W)
-    return ReducedBasis(V=V, generation=1)
+    return build_reduced_system(system, V, 1)
 
 
-def direct_residual_norms(system, basis, mu, coeffs):
+def direct_residual_norms(system, V, mu, coeffs):
     """Full-space oracle: assemble r^k, Riesz-lift, take the X norm."""
-    U = coeffs @ basis.V.T
+    U = coeffs @ V.T
     norms = np.empty(system.K)
     for k in range(1, system.K + 1):
         r = (system.F - (system.M @ (U[k] - U[k - 1])) / system.dt
@@ -49,60 +52,65 @@ def direct_residual_norms(system, basis, mu, coeffs):
 
 def test_first_extension_captures_trajectory(small_system):
     trajectory = solve_fom(small_system, [1.0, 4.0])
-    basis, reduced = grow_basis(small_system, [[1.0, 4.0]], pod_tol=1e-10)
-    assert basis.N >= 1
-    assert basis.generation == 1
+    reduced = grow_basis(small_system, [[1.0, 4.0]], pod_tol=1e-10)
+    assert reduced.N >= 1
+    assert reduced.generation == 1
     S = trajectory.states.T
-    E = S - basis.V @ (basis.V.T @ (small_system.X @ S))
+    E = S - reduced.V @ (reduced.V.T @ (small_system.X @ S))
     energy = float(np.einsum("ij,ij->", S, small_system.X @ S))
     residual = float(np.einsum("ij,ij->", E, small_system.X @ E))
-    assert residual <= 1e-10 * energy or basis.N == 12
+    assert residual <= 1e-10 * energy or reduced.N == 12
 
 
 def test_extension_idempotent(small_system):
     trajectory = solve_fom(small_system, [2.0, 0.5])
-    basis, reduced = grow_basis(small_system, [[2.0, 0.5]])
-    basis2, reduced2, added = extend_basis(basis, reduced, small_system,
-                                           trajectory, 1e-13, 12, 60)
-    assert added == 0
-    assert basis2.generation == basis.generation
+    reduced = grow_basis(small_system, [[2.0, 0.5]])
+    reduced2 = extend_basis(reduced, small_system, trajectory, 1e-13, 12, 60)
     assert reduced2 is reduced
+
+
+def test_extend_basis_returns_same_model_when_nothing_added(small_system):
+    # a full basis has no room: the model is returned as it is
+    reduced = grow_basis(small_system, [[2.0, 0.5]])
+    other = solve_fom(small_system, [0.1, 10.0])
+    full = extend_basis(reduced, small_system, other, n_max=reduced.N)
+    assert full is reduced
+    grown = extend_basis(reduced, small_system, other)
+    assert grown.generation == reduced.generation + 1
+    assert grown.N > reduced.N
+    assert np.array_equal(grown.V[:, :reduced.N], reduced.V)
 
 
 def test_single_mode_trajectory_adds_one_vector():
     system = assemble(80, 40, 0.1, 1, source="zero", u0="sine")
     trajectory = solve_fom(system, [1.0])
-    basis = ReducedBasis.empty(system.n_h)
-    reduced = build_reduced_system(system, basis)
-    basis, reduced, added = extend_basis(basis, reduced, system, trajectory,
-                                         pod_tol=1e-7, n_add_max=5, n_max=60)
-    assert added == 1
-    assert basis.N == 1
+    reduced = extend_basis(empty_reduced_system(system), system, trajectory,
+                           pod_tol=1e-7, n_add_max=5, n_max=60)
+    assert reduced.N == 1
+    assert reduced.generation == 1
 
 
 def test_zero_trajectory_adds_nothing(small_system):
     system = assemble(20, 5, 1.0, 1, source="zero", u0="zero")
     trajectory = solve_fom(system, [1.0])
-    basis = ReducedBasis.empty(system.n_h)
-    reduced = build_reduced_system(system, basis)
-    _, _, added = extend_basis(basis, reduced, system, trajectory, 1e-7, 5, 60)
-    assert added == 0
+    reduced = empty_reduced_system(system)
+    assert extend_basis(reduced, system, trajectory, 1e-7, 5, 60) is reduced
 
 
 def test_n_max_cap(small_system):
     rng = SplitMix64(5)
     box = ParameterBox([[0.1, 10.0]] * 2)
-    basis, reduced = grow_basis(small_system,
-                                [box.sample(rng) for _ in range(12)], n_max=8)
-    assert basis.N <= 8
+    reduced = grow_basis(small_system,
+                         [box.sample(rng) for _ in range(12)], n_max=8)
+    assert reduced.N <= 8
 
 
 def test_orthonormality_after_extensions(small_system):
     rng = SplitMix64(11)
     box = ParameterBox([[0.1, 10.0]] * 2)
-    basis, _ = grow_basis(small_system, [box.sample(rng) for _ in range(4)])
-    gram = basis.V.T @ (small_system.X @ basis.V)
-    assert np.max(np.abs(gram - np.eye(basis.N))) <= 1e-8
+    reduced = grow_basis(small_system, [box.sample(rng) for _ in range(4)])
+    gram = reduced.V.T @ (small_system.X @ reduced.V)
+    assert np.max(np.abs(gram - np.eye(reduced.N))) <= 1e-8
 
 
 @pytest.mark.parametrize("n_h, Q, n_vectors", [(60, 2, 5), (20, 4, 6)])
@@ -110,24 +118,24 @@ def test_estimator_factors_match_full_space(n_h, Q, n_vectors):
     # (20, 4, 6) has 1 + N + QN = 31 columns > n_h rows
     system = assemble(n_h, 10, 1.0, Q, u0="sine")
     rng = SplitMix64(21)
-    basis = random_basis(system, rng, n_vectors)
-    reduced = build_reduced_system(system, basis)
+    reduced = random_reduced_system(system, rng, n_vectors)
+    V = reduced.V
     R = reduced.residual_factor
-    C = np.column_stack([system.F, system.M @ basis.V,
-                         *(A_q @ basis.V for A_q in system.A)])
+    C = np.column_stack([system.F, system.M @ V,
+                         *(A_q @ V for A_q in system.A)])
     assert R.shape == (min(n_h, C.shape[1]), C.shape[1])
     assert np.all(np.tril(R, -1) == 0.0)
     R0 = reduced.initial_error_factor
-    assert R0.shape == (basis.N + 1, basis.N + 1)
+    assert R0.shape == (reduced.N + 1, reduced.N + 1)
     assert np.all(np.tril(R0, -1) == 0.0)
     for _ in range(20):
         theta = random_coefficients(rng, 1, C.shape[1])[0]
         r = C @ theta
         np.testing.assert_allclose(np.linalg.norm(R @ theta),
                                    math.sqrt(r @ system.x_solve(r)), rtol=1e-12)
-        a = random_coefficients(rng, 1, basis.N)[0]
+        a = random_coefficients(rng, 1, reduced.N)[0]
         np.testing.assert_allclose(np.linalg.norm(R0 @ np.concatenate([[1.0], -a])),
-                                   system.m_norm(system.u0 - basis.V @ a),
+                                   system.m_norm(system.u0 - V @ a),
                                    rtol=1e-12)
 
 
@@ -135,12 +143,10 @@ def test_estimator_factors_match_full_space(n_h, Q, n_vectors):
 
 
 def test_solve_rb_empty_basis(small_system):
-    reduced = build_reduced_system(small_system,
-                                   ReducedBasis.empty(small_system.n_h))
+    reduced = empty_reduced_system(small_system)
     trajectory = solve_rb(reduced, [1.0, 1.0])
     assert trajectory.coefficients.shape == (small_system.K + 1, 0)
-    basis = ReducedBasis.empty(small_system.n_h)
-    lifted = trajectory.coefficients @ basis.V.T
+    lifted = trajectory.coefficients @ reduced.V.T
     assert lifted.shape == (small_system.K + 1, small_system.n_h)
     assert np.all(lifted == 0.0)
 
@@ -161,7 +167,7 @@ def test_solve_rb_matches_stepwise_reference(Q):
     system = assemble(n_h=80, K=40, T=1.0, Q=Q)
     rng = SplitMix64(43)
     box = ParameterBox([[0.1, 10.0]] * Q)
-    _, reduced = grow_basis(system, [box.sample(rng) for _ in range(3)])
+    reduced = grow_basis(system, [box.sample(rng) for _ in range(3)])
     assert reduced.N >= 10
     corners = [np.array(c) for c in itertools.product([0.1, 10.0], repeat=Q)]
     for mu in [box.sample(rng) for _ in range(10)] + corners:
@@ -173,7 +179,7 @@ def test_solve_rb_matches_stepwise_reference(Q):
 
 
 def test_solve_rb_returns_owned_coefficients(small_system):
-    _, reduced = grow_basis(small_system, [[1.0, 1.0]])
+    reduced = grow_basis(small_system, [[1.0, 1.0]])
     coeffs = solve_rb(reduced, [2.0, 0.5]).coefficients
     assert coeffs.shape == (small_system.K + 1, reduced.N)
     assert coeffs.flags.c_contiguous
@@ -181,7 +187,7 @@ def test_solve_rb_returns_owned_coefficients(small_system):
 
 
 def test_solve_rb_rejects_indefinite_reduced_system(small_system):
-    _, reduced = grow_basis(small_system, [[1.0, 1.0]])
+    reduced = grow_basis(small_system, [[1.0, 1.0]])
     broken = dataclasses.replace(reduced, M_N=-reduced.M_N)
     with pytest.raises(DomainError):
         solve_rb(broken, [1.0, 1.0])
@@ -191,15 +197,15 @@ def test_galerkin_reproduction_in_span(small_system):
     # basis captures the trajectory at mu*: the reduced solve reproduces the
     # full solution at mu* almost exactly
     mu = [1.5, 6.0]
-    basis, reduced = grow_basis(small_system, [mu], pod_tol=1e-15, n_add_max=40)
+    reduced = grow_basis(small_system, [mu], pod_tol=1e-15, n_add_max=40)
     full = solve_fom(small_system, mu)
-    lifted = solve_rb(reduced, mu).coefficients @ basis.V.T
+    lifted = solve_rb(reduced, mu).coefficients @ reduced.V.T
     assert np.max(np.abs(lifted - full.states)) <= 1e-8
 
 
 def test_reduced_energy_decay(small_system):
     system = assemble(50, 30, 1.0, 2, source="zero", u0="sine")
-    basis, reduced = grow_basis(system, [[1.0, 3.0], [0.3, 0.3]])
+    reduced = grow_basis(system, [[1.0, 3.0], [0.3, 0.3]])
     trajectory = solve_rb(reduced, [2.0, 0.7])
     norms = [math.sqrt(max(a @ (reduced.M_N @ a), 0.0))
              for a in trajectory.coefficients]
@@ -207,7 +213,7 @@ def test_reduced_energy_decay(small_system):
 
 
 def test_solve_rb_rejects_nonpositive(small_system):
-    basis, reduced = grow_basis(small_system, [[1.0, 1.0]])
+    reduced = grow_basis(small_system, [[1.0, 1.0]])
     with pytest.raises(DomainError):
         solve_rb(reduced, [0.0, 1.0])
 
@@ -243,8 +249,7 @@ def test_residual_norms_zero_for_reproduced_trajectory():
     mu = [2.0, 2.5]
     full = solve_fom(system, mu)
     V = _x_orthonormalize(system, np.zeros((system.n_h, 0)), full.states.T)
-    basis = ReducedBasis(V=V, generation=1)
-    reduced = build_reduced_system(system, basis)
+    reduced = build_reduced_system(system, V, 1)
     coeffs = (V.T @ (system.X @ full.states.T)).T
     trajectory = ReducedTrajectory(coefficients=coeffs, mu=np.asarray(mu),
                                    generation=1, producer="rb")
@@ -253,8 +258,7 @@ def test_residual_norms_zero_for_reproduced_trajectory():
 
 
 def test_residual_norms_empty_basis_equal_load_norm(small_system):
-    reduced = build_reduced_system(small_system,
-                                   ReducedBasis.empty(small_system.n_h))
+    reduced = empty_reduced_system(small_system)
     trajectory = solve_rb(reduced, [1.0, 1.0])
     norms = residual_dual_norms(reduced, [1.0, 1.0], trajectory)
     rho = small_system.x_solve(small_system.F)
@@ -267,14 +271,13 @@ def test_online_residuals_match_full_space_oracle(small_system):
     box = ParameterBox([[0.1, 10.0]] * 2)
     worst = 0.0
     for _ in range(50):
-        basis = random_basis(small_system, rng, 4)
-        reduced = build_reduced_system(small_system, basis)
+        reduced = random_reduced_system(small_system, rng, 4)
         mu = box.sample(rng)
-        coeffs = random_coefficients(rng, small_system.K + 1, basis.N)
+        coeffs = random_coefficients(rng, small_system.K + 1, reduced.N)
         trajectory = ReducedTrajectory(coefficients=coeffs, mu=mu,
                                        generation=1, producer="rb")
         online = residual_dual_norms(reduced, mu, trajectory)
-        direct = direct_residual_norms(small_system, basis, mu, coeffs)
+        direct = direct_residual_norms(small_system, reduced.V, mu, coeffs)
         worst = max(worst, float(np.max(np.abs(online - direct)))
                     / max(float(np.max(direct)), 1e-30))
     assert worst <= 1e-8
@@ -285,15 +288,14 @@ def test_online_residuals_match_full_space_oracle(small_system):
 
 def test_estimate_tiny_for_reproduced_trajectory(small_system):
     mu = [1.2, 0.4]
-    basis, reduced = grow_basis(small_system, [mu], pod_tol=1e-15, n_add_max=40)
+    reduced = grow_basis(small_system, [mu], pod_tol=1e-15, n_add_max=40)
     delta = error_estimate(reduced, mu, solve_rb(reduced, mu))
     assert delta <= 1e-7
 
 
 def test_estimate_empty_basis_closed_form(default_system):
     # N = 0, u0 = 0, f = 1: Delta^2 = (T / alpha) F^T X^{-1} F
-    reduced = build_reduced_system(default_system,
-                                   ReducedBasis.empty(default_system.n_h))
+    reduced = empty_reduced_system(default_system)
     trajectory = solve_rb(reduced, [1.0, 1.0])
     delta = error_estimate(reduced, [1.0, 1.0], trajectory)
     F = default_system.F
@@ -308,18 +310,17 @@ def test_estimator_rigor_random_sample(small_system):
     box = ParameterBox([[0.1, 10.0]] * 2)
     effectivities = []
     for trial in range(40):
-        basis = random_basis(small_system, rng, 4)
-        reduced = build_reduced_system(small_system, basis)
+        reduced = random_reduced_system(small_system, rng, 4)
         mu = box.sample(rng)
         if trial % 2 == 0:
             trajectory = solve_rb(reduced, mu)
         else:
-            coeffs = random_coefficients(rng, small_system.K + 1, basis.N, 0.5)
+            coeffs = random_coefficients(rng, small_system.K + 1, reduced.N, 0.5)
             trajectory = ReducedTrajectory(coefficients=coeffs, mu=mu,
                                            generation=1, producer="ml")
         delta = error_estimate(reduced, mu, trajectory)
         true = small_system.m_norm(solve_fom(small_system, mu).states[-1]
-                                   - reconstruct_final(basis, trajectory))
+                                   - reconstruct_final(reduced, trajectory))
         assert delta >= true - 1e-10
         effectivities.append(delta / max(true, 1e-14))
     # effectivity is finite; report the spread, assert only rigor above
@@ -330,19 +331,19 @@ def test_estimator_rigor_random_sample(small_system):
 
 
 def test_estimate_identical_for_both_producers(small_system):
-    basis, reduced = grow_basis(small_system, [[1.0, 2.0]])
+    reduced = grow_basis(small_system, [[1.0, 2.0]])
     rng = SplitMix64(31)
-    coeffs = random_coefficients(rng, small_system.K + 1, basis.N)
+    coeffs = random_coefficients(rng, small_system.K + 1, reduced.N)
     mu = [3.0, 0.2]
     as_rb = ReducedTrajectory(coefficients=coeffs, mu=np.asarray(mu),
-                              generation=basis.generation, producer="rb")
+                              generation=reduced.generation, producer="rb")
     as_ml = ReducedTrajectory(coefficients=coeffs.copy(), mu=np.asarray(mu),
-                              generation=basis.generation, producer="ml")
+                              generation=reduced.generation, producer="ml")
     assert error_estimate(reduced, mu, as_rb) == error_estimate(reduced, mu, as_ml)
 
 
 def test_stale_generation_rejected(small_system):
-    basis, reduced = grow_basis(small_system, [[1.0, 1.0]])
+    reduced = grow_basis(small_system, [[1.0, 1.0]])
     trajectory = solve_rb(reduced, [1.0, 1.0])
     stale = ReducedTrajectory(coefficients=trajectory.coefficients,
                               mu=trajectory.mu, generation=99, producer="rb")
@@ -351,7 +352,7 @@ def test_stale_generation_rejected(small_system):
     with pytest.raises(StaleGenerationError):
         residual_dual_norms(reduced, [1.0, 1.0], stale)
     with pytest.raises(StaleGenerationError):
-        reconstruct_final(basis, stale)
+        reconstruct_final(reduced, stale)
 
 
 #: Both parabolic hierarchies: RB+FOM (the default) and ML+RB+FOM.
@@ -400,11 +401,11 @@ def test_stream_certificates_hold_without_slack(ml, tmp_path):
 
 
 def test_projection_round_trip(small_system):
-    basis, reduced = grow_basis(small_system, [[0.5, 2.0]])
+    reduced = grow_basis(small_system, [[0.5, 2.0]])
     rng = SplitMix64(37)
-    a = np.array([rng.uniform(-1, 1) for _ in range(basis.N)])
-    u = basis.V @ a
-    back = basis.V.T @ (small_system.X @ u)
+    a = np.array([rng.uniform(-1, 1) for _ in range(reduced.N)])
+    u = reduced.V @ a
+    back = reduced.V.T @ (small_system.X @ u)
     np.testing.assert_allclose(back, a, atol=1e-10)
 
 
