@@ -2,12 +2,14 @@
 
 The bound certifies the final-time error of ANY coefficient sequence in
 the reduced space, whether it came from a Galerkin solve or from the
-learned regressor.  This script samples random reduced bases, reduced
-solves and deliberately perturbed trajectories, compares the bound against
-the true error from fresh full-order solves, and measures the online
-residual evaluation against a full-space computation in long double (its
-own tridiagonal solve for the Riesz lift) over 30 random cases.  It exits
-with status 1 if any bound is violated.
+learned regressor.  A reduced trajectory carries the reduced system it is
+in, so the bound and the lift to full space take the trajectory alone.
+This script samples random reduced bases, reduced solves and deliberately
+perturbed trajectories, compares the bound against the true error from
+fresh full-order solves, and measures the online residual evaluation
+against a full-space computation in long double (its own tridiagonal
+solve for the Riesz lift) over 30 random cases.  It exits with status 1
+if any bound is violated.
 """
 
 import sys
@@ -42,10 +44,10 @@ for trial in range(60):
         noise = np.array([[rng.uniform(-0.02, 0.02) for _ in range(reduced.N)]
                           for _ in range(system.K + 1)])
         trajectory = ReducedTrajectory(trajectory.coefficients + noise,
-                                       mu, 1, "ml")
-    delta = error_estimate(reduced, mu, trajectory)
+                                       mu, reduced, "ml")
+    delta = error_estimate(trajectory)
     truth = solve_fom(system, mu).states[-1]
-    true_error = system.m_norm(truth - reconstruct_final(reduced, trajectory))
+    true_error = system.m_norm(truth - reconstruct_final(trajectory))
     if delta < true_error:
         violations += 1
     effectivities.append(delta / max(true_error, 1e-14))
@@ -110,7 +112,7 @@ for _ in range(30):
     mu = box.sample(rng)
     coeffs = np.array([[rng.uniform(-1, 1) for _ in range(reduced.N)]
                        for _ in range(system.K + 1)])
-    online = residual_dual_norms(reduced, mu, ReducedTrajectory(coeffs, mu, 1, "rb"))
+    online = residual_dual_norms(ReducedTrajectory(coeffs, mu, reduced, "rb"))
     reference = reference_norms(reduced.V, mu, coeffs)
     errors.append(float(np.max(np.abs(online - reference)) / np.max(reference)))
 print("  max_k |online - reference| / max_k reference: "

@@ -40,7 +40,7 @@ for i in range(4):
 rb_level = result.scenario.rb_level
 ml_level = result.scenario.ml_level
 print(f"\nfinal reduced basis: N = {rb_level.reduced_system.N} "
-      f"(generation {rb_level.generation})")
+      f"(generation {rb_level.reduced_system.generation})")
 print(f"final training set: {ml_level.regressor.n_train} parameter points")
 
 # certification: every surrogate answer came with a bound on the QoI error,

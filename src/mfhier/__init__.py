@@ -9,7 +9,7 @@ two-stage optimization demo, plus a Monte Carlo outer-loop harness.
 """
 
 from .errors import (ConfigurationError, DomainError, HierarchyError,
-                     NotReadyError, StaleGenerationError, StreamAborted)
+                     NotReadyError, StreamAborted)
 from .fom import (AffineSystem, FullOrderLevel, ParabolicResult, Trajectory,
                   assemble, compute_qoi, solve_fom)
 from .harness import (RunConfig, StreamSummary, baseline, build_scenario,
@@ -34,9 +34,9 @@ __all__ = [
     "KernelRegressor", "MLCoefficientLevel", "ModelHierarchy", "ModelLevel",
     "ModelOutput", "NotReadyError", "ObjectiveOracle", "ParabolicResult",
     "ParameterBox", "QueryRecord", "ReducedBasisLevel", "ReducedSystem",
-    "ReducedTrajectory", "RunConfig", "SplitMix64", "StaleGenerationError",
-    "StreamAborted", "StreamSummary", "SurrogateObjectiveLevel", "Trajectory",
-    "assemble", "baseline", "build_reduced_system", "build_scenario",
+    "ReducedTrajectory", "RunConfig", "SplitMix64", "StreamAborted",
+    "StreamSummary", "SurrogateObjectiveLevel", "Trajectory", "assemble",
+    "baseline", "build_reduced_system", "build_scenario",
     "coercivity_lower_bound", "compute_qoi", "default_config", "descend",
     "draw_parameters", "error_estimate", "extend_basis", "fd_gradient", "fit",
     "himmelblau", "load_config", "predict_trajectory", "rebase",

@@ -13,11 +13,6 @@ class ConfigurationError(HierarchyError, ValueError):
     """A hierarchy, model or run configuration is invalid."""
 
 
-class StaleGenerationError(HierarchyError, RuntimeError):
-    """Reduced coefficients were combined with a reduced system of a
-    different basis generation."""
-
-
 class NotReadyError(HierarchyError, RuntimeError):
     """A surrogate was asked to produce output before it has enough data."""
 

@@ -141,7 +141,7 @@ def assemble(n_h: int, K: int, T: float, Q: int,
     sub-element integration (the P1 gradient is constant per element, so
     the split is just proportional to the overlap length).
     """
-    if n_h < Q or Q < 1 or K < 1 or T <= 0:
+    if n_h < Q or Q < 1 or K < 1 or not T > 0:  # also rejects NaN
         raise ConfigurationError("need n_h >= Q >= 1, K >= 1, T > 0")
     h = 1.0 / (n_h + 1)
     x = h * np.arange(1, n_h + 1)

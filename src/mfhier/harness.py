@@ -11,6 +11,7 @@ is the speedup reference.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -89,6 +90,10 @@ _ML_DEFAULTS = {"parabolic": {"enabled": False, "ridge": 1e-8},
 _COUNT_FIELDS = ("n_queries", "seed", "fom.n_h", "fom.K", "fom.Q",
                  "rb.n_add_max", "rb.N_max", "ml.n_min", "opt.max_iters")
 
+#: Config fields that must be real numbers (not bools, not NaN).
+_REAL_FIELDS = ("tolerance", "fom.T", "rb.pod_tol", "ml.lengthscale",
+                "ml.ridge", "opt.TOL_grad", "opt.delay_s")
+
 
 @dataclass
 class RunConfig:
@@ -112,22 +117,24 @@ class RunConfig:
         if not isinstance(self.ml.enabled, bool):
             raise ConfigurationError("ml.enabled must be true or false, "
                                      f"got {self.ml.enabled!r}")
+        for fields, kind, noun in (
+                (_COUNT_FIELDS, numbers.Integral, "an integer"),
+                (_REAL_FIELDS, numbers.Real, "a real number")):
+            for path in fields:
+                value = functools.reduce(getattr, path.split("."), self)
+                if (isinstance(value, bool) or not isinstance(value, kind)
+                        or value != value):  # NaN is not equal to itself
+                    raise ConfigurationError(f"{path} must be {noun}, "
+                                             f"got {value!r}")
         for name in ("lengthscale", "ridge"):
             value = getattr(self.ml, name)
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or value <= 0):
-                raise ConfigurationError(f"ml.{name} must be a positive number, "
-                                         f"got {value!r}")
-        for path in _COUNT_FIELDS:
-            value = self
-            for name in path.split("."):
-                value = getattr(value, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{path} must be an integer, "
+            if value <= 0:
+                raise ConfigurationError(f"ml.{name} must be positive, "
                                          f"got {value!r}")
         for path, value in (("tolerance", self.tolerance),
+                            ("rb.pod_tol", self.rb.pod_tol),
                             ("opt.TOL_grad", self.opt.TOL_grad)):
-            if not value >= 0:  # also rejects NaN
+            if value < 0:
                 raise ConfigurationError(f"{path} must be >= 0, got {value!r}")
         if self.n_queries < 0:
             raise ConfigurationError("n_queries must be >= 0")
@@ -377,6 +384,10 @@ def _parse_row(line: str, dim: int, n_stages: int, row_number: int) -> ResultRow
             events=tuple(events))
         if not 1 <= row.stage <= n_stages:
             raise ValueError(f"stage {row.stage} out of range 1..{n_stages}")
+        if not all(map(math.isfinite, (*row.mu, row.qoi, *row.durations))):
+            raise ValueError("non-finite mu, qoi or duration")
+        if min(*row.durations, row.basis_n, row.ml_n) < 0:
+            raise ValueError("negative duration, basis_n or ml_n")
     except (ValueError, IndexError) as err:
         raise ConfigurationError(f"results row {row_number}: {err}") from None
     return row
@@ -678,8 +689,9 @@ def _offline_online_discrepancy(system, box, config, trials: int) -> float:
                             for _ in range(reduced_system.N)]
                            for _ in range(system.K + 1)])
         trajectory = rb.ReducedTrajectory(coefficients=coeffs, mu=mu,
-                                          generation=1, producer="rb")
-        online = rb.residual_dual_norms(reduced_system, mu, trajectory)
+                                          reduced_system=reduced_system,
+                                          producer="rb")
+        online = rb.residual_dual_norms(trajectory)
         direct = _direct_residual_norms(system, reduced_system.V, mu, coeffs)
         scale = max(float(np.max(direct)), 1e-30)
         worst = max(worst, float(np.max(np.abs(online - direct))) / scale)
@@ -722,10 +734,10 @@ def _rigor_margin(system, box, config, reduced_system, trials: int) -> float:
                                 for _ in range(reduced_system.N)]
                                for _ in range(system.K + 1)])
             trajectory = rb.ReducedTrajectory(
-                coefficients=coeffs, mu=mu,
-                generation=reduced_system.generation, producer="ml")
-        delta = rb.error_estimate(reduced_system, mu, trajectory)
+                coefficients=coeffs, mu=mu, reduced_system=reduced_system,
+                producer="ml")
+        delta = rb.error_estimate(trajectory)
         u_true = fom.solve_fom(system, mu).states[-1]
-        u_red = rb.reconstruct_final(reduced_system, trajectory)
+        u_red = rb.reconstruct_final(trajectory)
         margin = min(margin, delta - system.m_norm(u_true - u_red))
     return margin

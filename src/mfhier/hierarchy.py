@@ -24,13 +24,12 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import (ConfigurationError, DomainError, NotReadyError,
-                     StaleGenerationError, StreamAborted)
+                     StreamAborted)
 
 #: Failures of a surrogate level that send the query on to the next level,
 #: recorded as an attempt with an infinite estimate.  Raised by the last
 #: level, they propagate; so does every other error.
-SURROGATE_FAILURES = (NotReadyError, StaleGenerationError,
-                      np.linalg.LinAlgError)
+SURROGATE_FAILURES = (NotReadyError, np.linalg.LinAlgError)
 
 
 class ParameterBox:

@@ -4,9 +4,11 @@ The cheapest stage regresses parameter -> reduced coefficient trajectory in
 the SAME reduced space as the reduced-basis stage, trains exclusively on
 reduced-basis solutions, and is certified by the shared residual estimator.
 It follows the basis of its reduced-basis level: the coefficients live in
-the reduced space, so when that level's basis generation moves, the next
-``absorb`` re-expresses the stored targets in the new basis
-(:func:`rebase`) before it takes anything else.  A Gaussian kernel with a
+the reduced space, so when that level's reduced system is no longer the
+one the targets are in, the next ``absorb`` re-expresses them in the new
+basis (:func:`rebase`) before it takes anything else.  A prediction carries
+the reduced system its targets are in, so the estimator and the lift read
+the basis from the prediction itself.  A Gaussian kernel with a
 constant lengthscale on box-scaled inputs keeps the regressor
 deterministic and cheap to update.
 
@@ -72,11 +74,10 @@ class KernelRegressor:
     are kept (m, capacity) C-order float32: the prediction matvec streams
     the same warm, cache-sized buffer, and the induced ~1e-7 relative noise
     is far below the regression error this surrogate can reach.
-    ``generation`` is the basis generation the targets are expressed in.
     """
 
     def __init__(self, box: ParameterBox, lengthscale: float = 0.12,
-                 ridge: float = 1e-8, n_min: int = 10, generation: int = 0):
+                 ridge: float = 1e-8, n_min: int = 10):
         if not (ridge > 0 and lengthscale > 0):
             raise ConfigurationError("ridge and lengthscale must be positive")
         if n_min < 1:
@@ -85,7 +86,6 @@ class KernelRegressor:
         self.lengthscale = float(lengthscale)
         self.ridge = float(ridge)
         self.n_min = n_min
-        self.generation = generation
         self._n = 0
         self._index: dict = {}
         self._raw = self._scaled = self._targets_t = None
@@ -255,19 +255,21 @@ def _power(half: np.ndarray) -> float:
     return math.sqrt(max(0.0, 1.0 - float(half @ half)))
 
 
-def predict_trajectory(regressor: KernelRegressor, mu, n_steps: int,
+def predict_trajectory(regressor: KernelRegressor,
+                       reduced_system: ReducedSystem, mu,
                        max_power: float = math.inf) -> ReducedTrajectory:
-    """Predict and unflatten coefficients a^0..a^K for one parameter."""
+    """Predict and unflatten coefficients a^0..a^K for one parameter, in
+    ``reduced_system``, the system the regressor's targets are in."""
     mu = np.asarray(mu, dtype=float)
-    coefficients = regressor.predict(mu, max_power).reshape(n_steps + 1, -1)
+    coefficients = regressor.predict(mu, max_power).reshape(
+        reduced_system.K + 1, -1)
     return ReducedTrajectory(coefficients=coefficients, mu=mu,
-                             generation=regressor.generation, producer="ml")
+                             reduced_system=reduced_system, producer="ml")
 
 
 def rebase(regressor: KernelRegressor, reduced_system: ReducedSystem) -> None:
-    """Re-express the stored targets in the generation of ``reduced_system``
-    by re-solving the (cheap) reduced model at every stored input."""
-    regressor.generation = reduced_system.generation
+    """Re-express the stored targets in the basis of ``reduced_system`` by
+    re-solving the (cheap) reduced model at every stored input."""
     regressor._set_targets(
         [solve_rb(reduced_system, mu).coefficients.ravel()
          for mu in regressor.raw_inputs])
@@ -288,35 +290,34 @@ class MLCoefficientLevel(ModelLevel):
     The cheapest stage of the parabolic hierarchy when it is in it: the
     harness adds it only with ``ml.enabled``.
 
-    Follows the basis of ``rb_level``: every ``absorb`` first rebases the
-    training targets if the basis has grown since the last one, then takes
-    reduced-basis solutions as training pairs (the regressor learns only
-    from the reduced model).  The error estimate is the residual bound of
-    ``rb_level``'s reduced system, the space the coefficients are predicted
-    and lifted in.
+    Follows the basis of ``rb_level``: ``reduced_system`` is the system the
+    training targets are in, and every ``absorb`` first rebases them if
+    ``rb_level`` has swapped in another since, then takes reduced-basis
+    solutions as training pairs (the regressor learns only from the reduced
+    model).  The error estimate is the residual bound of the prediction's
+    own reduced system, the space it is predicted and lifted in.
     """
 
     def __init__(self, box: ParameterBox, rb_level, n_min: int = 10,
                  lengthscale: float = 0.12, ridge: float = 1e-8):
         self.rb_level = rb_level
-        self.regressor = KernelRegressor(box, lengthscale, ridge, n_min,
-                                         generation=rb_level.generation)
+        self.reduced_system = rb_level.reduced_system
+        self.regressor = KernelRegressor(box, lengthscale, ridge, n_min)
 
     def evaluate(self, mu) -> ModelOutput:
-        trajectory = predict_trajectory(self.regressor, mu,
-                                        self.rb_level.reduced_system.K,
-                                        POWER_GATE)
+        trajectory = predict_trajectory(self.regressor, self.reduced_system,
+                                        mu, POWER_GATE)
         return ModelOutput(payload=self.rb_level.lift(trajectory),
                            adaptation=trajectory)
 
     def estimate_error(self, output, mu):
-        return error_estimate(self.rb_level.reduced_system, mu,
-                              output.adaptation)
+        return error_estimate(output.adaptation)
 
     def absorb(self, payload) -> bool:
-        rebased = self.regressor.generation != self.rb_level.generation
+        rebased = self.reduced_system is not self.rb_level.reduced_system
         if rebased:
-            rebase(self.regressor, self.rb_level.reduced_system)
+            self.reduced_system = self.rb_level.reduced_system
+            rebase(self.regressor, self.reduced_system)
         if isinstance(payload, ReducedTrajectory) and payload.producer == "rb":
             self.regressor.add(payload.mu, payload.coefficients)
             return True
@@ -324,4 +325,4 @@ class MLCoefficientLevel(ModelLevel):
 
     def is_ready(self) -> bool:
         return (self.regressor.ready
-                and self.regressor.generation == self.rb_level.generation)
+                and self.reduced_system is self.rb_level.reduced_system)

@@ -21,6 +21,10 @@ from .mlsurrogate import KernelRegressor
 
 OPT_RIDGE_DEFAULT = 1e-12  # interpolation sharpness the gradient check needs
 OPT_MIN_SEPARATION = 1e-5
+H_FD = 1e-5        # finite-difference step of fd_gradient
+GTOL = 1e-8        # descend stops at a gradient norm <= GTOL
+ARMIJO_C = 1e-4    # a step must decrease J by ARMIJO_C * step * |grad|^2
+MAX_HALVINGS = 30  # step halvings per line search
 
 
 def himmelblau(x) -> float:
@@ -34,7 +38,7 @@ class ObjectiveOracle:
     """Counted (and optionally delayed) access to the full objective."""
 
     def __init__(self, fn=himmelblau, delay_s: float = 0.002):
-        if delay_s < 0:
+        if not delay_s >= 0:  # also rejects NaN
             raise ConfigurationError("delay must be nonnegative")
         self.fn = fn
         self.delay_s = delay_s
@@ -71,8 +75,9 @@ class DescentResult:
     samples: list = field(default_factory=list)  # iterate (x, J(x)) pairs
 
 
-def fd_gradient(objective, x, box: ParameterBox, h_fd: float = 1e-5) -> np.ndarray:
-    """Finite-difference gradient, 2 objective calls per dimension.
+def fd_gradient(objective, x, box: ParameterBox) -> np.ndarray:
+    """Finite-difference gradient with step :data:`H_FD`, 2 objective calls
+    per dimension.
 
     Central differences in the interior; one-sided at a box face (still two
     calls per dimension so the charge is constant).
@@ -81,31 +86,30 @@ def fd_gradient(objective, x, box: ParameterBox, h_fd: float = 1e-5) -> np.ndarr
     grad = np.zeros_like(x)
     for i in range(len(x)):
         lo, hi = box.lows[i], box.highs[i]
-        if x[i] - h_fd >= lo and x[i] + h_fd <= hi:
+        if x[i] - H_FD >= lo and x[i] + H_FD <= hi:
             xp, xm = x.copy(), x.copy()
-            xp[i] += h_fd
-            xm[i] -= h_fd
-            grad[i] = (objective(xp) - objective(xm)) / (2.0 * h_fd)
-        elif x[i] + h_fd <= hi:
+            xp[i] += H_FD
+            xm[i] -= H_FD
+            grad[i] = (objective(xp) - objective(xm)) / (2.0 * H_FD)
+        elif x[i] + H_FD <= hi:
             xp = x.copy()
-            xp[i] += h_fd
-            grad[i] = (objective(xp) - objective(x)) / h_fd
+            xp[i] += H_FD
+            grad[i] = (objective(xp) - objective(x)) / H_FD
         else:
             xm = x.copy()
-            xm[i] -= h_fd
-            grad[i] = (objective(x) - objective(xm)) / h_fd
+            xm[i] -= H_FD
+            grad[i] = (objective(x) - objective(xm)) / H_FD
     return grad
 
 
-def descend(objective, x0, box: ParameterBox, max_iters: int = 500,
-            gtol: float = 1e-8, h_fd: float = 1e-5, armijo_c: float = 1e-4,
-            max_halvings: int = 30) -> DescentResult:
+def descend(objective, x0, box: ParameterBox,
+            max_iters: int = 500) -> DescentResult:
     """Projected gradient descent with backtracking line search.
 
     Gradients are central finite differences; steps are halved until the
-    Armijo condition holds (at most ``max_halvings`` times) and iterates are
-    clamped to the box.  Always returns the best iterate seen.  The iterate
-    (x, J(x)) pairs are recorded as reusable samples.
+    Armijo condition holds (at most :data:`MAX_HALVINGS` times) and
+    iterates are clamped to the box.  Always returns the best iterate seen.
+    The iterate (x, J(x)) pairs are recorded as reusable samples.
     """
     x = box.clip(np.asarray(x0, dtype=float))
     j = objective(x)
@@ -115,19 +119,19 @@ def descend(objective, x0, box: ParameterBox, max_iters: int = 500,
     converged = False
     grad_norm = np.inf
     for n_iters in range(max_iters + 1):
-        grad = fd_gradient(objective, x, box, h_fd)
+        grad = fd_gradient(objective, x, box)
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= gtol:
+        if grad_norm <= GTOL:
             converged = True
             break
         if n_iters == max_iters:
             break
         step = 1.0
         accepted = False
-        for _ in range(max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             trial = box.clip(x - step * grad)
             j_trial = objective(trial)
-            if j_trial <= j - armijo_c * step * grad_norm**2:
+            if j_trial <= j - ARMIJO_C * step * grad_norm**2:
                 accepted = True
                 break
             step *= 0.5

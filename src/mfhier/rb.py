@@ -19,9 +19,11 @@ negative nor lose its digits to cancellation.
 One immutable :class:`ReducedSystem` is one basis generation: it carries
 its basis V beside the projected operators and factors.  A basis extension
 that adds modes builds the next generation's system; the level swaps it
-in whole.  The learned stage also shares the lift to full space
-(:meth:`ReducedBasisLevel.lift`); it holds its reduced-basis level and
-rebases when it sees the generation move, so no notification is sent.
+in whole.  A :class:`ReducedTrajectory` carries the system its coefficients
+were computed in, so it is certified and lifted in its own basis and
+cannot be paired with another.  The learned stage holds its reduced-basis
+level and rebases when that level's system is no longer the one its
+targets are in, so no notification is sent.
 """
 
 from __future__ import annotations
@@ -31,23 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, StaleGenerationError
+from .errors import DomainError
 from .fom import AffineSystem, ParabolicResult, Trajectory
 from .hierarchy import ModelLevel, ModelOutput
-
-
-@dataclass
-class ReducedTrajectory:
-    """Coefficient vectors a^0..a^K in the basis of one generation.
-
-    The shared currency between the reduced-basis and the learned stage;
-    ``generation`` ties it to the reduced system it may be interpreted in.
-    """
-
-    coefficients: np.ndarray  # (K+1, N)
-    mu: np.ndarray
-    generation: int
-    producer: str  # "rb" | "ml"
 
 
 @dataclass(frozen=True)
@@ -79,6 +67,20 @@ class ReducedSystem:
     @property
     def N(self) -> int:
         return self.V.shape[1]
+
+
+@dataclass
+class ReducedTrajectory:
+    """Coefficient vectors a^0..a^K in the basis of ``reduced_system``.
+
+    The shared currency between the reduced-basis and the learned stage;
+    it is estimated and lifted in the system it carries.
+    """
+
+    coefficients: np.ndarray  # (K+1, N)
+    mu: np.ndarray
+    reduced_system: ReducedSystem
+    producer: str  # "rb" | "ml"
 
 
 def build_reduced_system(system: AffineSystem, V: np.ndarray,
@@ -227,56 +229,44 @@ def solve_rb(reduced_system: ReducedSystem, mu) -> ReducedTrajectory:
             np.dot(previous, P, out=row)
     # an owned array: a view would keep the (K+1, N+1) work array alive
     return ReducedTrajectory(coefficients=rows[:, :N].copy(), mu=mu,
-                             generation=rs.generation, producer="rb")
+                             reduced_system=rs, producer="rb")
 
 
-def _check_generation(reduced_system: ReducedSystem,
-                      trajectory: ReducedTrajectory) -> None:
-    if trajectory.generation != reduced_system.generation:
-        raise StaleGenerationError(
-            f"coefficients of generation {trajectory.generation} cannot be "
-            f"used with reduced system of generation {reduced_system.generation}")
-
-
-def _residuals(reduced_system: ReducedSystem, mu,
-               coefficients: np.ndarray) -> np.ndarray:
+def _residuals(trajectory: ReducedTrajectory) -> np.ndarray:
     """Row k-1 is R theta^k, whose 2-norm is ||r^k||_{X'}, k = 1..K.
 
     r^k = F - (1/dt) M V (a^k - a^{k-1}) - sum_q mu_q A_q V a^k; mu is
     folded into the A-columns of R before the time loop.
     """
-    rs = reduced_system
+    rs = trajectory.reduced_system
+    a = trajectory.coefficients
     R = rs.residual_factor
     N = rs.N
-    R_mu = np.asarray(mu, dtype=float) @ R[:, 1 + N:].reshape(len(R), rs.Q, N)
-    d = (coefficients[1:] - coefficients[:-1]) / rs.dt
-    return R[:, 0] - d @ R[:, 1:1 + N].T - coefficients[1:] @ R_mu.T
+    mu = np.asarray(trajectory.mu, dtype=float)
+    R_mu = mu @ R[:, 1 + N:].reshape(len(R), rs.Q, N)
+    d = (a[1:] - a[:-1]) / rs.dt
+    return R[:, 0] - d @ R[:, 1:1 + N].T - a[1:] @ R_mu.T
 
 
-def residual_dual_norms(reduced_system: ReducedSystem, mu,
-                        trajectory: ReducedTrajectory) -> np.ndarray:
-    _check_generation(reduced_system, trajectory)
-    residuals = _residuals(reduced_system, mu, trajectory.coefficients)
+def residual_dual_norms(trajectory: ReducedTrajectory) -> np.ndarray:
+    residuals = _residuals(trajectory)
     return np.sqrt(np.einsum("ij,ij->i", residuals, residuals))
 
 
-def error_estimate(reduced_system: ReducedSystem, mu,
-                   trajectory: ReducedTrajectory) -> float:
-    """Rigorous bound on ||u^K_h(mu) - V a^K||_M for any coefficients."""
-    rs = reduced_system
-    _check_generation(rs, trajectory)
+def error_estimate(trajectory: ReducedTrajectory) -> float:
+    """Rigorous bound on ||u^K_h(mu) - V a^K||_M for any coefficients,
+    in the basis V of the trajectory's own reduced system."""
+    rs = trajectory.reduced_system
     a = trajectory.coefficients
     e0 = rs.initial_error_factor @ np.concatenate([[1.0], -a[0]])
-    residuals = _residuals(rs, mu, a)
-    alpha = coercivity_lower_bound(mu)
+    residuals = _residuals(trajectory)
+    alpha = coercivity_lower_bound(trajectory.mu)
     return float(np.sqrt(e0 @ e0 + rs.dt / alpha
                          * np.einsum("ij,ij->", residuals, residuals)))
 
 
-def reconstruct_final(reduced_system: ReducedSystem,
-                      trajectory: ReducedTrajectory) -> np.ndarray:
-    _check_generation(reduced_system, trajectory)
-    return reduced_system.V @ trajectory.coefficients[-1]
+def reconstruct_final(trajectory: ReducedTrajectory) -> np.ndarray:
+    return trajectory.reduced_system.V @ trajectory.coefficients[-1]
 
 
 def dump_basis(reduced_system: ReducedSystem, pod_tol: float, path) -> None:
@@ -303,15 +293,10 @@ class ReducedBasisLevel(ModelLevel):
         self.reduced_system = build_reduced_system(
             system, np.zeros((system.n_h, 0)), generation=0)
 
-    @property
-    def generation(self) -> int:
-        return self.reduced_system.generation
-
     def lift(self, trajectory: ReducedTrajectory) -> ParabolicResult:
-        """The answer for coefficients of the current generation: the
-        final state in full space and its QoI.  Raises
-        :class:`StaleGenerationError` for another generation."""
-        u_final = reconstruct_final(self.reduced_system, trajectory)
+        """The answer for reduced coefficients: the final state in full
+        space, in the trajectory's own basis, and its QoI."""
+        u_final = reconstruct_final(trajectory)
         return ParabolicResult(
             qoi=float(self.system.qoi_vector @ u_final),
             producer=trajectory.producer, u_final=u_final)
@@ -322,7 +307,7 @@ class ReducedBasisLevel(ModelLevel):
                            adaptation=trajectory)
 
     def estimate_error(self, output, mu):
-        return error_estimate(self.reduced_system, mu, output.adaptation)
+        return error_estimate(output.adaptation)
 
     def absorb(self, payload) -> bool:
         if not isinstance(payload, Trajectory):

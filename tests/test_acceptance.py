@@ -96,10 +96,11 @@ def test_criterion_2_estimator_rigor_isolated(default_system):
         else:
             coeffs = random_coefficients(rng, system.K + 1, reduced.N, 0.5)
             trajectory = ReducedTrajectory(coefficients=coeffs, mu=mu,
-                                           generation=1, producer="ml")
-        delta = error_estimate(reduced, mu, trajectory)
+                                           reduced_system=reduced,
+                                           producer="ml")
+        delta = error_estimate(trajectory)
         true_error = system.m_norm(solve_fom(system, mu).states[-1]
-                                   - reconstruct_final(reduced, trajectory))
+                                   - reconstruct_final(trajectory))
         min_margin = min(min_margin, delta - true_error)
 
     worst_rel = 0.0
@@ -108,8 +109,8 @@ def test_criterion_2_estimator_rigor_isolated(default_system):
         mu = box.sample(rng)
         coeffs = random_coefficients(rng, system.K + 1, reduced.N)
         trajectory = ReducedTrajectory(coefficients=coeffs, mu=mu,
-                                       generation=1, producer="rb")
-        online = residual_dual_norms(reduced, mu, trajectory)
+                                       reduced_system=reduced, producer="rb")
+        online = residual_dual_norms(trajectory)
         U = coeffs @ reduced.V.T
         direct = np.empty(system.K)
         for k in range(1, system.K + 1):

@@ -90,6 +90,20 @@ def test_config_from_json_roundtrip(tmp_path):
     {"output": {"dumps": {"training": "t.csv"}}},
     {"scenario": "optdemo", "ml": {"enabled": False},
      "output": {"dumps": {"training": "t.csv"}}},
+    {"tolerance": "x"},
+    {"tolerance": True},
+    {"fom": {"T": "x"}},
+    {"fom": {"T": None}},
+    {"rb": {"pod_tol": "x"}},
+    {"rb": {"pod_tol": False}},
+    {"scenario": "optdemo", "opt": {"delay_s": "x"}},
+    {"scenario": "optdemo", "opt": {"TOL_grad": "x"}},
+    {"ml": {"ridge": True}},
+    {"ml": {"lengthscale": float("nan")}},
+    {"fom": {"T": float("nan")}},
+    {"rb": {"pod_tol": float("nan")}},
+    {"rb": {"pod_tol": -1.0}},
+    {"scenario": "optdemo", "opt": {"delay_s": float("nan")}},
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ConfigurationError):
@@ -188,7 +202,7 @@ def test_adaptation_events_follow_the_basis(tmp_path):
     events = [row.events for row in result.rows]
     rebases = [row for row in events if (3, 1) in row]
     assert sum(row.count((3, 1)) for row in events) == len(rebases) > 0
-    assert len(rebases) == result.scenario.rb_level.generation
+    assert len(rebases) == result.scenario.rb_level.reduced_system.generation
     assert all((3, 2) in row for row in rebases)
     assert (sum(row.count((2, 1)) for row in events)
             == result.scenario.ml_level.regressor.n_train)
@@ -272,11 +286,13 @@ def flip_online_load_column(monkeypatch):
     residual norms see, a fault the offline/online check must catch."""
     online = rb.residual_dual_norms
 
-    def flipped(reduced_system, mu, trajectory):
+    def flipped(trajectory):
+        reduced_system = trajectory.reduced_system
         factor = reduced_system.residual_factor.copy()
         factor[:, 0] = -factor[:, 0]
-        return online(dataclasses.replace(reduced_system, residual_factor=factor),
-                      mu, trajectory)
+        return online(dataclasses.replace(
+            trajectory, reduced_system=dataclasses.replace(
+                reduced_system, residual_factor=factor)))
 
     monkeypatch.setattr(rb, "residual_dual_norms", flipped)
 
@@ -375,6 +391,19 @@ def test_report_rejects_bad_stage_and_estimate(tmp_path):
     path.write_text(harness.csv_header(2, 3) + "\n" + row + "\n")
     with pytest.raises(ConfigurationError, match="row 1: bad adaptation event"):
         harness.report(path)
+    # non-finite mu, qoi or duration cells, negative durations and counts
+    for row, message in (
+            ("0,nan,2.0,3,ref,0.25,1e-3,0.0,0.0,5,12,", "non-finite"),
+            ("0,1.0,inf,3,ref,0.25,1e-3,0.0,0.0,5,12,", "non-finite"),
+            ("0,1.0,2.0,3,ref,nan,1e-3,0.0,0.0,5,12,", "non-finite"),
+            ("0,1.0,2.0,3,ref,0.25,nan,0.0,0.0,5,12,", "non-finite"),
+            ("0,1.0,2.0,3,ref,0.25,1e-3,0.0,inf,5,12,", "non-finite"),
+            ("0,1.0,2.0,3,ref,0.25,1e-3,-5,0.0,5,12,", "negative"),
+            ("0,1.0,2.0,3,ref,0.25,1e-3,0.0,0.0,-1,12,", "negative"),
+            ("0,1.0,2.0,3,ref,0.25,1e-3,0.0,0.0,5,-12,", "negative")):
+        path.write_text(harness.csv_header(2, 3) + "\n" + row + "\n")
+        with pytest.raises(ConfigurationError, match=f"row 1: {message}"):
+            harness.report(path)
     # the stage count comes from the header: stage 3 of a 2-stage file
     good = "0,1.0,2.0,2,ref,0.25,1e-3,0.0,5,12,"
     row = "1,1.0,2.0,3,ref,0.25,1e-3,0.0,5,12,"
@@ -540,6 +569,10 @@ def test_cli_exit_codes(tmp_path):
     not_bool = tmp_path / "not_bool.json"
     not_bool.write_text('{"ml": {"enabled": "yes"}}')
     assert cli_main(["run", "--config", str(not_bool)]) == 2
+    # a non-number in a float field is a configuration error, not a crash
+    not_number = tmp_path / "not_number.json"
+    not_number.write_text('{"fom": {"T": "x"}}')
+    assert cli_main(["run", "--config", str(not_number)]) == 2
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("query_id,nope\n")
     assert cli_main(["report", str(bad_csv)]) == 2

@@ -5,7 +5,7 @@ import pytest
 
 from mfhier import (ConfigurationError, DomainError, ModelHierarchy,
                     ModelLevel, ModelOutput, NotReadyError, ParameterBox,
-                    StaleGenerationError, StreamAborted, harness)
+                    StreamAborted, harness)
 
 
 class StubLevel(ModelLevel):
@@ -76,7 +76,7 @@ class FailingLevel(StubLevel):
         return super().estimate_error(output, mu)
 
 
-SURROGATE_ERRORS = [NotReadyError("declined"), StaleGenerationError("stale"),
+SURROGATE_ERRORS = [NotReadyError("declined"),
                     np.linalg.LinAlgError("singular")]
 
 

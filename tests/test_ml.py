@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from mfhier import (ConfigurationError, KernelRegressor, NotReadyError,
-                    ParameterBox, SplitMix64, StaleGenerationError,
-                    error_estimate, harness, predict_trajectory, rebase,
-                    solve_fom, solve_rb)
+                    ParameterBox, SplitMix64, error_estimate, harness,
+                    predict_trajectory, rebase, solve_fom, solve_rb)
 from mfhier import mlsurrogate
 from mfhier.mlsurrogate import MLCoefficientLevel
 from mfhier.rb import ReducedBasisLevel, ReducedTrajectory
@@ -22,7 +21,7 @@ def rb_level(small_system, diffusivity_box):
 
 
 def regressor_from_rb(rb_level, box, mus, **kw):
-    regressor = KernelRegressor(box, generation=rb_level.generation, **kw)
+    regressor = KernelRegressor(box, **kw)
     for mu in mus:
         regressor.add(mu, solve_rb(rb_level.reduced_system, mu).coefficients)
     return regressor
@@ -31,8 +30,7 @@ def regressor_from_rb(rb_level, box, mus, **kw):
 def fresh_copy(regressor):
     """A new regressor holding the same pairs, factored from scratch."""
     fresh = KernelRegressor(regressor.box, regressor.lengthscale,
-                            regressor.ridge, regressor.n_min,
-                            generation=regressor.generation)
+                            regressor.ridge, regressor.n_min)
     for mu, y in zip(regressor.raw_inputs, regressor.targets):
         fresh.add(mu, y)
     return fresh
@@ -176,8 +174,11 @@ def test_prediction_feeds_estimator(rb_level, diffusivity_box, small_system):
     regressor = regressor_from_rb(rb_level, diffusivity_box, seeded_mus(12),
                                   lengthscale=0.3)
     mu = np.array([2.5, 2.5])
-    trajectory = predict_trajectory(regressor, mu, small_system.K)
-    delta = error_estimate(rb_level.reduced_system, mu, trajectory)
+    trajectory = predict_trajectory(regressor, rb_level.reduced_system, mu)
+    assert trajectory.reduced_system is rb_level.reduced_system
+    assert trajectory.coefficients.shape == (small_system.K + 1,
+                                             rb_level.reduced_system.N)
+    delta = error_estimate(trajectory)
     assert np.isfinite(delta) and delta >= 0.0
 
 
@@ -245,10 +246,10 @@ def test_power_gate_keeps_every_answer(tmp_path, monkeypatch, Q, n_queries):
 
 
 def test_rebase_empty_set_stays_empty(rb_level, diffusivity_box):
-    regressor = KernelRegressor(diffusivity_box, generation=0)
+    regressor = KernelRegressor(diffusivity_box)
     rebase(regressor, rb_level.reduced_system)
     assert regressor.n_train == 0
-    assert regressor.generation == rb_level.generation
+    assert regressor.targets.shape == (0, 0)
 
 
 def test_rebase_restores_interpolation(small_system, diffusivity_box):
@@ -257,7 +258,7 @@ def test_rebase_restores_interpolation(small_system, diffusivity_box):
     mus = seeded_mus(12)
     regressor = regressor_from_rb(rb, diffusivity_box, mus, lengthscale=0.3,
                                   ridge=1e-8)
-    # basis grows: stored targets now have the wrong width and generation
+    # basis grows: stored targets are now in the previous basis
     rb.absorb(solve_fom(small_system, [8.0, 0.2]))
     rebase(regressor, rb.reduced_system)
     fresh = solve_rb(rb.reduced_system, mus[3]).coefficients.ravel()
@@ -326,10 +327,11 @@ def test_ml_level_rebases_on_basis_change(small_system, diffusivity_box):
     # the full-order trajectory is offered to the basis first, then here
     trajectory = solve_fom(small_system, [9.0, 0.15])
     assert rb.absorb(trajectory) is True
-    assert rb.generation == 2
+    assert rb.reduced_system.generation == 2
+    assert ml.reduced_system is not rb.reduced_system
     assert not ml.is_ready()  # regressor is stale now
     assert ml.absorb(trajectory) is True  # the rebase counts as taking it
-    assert ml.is_ready() and ml.regressor.generation == 2
+    assert ml.is_ready() and ml.reduced_system is rb.reduced_system
     assert ml.regressor.targets.shape[1] > old_width
     assert ml.regressor.n_train == 12  # inputs never shrink
 
@@ -347,19 +349,12 @@ def test_ml_level_rebases_only_when_stale(small_system, diffusivity_box,
     assert ml.regressor.n_train == 4
 
 
-def test_ml_level_stale_generation_guard(small_system, diffusivity_box):
-    rb, ml = make_ml(small_system, diffusivity_box, n_absorb=12)
-    rb.absorb(solve_fom(small_system, [9.0, 0.15]))  # bump, no rebase
-    with pytest.raises(StaleGenerationError):
-        ml.evaluate(np.array([1.0, 1.0]))
-
-
 def test_ml_estimate_uses_its_own_reduced_system(small_system, diffusivity_box):
     rb, ml = make_ml(small_system, diffusivity_box, n_absorb=10)
     mu = np.array([2.0, 2.0])
     output = ml.evaluate(mu)
-    assert ml.estimate_error(output, mu) == error_estimate(
-        ml.rb_level.reduced_system, mu, output.adaptation)
+    assert output.adaptation.reduced_system is ml.reduced_system
+    assert ml.estimate_error(output, mu) == error_estimate(output.adaptation)
 
 
 def test_ml_training_set_monotone(small_system, diffusivity_box):

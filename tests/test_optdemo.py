@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mfhier import (ModelHierarchy, ObjectiveOracle, ParameterBox,
-                    descend, fd_gradient, himmelblau)
+from mfhier import (ConfigurationError, ModelHierarchy, ObjectiveOracle,
+                    ParameterBox, descend, fd_gradient, himmelblau)
 from mfhier.optdemo import (DescentSamples, FullObjectiveLevel,
                             SurrogateObjectiveLevel)
 
@@ -102,6 +102,12 @@ def test_oracle_counts_every_call():
     oracle([1.0, 1.0])
     oracle([2.0, 2.0])
     assert oracle.eval_counter == 2
+
+
+@pytest.mark.parametrize("delay_s", [-0.001, float("nan")])
+def test_oracle_rejects_invalid_delay(delay_s):
+    with pytest.raises(ConfigurationError):
+        ObjectiveOracle(delay_s=delay_s)
 
 
 # ---------------------------------------------------------------- levels

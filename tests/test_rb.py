@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from mfhier import (DomainError, ParameterBox, SplitMix64,
-                    StaleGenerationError, assemble, build_reduced_system,
-                    coercivity_lower_bound, error_estimate, extend_basis,
-                    harness, reconstruct_final, residual_dual_norms,
-                    solve_fom, solve_rb)
+from mfhier import (DomainError, ParameterBox, SplitMix64, assemble,
+                    build_reduced_system, coercivity_lower_bound,
+                    error_estimate, extend_basis, harness, reconstruct_final,
+                    residual_dual_norms, solve_fom, solve_rb)
 from mfhier.rb import ReducedBasisLevel, ReducedTrajectory, _x_orthonormalize
 
 from conftest import random_coefficients
@@ -252,15 +251,15 @@ def test_residual_norms_zero_for_reproduced_trajectory():
     reduced = build_reduced_system(system, V, 1)
     coeffs = (V.T @ (system.X @ full.states.T)).T
     trajectory = ReducedTrajectory(coefficients=coeffs, mu=np.asarray(mu),
-                                   generation=1, producer="rb")
-    norms = residual_dual_norms(reduced, mu, trajectory)
+                                   reduced_system=reduced, producer="rb")
+    norms = residual_dual_norms(trajectory)
     assert np.max(norms) <= 1e-8
 
 
 def test_residual_norms_empty_basis_equal_load_norm(small_system):
     reduced = empty_reduced_system(small_system)
     trajectory = solve_rb(reduced, [1.0, 1.0])
-    norms = residual_dual_norms(reduced, [1.0, 1.0], trajectory)
+    norms = residual_dual_norms(trajectory)
     rho = small_system.x_solve(small_system.F)
     expected = math.sqrt(float(small_system.F @ rho))
     np.testing.assert_allclose(norms, expected, rtol=1e-12)
@@ -275,8 +274,8 @@ def test_online_residuals_match_full_space_oracle(small_system):
         mu = box.sample(rng)
         coeffs = random_coefficients(rng, small_system.K + 1, reduced.N)
         trajectory = ReducedTrajectory(coefficients=coeffs, mu=mu,
-                                       generation=1, producer="rb")
-        online = residual_dual_norms(reduced, mu, trajectory)
+                                       reduced_system=reduced, producer="rb")
+        online = residual_dual_norms(trajectory)
         direct = direct_residual_norms(small_system, reduced.V, mu, coeffs)
         worst = max(worst, float(np.max(np.abs(online - direct)))
                     / max(float(np.max(direct)), 1e-30))
@@ -289,7 +288,7 @@ def test_online_residuals_match_full_space_oracle(small_system):
 def test_estimate_tiny_for_reproduced_trajectory(small_system):
     mu = [1.2, 0.4]
     reduced = grow_basis(small_system, [mu], pod_tol=1e-15, n_add_max=40)
-    delta = error_estimate(reduced, mu, solve_rb(reduced, mu))
+    delta = error_estimate(solve_rb(reduced, mu))
     assert delta <= 1e-7
 
 
@@ -297,7 +296,7 @@ def test_estimate_empty_basis_closed_form(default_system):
     # N = 0, u0 = 0, f = 1: Delta^2 = (T / alpha) F^T X^{-1} F
     reduced = empty_reduced_system(default_system)
     trajectory = solve_rb(reduced, [1.0, 1.0])
-    delta = error_estimate(reduced, [1.0, 1.0], trajectory)
+    delta = error_estimate(trajectory)
     F = default_system.F
     closed = math.sqrt(default_system.T * float(F @ default_system.x_solve(F)))
     assert delta == pytest.approx(closed, rel=1e-12)
@@ -317,10 +316,11 @@ def test_estimator_rigor_random_sample(small_system):
         else:
             coeffs = random_coefficients(rng, small_system.K + 1, reduced.N, 0.5)
             trajectory = ReducedTrajectory(coefficients=coeffs, mu=mu,
-                                           generation=1, producer="ml")
-        delta = error_estimate(reduced, mu, trajectory)
+                                           reduced_system=reduced,
+                                           producer="ml")
+        delta = error_estimate(trajectory)
         true = small_system.m_norm(solve_fom(small_system, mu).states[-1]
-                                   - reconstruct_final(reduced, trajectory))
+                                   - reconstruct_final(trajectory))
         assert delta >= true - 1e-10
         effectivities.append(delta / max(true, 1e-14))
     # effectivity is finite; report the spread, assert only rigor above
@@ -336,23 +336,34 @@ def test_estimate_identical_for_both_producers(small_system):
     coeffs = random_coefficients(rng, small_system.K + 1, reduced.N)
     mu = [3.0, 0.2]
     as_rb = ReducedTrajectory(coefficients=coeffs, mu=np.asarray(mu),
-                              generation=reduced.generation, producer="rb")
+                              reduced_system=reduced, producer="rb")
     as_ml = ReducedTrajectory(coefficients=coeffs.copy(), mu=np.asarray(mu),
-                              generation=reduced.generation, producer="ml")
-    assert error_estimate(reduced, mu, as_rb) == error_estimate(reduced, mu, as_ml)
+                              reduced_system=reduced, producer="ml")
+    assert error_estimate(as_rb) == error_estimate(as_ml)
 
 
-def test_stale_generation_rejected(small_system):
-    reduced = grow_basis(small_system, [[1.0, 1.0]])
-    trajectory = solve_rb(reduced, [1.0, 1.0])
-    stale = ReducedTrajectory(coefficients=trajectory.coefficients,
-                              mu=trajectory.mu, generation=99, producer="rb")
-    with pytest.raises(StaleGenerationError):
-        error_estimate(reduced, [1.0, 1.0], stale)
-    with pytest.raises(StaleGenerationError):
-        residual_dual_norms(reduced, [1.0, 1.0], stale)
-    with pytest.raises(StaleGenerationError):
-        reconstruct_final(reduced, stale)
+def test_trajectory_keeps_its_certificate_after_basis_growth(small_system):
+    # a trajectory carries the reduced system it was solved in: when the
+    # level swaps in a grown basis, its estimate and its lift stay the same
+    # and the estimate still bounds the true error
+    level = ReducedBasisLevel(small_system)
+    level.absorb(solve_fom(small_system, [1.0, 1.0]))
+    mu = np.array([6.0, 0.3])
+    output = level.evaluate(mu)
+    trajectory = output.adaptation
+    delta = level.estimate_error(output, mu)
+    solved_in = level.reduced_system
+    assert level.absorb(solve_fom(small_system, [0.2, 8.0])) is True
+    assert level.reduced_system.N > solved_in.N
+    assert trajectory.reduced_system is solved_in
+    assert error_estimate(trajectory) == delta
+    assert level.estimate_error(output, mu) == delta
+    u_final = reconstruct_final(trajectory)
+    assert np.array_equal(u_final, output.payload.u_final)
+    assert np.array_equal(level.lift(trajectory).u_final, u_final)
+    true_error = small_system.m_norm(solve_fom(small_system, mu).states[-1]
+                                     - u_final)
+    assert 0.0 < true_error <= delta
 
 
 #: Both parabolic hierarchies: RB+FOM (the default) and ML+RB+FOM.
@@ -416,7 +427,7 @@ def test_rb_level_not_ready_until_first_trajectory(small_system):
     level = ReducedBasisLevel(small_system)
     assert not level.is_ready()
     assert level.absorb(solve_fom(small_system, [1.0, 1.0])) is True
-    assert level.is_ready() and level.generation == 1
+    assert level.is_ready() and level.reduced_system.generation == 1
 
 
 def test_rb_level_requery_accepts(small_system):
@@ -451,4 +462,4 @@ def test_rb_level_zero_mode_absorb_keeps_generation(small_system):
     assert level.absorb(trajectory) is True
     # same data: taken, but no mode is added
     assert level.absorb(trajectory) is True
-    assert level.generation == 1
+    assert level.reduced_system.generation == 1
