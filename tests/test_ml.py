@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from mfhier import (ConfigurationError, KernelRegressor, NotReadyError,
-                    ParameterBox, SplitMix64, error_estimate, harness,
-                    predict_trajectory, rebase, solve_fom, solve_rb)
+from mfhier import (ConfigurationError, FullOrderLevel, KernelRegressor,
+                    ModelHierarchy, NotReadyError, ParameterBox, SplitMix64,
+                    error_estimate, harness, predict_trajectory, rebase,
+                    solve_fom, solve_rb)
 from mfhier import mlsurrogate
 from mfhier.mlsurrogate import MLCoefficientLevel
 from mfhier.rb import ReducedBasisLevel, ReducedTrajectory
@@ -347,6 +348,27 @@ def test_ml_level_rebases_only_when_stale(small_system, diffusivity_box,
     assert ml.absorb(solve_rb(rb.reduced_system, [2.0, 3.0])) is True
     assert ml.absorb(solve_fom(small_system, [2.0, 3.0])) is False
     assert ml.regressor.n_train == 4
+
+
+def test_ml_level_stale_generation_guard(small_system, diffusivity_box):
+    # a basis bump without a rebase leaves the learned stage behind: the
+    # hierarchy skips it, and a prediction made anyway stays in the older
+    # system its targets are in
+    rb, ml = make_ml(small_system, diffusivity_box, n_absorb=12)
+    behind = ml.reduced_system
+    # the basis grows; the learned stage is not offered the trajectory
+    assert rb.absorb(solve_fom(small_system, [9.0, 0.15])) is True
+    assert not ml.is_ready()
+    hierarchy = ModelHierarchy([ml, rb, FullOrderLevel(small_system)],
+                               tolerance=1.0, box=diffusivity_box,
+                               adaptation_enabled=False)
+    answer, _ = hierarchy.handle_request([1.0, 1.0])
+    assert answer.stage == 2
+    assert [attempt.stage for attempt in answer.attempts] == [2]
+    output = ml.evaluate(np.array([1.0, 1.0]))
+    assert output.adaptation.reduced_system is behind
+    assert (output.adaptation.coefficients.shape[1] == behind.N
+            < rb.reduced_system.N)
 
 
 def test_ml_estimate_uses_its_own_reduced_system(small_system, diffusivity_box):

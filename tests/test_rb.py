@@ -366,6 +366,27 @@ def test_trajectory_keeps_its_certificate_after_basis_growth(small_system):
     assert 0.0 < true_error <= delta
 
 
+def test_stale_generation_rejected(small_system):
+    # the coefficients' width is the size of the basis they were solved
+    # in: paired with a later, grown generation they are not certified,
+    # normed or lifted
+    older = grow_basis(small_system, [[1.0, 1.0]])
+    newer = extend_basis(older, small_system,
+                         solve_fom(small_system, [0.2, 8.0]),
+                         1e-13, 12, 60)
+    assert newer.generation > older.generation and newer.N > older.N
+    trajectory = solve_rb(older, [1.0, 1.0])
+    stale = ReducedTrajectory(coefficients=trajectory.coefficients,
+                              mu=trajectory.mu, reduced_system=newer,
+                              producer="rb")
+    with pytest.raises(ValueError):
+        error_estimate(stale)
+    with pytest.raises(ValueError):
+        residual_dual_norms(stale)
+    with pytest.raises(ValueError):
+        reconstruct_final(stale)
+
+
 #: Both parabolic hierarchies: RB+FOM (the default) and ML+RB+FOM.
 HIERARCHIES = pytest.mark.parametrize("ml", [False, True],
                                       ids=["rb-fom", "ml-rb-fom"])
