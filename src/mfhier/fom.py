@@ -21,15 +21,29 @@ from .errors import ConfigurationError, DomainError
 from .hierarchy import ModelOutput
 
 
-def _tridiag(diag, off):
-    return scipy.sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
+def _tridiag(diag: np.ndarray, off: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Symmetric tridiagonal CSR matrix with main diagonal ``diag`` and both
+    off-diagonals ``off``.  Zeros are not stored, so the arrays are those of
+    ``scipy.sparse.diags([off, diag, off], [-1, 0, 1]).tocsr()``."""
+    n = diag.size
+    values = np.zeros((n, 3))  # row i holds columns i-1, i, i+1
+    values[1:, 0] = off
+    values[:, 1] = diag
+    values[:-1, 2] = off
+    stored = values != 0
+    columns = np.arange(n, dtype=np.int32)[:, None] + np.array([-1, 0, 1], dtype=np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(stored.sum(axis=1), out=indptr[1:])
+    return scipy.sparse.csr_matrix((values[stored], columns[stored], indptr),
+                                   shape=(n, n))
 
 
-def _band_cholesky(S) -> np.ndarray:
-    """Upper banded Cholesky factor U of a tridiagonal S = U^T U."""
-    band = np.zeros((2, S.shape[0]))
-    band[0, 1:] = S.diagonal(1)
-    band[1] = S.diagonal()
+def _band_cholesky(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Upper banded Cholesky factor U of the tridiagonal S = U^T U with
+    main diagonal ``diag`` and off-diagonal ``off``."""
+    band = np.zeros((2, diag.size))
+    band[0, 1:] = off
+    band[1] = diag
     return scipy.linalg.cholesky_banded(band, check_finite=False)
 
 
@@ -136,10 +150,18 @@ def assemble(n_h: int, K: int, T: float, Q: int,
              source="one", u0="zero") -> AffineSystem:
     """Assemble mass, per-subdomain stiffness and load on a uniform mesh.
 
-    Subdomain q covers [(q-1)/Q, q/Q); elements straddling a subdomain
+    Subdomain q covers [q/Q, (q+1)/Q); elements straddling a subdomain
     boundary split their stiffness and load contributions exactly by
     sub-element integration (the P1 gradient is constant per element, so
     the split is just proportional to the overlap length).
+
+    The element integrals are (Q, n_h + 1) arrays, element e spanning
+    [e*h, (e+1)*h] with interior dofs e-1 and e.  The stiffness weight
+    w = overlap / h**2 gives A_q the diagonal w[:, :-1] + w[:, 1:] and the
+    off-diagonal -w[:, 1:-1].  X's bands are the A_q bands summed in q
+    order, and F takes every right-end hat integral (q ascending) before
+    every left-end one, as a loop over elements and subdomains adds them,
+    so the matrices and F keep their bits.
     """
     if n_h < Q or Q < 1 or K < 1 or not T > 0:  # also rejects NaN
         raise ConfigurationError("need n_h >= Q >= 1, K >= 1, T > 0")
@@ -148,49 +170,42 @@ def assemble(n_h: int, K: int, T: float, Q: int,
 
     diag_m = np.full(n_h, 2.0 * h / 3.0)
     off_m = np.full(n_h - 1, h / 6.0)
-    M = _tridiag(diag_m, off_m)
 
-    source_vals = _source_values(source, Q)
-    A_diag = np.zeros((Q, n_h))
-    A_off = np.zeros((Q, n_h - 1))
-    F = np.zeros(n_h)
-    for e in range(n_h + 1):  # element e spans [e*h, (e+1)*h]
-        x_left, x_right = e * h, (e + 1) * h
-        left_dof, right_dof = e - 1, e  # 0-based interior dofs; -1 / n_h are boundary
-        for q in range(Q):
-            a = max(x_left, q / Q)
-            b = min(x_right, (q + 1) / Q)
-            overlap = b - a
-            if overlap <= 0:
-                continue
-            w = overlap / h**2  # integral of kappa * phi' * phi' over the overlap
-            if left_dof >= 0:
-                A_diag[q, left_dof] += w
-            if right_dof < n_h:
-                A_diag[q, right_dof] += w
-            if left_dof >= 0 and right_dof < n_h:
-                A_off[q, left_dof] -= w
-            # load: exact integral of the hat functions over [a, b]
-            int_right = ((b - x_left) ** 2 - (a - x_left) ** 2) / (2.0 * h)
-            int_left = overlap - int_right
-            if left_dof >= 0:
-                F[left_dof] += source_vals[q] * int_left
-            if right_dof < n_h:
-                F[right_dof] += source_vals[q] * int_right
+    e = np.arange(n_h + 1)
+    x_left = e * h
+    q = np.arange(Q)[:, None]
+    a = np.maximum(x_left, q / Q)
+    b = np.minimum((e + 1) * h, (q + 1) / Q)
+    overlap = b - a
+    inside = overlap > 0
+    w = np.where(inside, overlap / h**2, 0.0)  # integral of kappa * phi' * phi'
+    # load: exact integrals of the hat functions over [a, b]; float_power is
+    # libm's pow, as Python's ``**`` on floats, where ``**`` on arrays squares
+    int_right = (np.float_power(b - x_left, 2)
+                 - np.float_power(a - x_left, 2)) / (2.0 * h)
+    int_left = overlap - int_right
+    source_vals = _source_values(source, Q)[:, None]
+    load_right = np.where(inside, source_vals * int_right, 0.0)
+    load_left = np.where(inside, source_vals * int_left, 0.0)
 
-    A = tuple(_tridiag(A_diag[q], A_off[q]) for q in range(Q))
-    X = sum(A[1:], start=A[0]).tocsr()
+    A_diag = w[:, :-1] + w[:, 1:]
+    A_off = -w[:, 1:-1]
+    # running sums of the rows in q order, right ends before left ends for F
+    F = sum(load_left[:, 1:], start=sum(load_right[:, :-1]))
+    X_diag, X_off = sum(A_diag), sum(A_off)
 
     u0_vec = _initial_values(u0, x)
+    M = _tridiag(diag_m, off_m)
     ones = np.ones(n_h)
     qoi_vector = M @ ones
     return AffineSystem(
         n_h=n_h, h=h, K=K, T=float(T), dt=float(T) / K, Q=Q,
-        M=M, A=A, X=X, F=F, u0=u0_vec,
+        M=M, A=tuple(_tridiag(d, o) for d, o in zip(A_diag, A_off)),
+        X=_tridiag(X_diag, X_off), F=F, u0=u0_vec,
         qoi_vector=qoi_vector,
         qoi_const=float(np.sqrt(ones @ qoi_vector)),
-        _x_chol=(_band_cholesky(X), False),
-        _m_chol=_band_cholesky(M),
+        _x_chol=(_band_cholesky(X_diag, X_off), False),
+        _m_chol=_band_cholesky(diag_m, off_m),
     )
 
 

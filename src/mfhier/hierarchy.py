@@ -146,9 +146,9 @@ class ModelLevel(abc.ABC):
     def evaluate(self, mu) -> ModelOutput: ...
 
     @abc.abstractmethod
-    def estimate_error(self, output: ModelOutput, mu) -> float:
-        """Nonnegative bound on the error of ``output`` at ``mu``; reads
-        ``output`` and never changes it."""
+    def estimate_error(self, output: ModelOutput) -> float:
+        """Nonnegative bound on the error of ``output``; reads ``output``
+        and never changes it."""
 
     @abc.abstractmethod
     def absorb(self, payload) -> bool:
@@ -198,7 +198,7 @@ class ModelHierarchy:
             duration_s = time.perf_counter() - t0
             self._adapt(i, output, events)
             try:
-                estimate = level.estimate_error(output, mu)
+                estimate = level.estimate_error(output)
             except SURROGATE_FAILURES:
                 estimate = math.inf
             attempts.append(Attempt(i + 1, duration_s, estimate))

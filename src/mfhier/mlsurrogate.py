@@ -310,7 +310,7 @@ class MLCoefficientLevel(ModelLevel):
         return ModelOutput(payload=self.rb_level.lift(trajectory),
                            adaptation=trajectory)
 
-    def estimate_error(self, output, mu):
+    def estimate_error(self, output):
         return error_estimate(output.adaptation)
 
     def absorb(self, payload) -> bool:

@@ -197,7 +197,7 @@ class SurrogateObjectiveLevel(ModelLevel):
         j_true = self.oracle(result.x)
         return ModelOutput(payload=OptAnswer(x=result.x, j=j_true))
 
-    def estimate_error(self, output, mu):
+    def estimate_error(self, output):
         """Norm of the finite-difference gradient of the true objective.
 
         Accurate to the truncation of the differences (at most 2e-9 per

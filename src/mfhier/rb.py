@@ -306,7 +306,7 @@ class ReducedBasisLevel(ModelLevel):
         return ModelOutput(payload=self.lift(trajectory),
                            adaptation=trajectory)
 
-    def estimate_error(self, output, mu):
+    def estimate_error(self, output):
         return error_estimate(output.adaptation)
 
     def absorb(self, payload) -> bool:

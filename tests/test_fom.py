@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from mfhier import (ConfigurationError, DomainError, FullOrderLevel,
                     SplitMix64, assemble, compute_qoi, solve_fom)
@@ -76,6 +78,92 @@ def test_piecewise_source_exact_integration():
         phi = np.clip(1 - np.abs(mids - xi) / h, 0.0, None)
         quad = float(np.sum(f * phi) * spacing)
         assert abs(system.F[i] - quad) < 1e-8
+
+
+def element_loop_assembly(n_h, Q, source_vals):
+    """Reference: the former per-element, per-subdomain assembly loop."""
+    h = 1.0 / (n_h + 1)
+
+    def tridiag(diag, off):
+        return scipy.sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
+
+    def band_cholesky(S):
+        band = np.zeros((2, S.shape[0]))
+        band[0, 1:] = S.diagonal(1)
+        band[1] = S.diagonal()
+        return scipy.linalg.cholesky_banded(band, check_finite=False)
+
+    M = tridiag(np.full(n_h, 2.0 * h / 3.0), np.full(n_h - 1, h / 6.0))
+    A_diag = np.zeros((Q, n_h))
+    A_off = np.zeros((Q, n_h - 1))
+    F = np.zeros(n_h)
+    for e in range(n_h + 1):
+        x_left, x_right = e * h, (e + 1) * h
+        left_dof, right_dof = e - 1, e
+        for q in range(Q):
+            a = max(x_left, q / Q)
+            b = min(x_right, (q + 1) / Q)
+            overlap = b - a
+            if overlap <= 0:
+                continue
+            w = overlap / h**2
+            if left_dof >= 0:
+                A_diag[q, left_dof] += w
+            if right_dof < n_h:
+                A_diag[q, right_dof] += w
+            if left_dof >= 0 and right_dof < n_h:
+                A_off[q, left_dof] -= w
+            int_right = ((b - x_left) ** 2 - (a - x_left) ** 2) / (2.0 * h)
+            int_left = overlap - int_right
+            if left_dof >= 0:
+                F[left_dof] += source_vals[q] * int_left
+            if right_dof < n_h:
+                F[right_dof] += source_vals[q] * int_right
+    A = tuple(tridiag(A_diag[q], A_off[q]) for q in range(Q))
+    X = sum(A[1:], start=A[0]).tocsr()
+    ones = np.ones(n_h)
+    qoi_vector = M @ ones
+    return dict(M=M, A=A, X=X, F=F, qoi_vector=qoi_vector,
+                qoi_const=float(np.sqrt(ones @ qoi_vector)),
+                x_chol=band_cholesky(X), m_chol=band_cholesky(M))
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_same_csr(actual, expected):
+    for name in ("data", "indices", "indptr"):
+        assert_same_bits(getattr(actual, name), getattr(expected, name))
+    assert actual.shape == expected.shape
+
+
+@pytest.mark.parametrize("n_h, Q, source", [
+    (200, 2, "one"), (200, 8, "one"), (97, 7, list(range(1, 8))),
+    (31, 5, "one"), (8, 8, "one"), (1, 1, "one"), (9, 2, [2.0, 5.0]),
+    (1124, 2, "one")])
+def test_assembly_matches_element_loop(n_h, Q, source):
+    # the array assembly must give the loop's operators bit for bit: Q=7
+    # puts subdomain edges between nodes, Q = n_h gives every subdomain one
+    # dof, n_h = 1 has no off-diagonal, and at n_h = 1124 an array square
+    # differs from the loop's float ``**`` in the last bit of F
+    system = assemble(n_h, 3, 1.0, Q, source=source)
+    source_vals = (np.ones(Q) if source == "one"
+                   else np.asarray(source, dtype=float))
+    reference = element_loop_assembly(n_h, Q, source_vals)
+    assert_same_csr(system.M, reference["M"])
+    assert_same_csr(system.X, reference["X"])
+    assert len(system.A) == Q
+    for A_q, reference_q in zip(system.A, reference["A"]):
+        assert_same_csr(A_q, reference_q)
+    assert_same_bits(system.F, reference["F"])
+    assert_same_bits(system.qoi_vector, reference["qoi_vector"])
+    assert system.qoi_const == reference["qoi_const"]
+    assert_same_bits(system._x_chol[0], reference["x_chol"])
+    assert_same_bits(system._m_chol, reference["m_chol"])
 
 
 def test_invalid_sizes_rejected():

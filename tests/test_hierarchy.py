@@ -26,7 +26,7 @@ class StubLevel(ModelLevel):
         self.n_evals += 1
         return ModelOutput(payload=(self.name, tuple(mu)), adaptation=self.emits)
 
-    def estimate_error(self, output, mu):
+    def estimate_error(self, output):
         return self.estimate
 
     def absorb(self, payload):
@@ -70,10 +70,10 @@ class FailingLevel(StubLevel):
             raise self.error
         return output
 
-    def estimate_error(self, output, mu):
+    def estimate_error(self, output):
         if self.method == "estimate_error":
             raise self.error
-        return super().estimate_error(output, mu)
+        return super().estimate_error(output)
 
 
 SURROGATE_ERRORS = [NotReadyError("declined"),

@@ -292,7 +292,7 @@ def test_ml_level_ready_after_n_min(small_system, diffusivity_box):
     assert ml.is_ready()
     mu = np.array([2.0, 3.0])
     output = ml.evaluate(mu)
-    delta = ml.estimate_error(output, mu)
+    delta = ml.estimate_error(output)
     assert np.isfinite(delta) and delta >= 0.0
     assert output.payload.producer == "ml"
     assert isinstance(output.adaptation, ReducedTrajectory)
@@ -376,7 +376,7 @@ def test_ml_estimate_uses_its_own_reduced_system(small_system, diffusivity_box):
     mu = np.array([2.0, 2.0])
     output = ml.evaluate(mu)
     assert output.adaptation.reduced_system is ml.reduced_system
-    assert ml.estimate_error(output, mu) == error_estimate(output.adaptation)
+    assert ml.estimate_error(output) == error_estimate(output.adaptation)
 
 
 def test_ml_training_set_monotone(small_system, diffusivity_box):

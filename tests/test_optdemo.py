@@ -156,7 +156,7 @@ def test_surrogate_certifies_on_its_own_oracle(opt_box):
     assert other.eval_counter == other_before
     output = surrogate.evaluate([1.0, 1.0])
     before = own.eval_counter
-    surrogate.estimate_error(output, [1.0, 1.0])
+    surrogate.estimate_error(output)
     assert own.eval_counter - before == 2 * opt_box.dim
 
 

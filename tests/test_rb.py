@@ -351,13 +351,13 @@ def test_trajectory_keeps_its_certificate_after_basis_growth(small_system):
     mu = np.array([6.0, 0.3])
     output = level.evaluate(mu)
     trajectory = output.adaptation
-    delta = level.estimate_error(output, mu)
+    delta = level.estimate_error(output)
     solved_in = level.reduced_system
     assert level.absorb(solve_fom(small_system, [0.2, 8.0])) is True
     assert level.reduced_system.N > solved_in.N
     assert trajectory.reduced_system is solved_in
     assert error_estimate(trajectory) == delta
-    assert level.estimate_error(output, mu) == delta
+    assert level.estimate_error(output) == delta
     u_final = reconstruct_final(trajectory)
     assert np.array_equal(u_final, output.payload.u_final)
     assert np.array_equal(level.lift(trajectory).u_final, u_final)
@@ -456,7 +456,7 @@ def test_rb_level_requery_accepts(small_system):
     mu = np.array([4.0, 0.3])
     level.absorb(solve_fom(small_system, mu))
     output = level.evaluate(mu)
-    estimate = level.estimate_error(output, mu)
+    estimate = level.estimate_error(output)
     assert estimate <= 1e-6
 
 
@@ -467,7 +467,7 @@ def test_rb_level_deep_capture_requery_below_1e8(small_system):
     mu = np.array([2.0, 5.0])
     level.absorb(solve_fom(small_system, mu))
     output = level.evaluate(mu)
-    assert level.estimate_error(output, mu) <= 1e-8
+    assert level.estimate_error(output) <= 1e-8
 
 
 def test_rb_level_ignores_foreign_payloads(small_system):
