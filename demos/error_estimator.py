@@ -16,28 +16,22 @@ import sys
 
 import numpy as np
 
-from mfhier import (ParameterBox, SplitMix64, assemble, build_reduced_system,
-                    error_estimate, reconstruct_final, residual_dual_norms,
-                    solve_fom, solve_rb)
-from mfhier.rb import ReducedTrajectory, _x_orthonormalize
+from mfhier import (ParameterBox, SplitMix64, assemble, error_estimate,
+                    reconstruct_final, residual_dual_norms, solve_fom,
+                    solve_rb)
+from mfhier.harness import _random_reduced_system
+from mfhier.rb import ReducedTrajectory
 
 system = assemble(n_h=200, K=100, T=1.0, Q=2)
 box = ParameterBox([[0.1, 10.0], [0.1, 10.0]])
 rng = SplitMix64(2024)
 
 
-def random_reduced_system(n_vectors):
-    W = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n_vectors)]
-                  for _ in range(system.n_h)])
-    V = _x_orthonormalize(system, np.zeros((system.n_h, 0)), W)
-    return build_reduced_system(system, V, 1)
-
-
 print("sampling 60 (parameter, basis, trajectory) triples ...")
 effectivities = []
 violations = 0
 for trial in range(60):
-    reduced = random_reduced_system(2 + trial % 6)
+    reduced = _random_reduced_system(system, rng, 2 + trial % 6)
     mu = box.sample(rng)
     trajectory = solve_rb(reduced, mu)
     if trial % 2:  # perturb: same certificate machinery, worse trajectory
@@ -108,7 +102,7 @@ print("\nonline residual dual norms against a long-double reference "
       f"(eps {np.finfo(np.longdouble).eps:.1e}), 30 random cases:")
 errors = []
 for _ in range(30):
-    reduced = random_reduced_system(4)
+    reduced = _random_reduced_system(system, rng, 4)
     mu = box.sample(rng)
     coeffs = np.array([[rng.uniform(-1, 1) for _ in range(reduced.N)]
                        for _ in range(system.K + 1)])

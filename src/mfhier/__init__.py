@@ -13,8 +13,8 @@ from .errors import (ConfigurationError, DomainError, HierarchyError,
 from .fom import (AffineSystem, FullOrderLevel, ParabolicResult, Trajectory,
                   assemble, compute_qoi, solve_fom)
 from .harness import (RunConfig, StreamSummary, baseline, build_scenario,
-                      default_config, draw_parameters, load_config, report,
-                      run, summarize, verify)
+                      default_config, draw_parameters, report, run,
+                      summarize, verify)
 from .hierarchy import (CertifiedAnswer, ModelHierarchy, ModelLevel,
                         ModelOutput, ParameterBox, QueryRecord)
 from .mlsurrogate import (KernelRegressor, MLCoefficientLevel, fit,
@@ -39,7 +39,7 @@ __all__ = [
     "baseline", "build_reduced_system", "build_scenario",
     "coercivity_lower_bound", "compute_qoi", "default_config", "descend",
     "draw_parameters", "error_estimate", "extend_basis", "fd_gradient", "fit",
-    "himmelblau", "load_config", "predict_trajectory", "rebase",
+    "himmelblau", "predict_trajectory", "rebase",
     "reconstruct_final", "report", "residual_dual_norms", "run", "solve_fom",
     "solve_rb", "summarize", "verify",
 ]

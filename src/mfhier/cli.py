@@ -48,9 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_base = sub.add_parser("baseline", help="reference model only, same stream")
     _add_override_flags(p_base)
 
-    p_verify = sub.add_parser("verify", help="analytic and oracle checks")
+    p_verify = sub.add_parser("verify", help="correctness checks of the "
+                              "parabolic scenario")
     p_verify.add_argument("--config", help="JSON config file")
-    p_verify.add_argument("--scenario", choices=["parabolic", "optdemo"])
     p_verify.add_argument("--seed", type=int)
 
     p_report = sub.add_parser("report", help="aggregate a results CSV")

@@ -40,29 +40,16 @@ class FomConfig:
     K: int = 100
     T: float = 1.0
     Q: int = 2
-    source: str = "one"
-    u0: str = "zero"
-
-
-@dataclass
-class RbConfig:
-    pod_tol: float = 1e-13
-    n_add_max: int = 12
-    N_max: int = 60
 
 
 @dataclass
 class MlConfig:
     enabled: bool | None = None  # None: the scenario's default, see _ML_DEFAULTS
-    n_min: int = 10
-    lengthscale: float = 0.12  # box-scaled units
-    ridge: float | None = None  # None: the scenario's default, see _ML_DEFAULTS
 
 
 @dataclass
 class OptConfig:
     TOL_grad: float = 1e-3
-    max_iters: int = 500
     delay_s: float = 0.002
 
 
@@ -76,34 +63,30 @@ class OutputConfig:
 _DUMP_KINDS = {"parabolic": ("trajectory", "basis", "training"),
               "optdemo": ("training",)}
 
-#: The ``ml`` fields whose default depends on the scenario, resolved one
-#: field at a time.  The learned coefficient stage costs the parabolic
-#: streams more than it saves (README, "Which stages pay"), so it is
-#: opt-in there; the optimization surrogate saves oracle calls and
-#: interpolates sharply clustered descent data, which needs a much
-#: smaller ridge.
-_ML_DEFAULTS = {"parabolic": {"enabled": False, "ridge": 1e-8},
-                "optdemo": {"enabled": True,
-                            "ridge": optdemo.OPT_RIDGE_DEFAULT}}
+#: ``ml.enabled`` of a config that leaves it out.  The learned coefficient
+#: stage costs the parabolic streams more than it saves (README, "Which
+#: stages pay"), so it is opt-in there; the optimization surrogate saves
+#: oracle calls.
+_ML_DEFAULTS = {"parabolic": False, "optdemo": True}
 
 #: Config fields that count something and must be integers (not bools).
-_COUNT_FIELDS = ("n_queries", "seed", "fom.n_h", "fom.K", "fom.Q",
-                 "rb.n_add_max", "rb.N_max", "ml.n_min", "opt.max_iters")
+_COUNT_FIELDS = ("n_queries", "seed", "fom.n_h", "fom.K", "fom.Q")
 
 #: Config fields that must be real numbers (not bools, not NaN).
-_REAL_FIELDS = ("tolerance", "fom.T", "rb.pod_tol", "ml.lengthscale",
-                "ml.ridge", "opt.TOL_grad", "opt.delay_s")
+_REAL_FIELDS = ("tolerance", "fom.T", "opt.TOL_grad", "opt.delay_s")
 
 
 @dataclass
 class RunConfig:
+    """What a run sets.  The levels' algorithm settings are their own
+    defaults (``rb``, ``mlsurrogate``, ``optdemo``), not config fields."""
+
     scenario: str = "parabolic"
     tolerance: float = 1e-3
     n_queries: int = 400
     seed: int = 42
     parameter_box: list = None
     fom: FomConfig = field(default_factory=FomConfig)
-    rb: RbConfig = field(default_factory=RbConfig)
     ml: MlConfig = field(default_factory=MlConfig)
     opt: OptConfig = field(default_factory=OptConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
@@ -111,9 +94,8 @@ class RunConfig:
     def __post_init__(self):
         if self.scenario not in ("parabolic", "optdemo"):
             raise ConfigurationError(f"unknown scenario {self.scenario!r}")
-        for name, default in _ML_DEFAULTS[self.scenario].items():
-            if getattr(self.ml, name) is None:
-                setattr(self.ml, name, default)
+        if self.ml.enabled is None:
+            self.ml.enabled = _ML_DEFAULTS[self.scenario]
         if not isinstance(self.ml.enabled, bool):
             raise ConfigurationError("ml.enabled must be true or false, "
                                      f"got {self.ml.enabled!r}")
@@ -126,13 +108,7 @@ class RunConfig:
                         or value != value):  # NaN is not equal to itself
                     raise ConfigurationError(f"{path} must be {noun}, "
                                              f"got {value!r}")
-        for name in ("lengthscale", "ridge"):
-            value = getattr(self.ml, name)
-            if value <= 0:
-                raise ConfigurationError(f"ml.{name} must be positive, "
-                                         f"got {value!r}")
         for path, value in (("tolerance", self.tolerance),
-                            ("rb.pod_tol", self.rb.pod_tol),
                             ("opt.TOL_grad", self.opt.TOL_grad)):
             if value < 0:
                 raise ConfigurationError(f"{path} must be >= 0, got {value!r}")
@@ -177,30 +153,26 @@ class RunConfig:
         return self.opt.TOL_grad if self.scenario == "optdemo" else self.tolerance
 
 
-def _coerce_section(cls, data, name):
+_SECTIONS = {"fom": FomConfig, "ml": MlConfig, "opt": OptConfig,
+             "output": OutputConfig}
+
+
+def _known_keys(cls, data, where: str) -> dict:
+    """``data`` if it is an object whose keys all name fields of ``cls``."""
     if not isinstance(data, dict):
-        raise ConfigurationError(f"config section {name!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
+        raise ConfigurationError(f"{where} must be a JSON object")
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigurationError(f"unknown keys {sorted(unknown)} in section {name!r}")
-    return cls(**data)
+        raise ConfigurationError(f"unknown keys {sorted(unknown)} in {where}")
+    return data
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigurationError("config must be a JSON object")
-    data = dict(data)
-    sections = {"fom": FomConfig, "rb": RbConfig, "ml": MlConfig,
-                "opt": OptConfig, "output": OutputConfig}
-    kwargs = {}
-    for key, value in data.items():
-        if key in sections:
-            kwargs[key] = _coerce_section(sections[key], value, key)
-        elif key in {f.name for f in dataclasses.fields(RunConfig)}:
-            kwargs[key] = value
-        else:
-            raise ConfigurationError(f"unknown config key {key!r}")
+    kwargs = dict(_known_keys(RunConfig, data, "config"))
+    for name, cls in _SECTIONS.items():
+        if name in kwargs:
+            kwargs[name] = cls(**_known_keys(cls, kwargs[name],
+                                             f"config section {name!r}"))
     try:
         return RunConfig(**kwargs)
     except TypeError as err:
@@ -214,10 +186,6 @@ def read_config(path):
             return json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"config is not valid JSON: {err}") from None
-
-
-def load_config(path) -> RunConfig:
-    return config_from_dict(read_config(path))
 
 
 def default_config(scenario: str = "parabolic", **overrides) -> RunConfig:
@@ -256,28 +224,19 @@ def build_scenario(config: RunConfig, adaptation_enabled: bool = True) -> Scenar
     box = config.box
     if config.scenario == "parabolic":
         system = fom.assemble(config.fom.n_h, config.fom.K, config.fom.T,
-                              config.fom.Q, source=config.fom.source,
-                              u0=config.fom.u0)
-        rb_level = rb.ReducedBasisLevel(system, pod_tol=config.rb.pod_tol,
-                                        n_add_max=config.rb.n_add_max,
-                                        n_max=config.rb.N_max)
+                              config.fom.Q)
+        rb_level = rb.ReducedBasisLevel(system)
         levels = [rb_level, fom.FullOrderLevel(system)]
         scenario = Scenario(hierarchy=None, system=system, rb_level=rb_level)
         if config.ml.enabled:
-            scenario.ml_level = mlsurrogate.MLCoefficientLevel(
-                box, rb_level, n_min=config.ml.n_min,
-                lengthscale=config.ml.lengthscale, ridge=config.ml.ridge)
+            scenario.ml_level = mlsurrogate.MLCoefficientLevel(box, rb_level)
             levels.insert(0, scenario.ml_level)
     else:
         oracle = optdemo.ObjectiveOracle(delay_s=config.opt.delay_s)
-        levels = [optdemo.FullObjectiveLevel(oracle, box,
-                                             max_iters=config.opt.max_iters)]
+        levels = [optdemo.FullObjectiveLevel(oracle, box)]
         scenario = Scenario(hierarchy=None, oracle=oracle)
         if config.ml.enabled:
-            scenario.opt_surrogate = optdemo.SurrogateObjectiveLevel(
-                oracle, box, n_min=config.ml.n_min,
-                lengthscale=config.ml.lengthscale, ridge=config.ml.ridge,
-                max_iters=config.opt.max_iters)
+            scenario.opt_surrogate = optdemo.SurrogateObjectiveLevel(oracle, box)
             levels.insert(0, scenario.opt_surrogate)
     scenario.hierarchy = ModelHierarchy(levels,
                                         tolerance=config.hierarchy_tolerance,
@@ -626,7 +585,11 @@ def _analytic_error(n_h: int, K: int, T: float, Q: int) -> float:
 
 
 def verify(config: RunConfig) -> VerifyReport:
-    """User-facing correctness suite; see README for the check list."""
+    """User-facing correctness suite of the parabolic scenario; see README
+    for the check list."""
+    if config.scenario != "parabolic":
+        raise ConfigurationError("verify checks the parabolic scenario only, "
+                                 f"not {config.scenario!r}")
     checks = []
     fc = config.fom
 
@@ -647,10 +610,8 @@ def verify(config: RunConfig) -> VerifyReport:
     checks.append(Check("fom refinement ratio in [3.2, 4.8]", ratio, 4.8,
                         3.2 <= ratio <= 4.8))
 
-    # the parabolic checks draw diffusivities; optdemo's box is not one
-    system = fom.assemble(fc.n_h, fc.K, fc.T, fc.Q, source=fc.source, u0=fc.u0)
-    box = (config.box if config.scenario == "parabolic"
-           else ParameterBox([[0.1, 10.0]] * fc.Q))
+    system = fom.assemble(fc.n_h, fc.K, fc.T, fc.Q)
+    box = config.box
 
     # 2. offline/online residual norm equality on random bases/coefficients
     worst = _offline_online_discrepancy(system, box, config, trials=50)
@@ -713,9 +674,7 @@ def _direct_residual_norms(system, V, mu, coeffs) -> np.ndarray:
 def _grown_basis(system, box, config) -> rb.ReducedSystem:
     """The reduced system of a basis grown by three full-order solves."""
     rng = SplitMix64(config.seed ^ 0x5A5A5A5A)
-    level = rb.ReducedBasisLevel(system, pod_tol=config.rb.pod_tol,
-                                 n_add_max=config.rb.n_add_max,
-                                 n_max=config.rb.N_max)
+    level = rb.ReducedBasisLevel(system)
     for _ in range(3):
         level.absorb(fom.solve_fom(system, box.sample(rng)))
     return level.reduced_system

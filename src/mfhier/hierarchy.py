@@ -132,10 +132,12 @@ class ModelLevel(abc.ABC):
     dropped when the query ends; the answer keeps only ``payload``.
     ``evaluate`` and ``estimate_error`` may decline a request by raising one
     of :data:`SURROGATE_FAILURES`; the request then goes on to the next
-    level.  ``absorb`` returns True when the level took the payload and
-    False when it does not apply; it must never invalidate answers already
-    emitted.  Payloads are offered costliest level first, so a level sees
-    the data a costlier level has absorbed before it.
+    level.  ``absorb`` returns True when taking the payload changed the
+    level's state and False when the payload does not apply or changed
+    nothing; only a True is logged as an adaptation event.  It must never
+    invalidate answers already emitted.  Payloads are offered costliest
+    level first, so a level sees the data a costlier level has absorbed
+    before it.
 
     The last level of a hierarchy is the reference.  The hierarchy calls
     only its ``evaluate``, so it needs no other method and need not derive
@@ -152,7 +154,7 @@ class ModelLevel(abc.ABC):
 
     @abc.abstractmethod
     def absorb(self, payload) -> bool:
-        """Consume adaptation data; False means 'not applicable to me'."""
+        """Consume adaptation data; True only if it changed the level."""
 
     @abc.abstractmethod
     def is_ready(self) -> bool: ...

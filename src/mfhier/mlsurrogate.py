@@ -46,6 +46,13 @@ _trtrs = scipy.linalg.lapack.dtrtrs
 #: before their prediction, lift to full space and residual estimate.
 POWER_GATE = 0.5
 
+#: Gaussian kernel lengthscale in box-scaled units, and the training pairs
+#: a regressor needs before it predicts.
+LENGTHSCALE = 0.12
+N_MIN = 10
+#: Ridge of the learned coefficient stage.
+RIDGE = 1e-8
+
 
 def _gaussian(a: np.ndarray, b: np.ndarray, lengthscale: float) -> np.ndarray:
     sq = scipy.spatial.distance.cdist(a, b, "sqeuclidean")
@@ -76,8 +83,8 @@ class KernelRegressor:
     is far below the regression error this surrogate can reach.
     """
 
-    def __init__(self, box: ParameterBox, lengthscale: float = 0.12,
-                 ridge: float = 1e-8, n_min: int = 10):
+    def __init__(self, box: ParameterBox, lengthscale: float = LENGTHSCALE,
+                 ridge: float = RIDGE, n_min: int = N_MIN):
         if not (ridge > 0 and lengthscale > 0):
             raise ConfigurationError("ridge and lengthscale must be positive")
         if n_min < 1:
@@ -298,8 +305,8 @@ class MLCoefficientLevel(ModelLevel):
     own reduced system, the space it is predicted and lifted in.
     """
 
-    def __init__(self, box: ParameterBox, rb_level, n_min: int = 10,
-                 lengthscale: float = 0.12, ridge: float = 1e-8):
+    def __init__(self, box: ParameterBox, rb_level, n_min: int = N_MIN,
+                 lengthscale: float = LENGTHSCALE, ridge: float = RIDGE):
         self.rb_level = rb_level
         self.reduced_system = rb_level.reduced_system
         self.regressor = KernelRegressor(box, lengthscale, ridge, n_min)

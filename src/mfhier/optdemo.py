@@ -17,10 +17,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .hierarchy import ModelLevel, ModelOutput, ParameterBox
-from .mlsurrogate import KernelRegressor
+from .mlsurrogate import LENGTHSCALE, N_MIN, KernelRegressor
 
 OPT_RIDGE_DEFAULT = 1e-12  # interpolation sharpness the gradient check needs
 OPT_MIN_SEPARATION = 1e-5
+MAX_ITERS = 500    # descent iterations per start
 H_FD = 1e-5        # finite-difference step of fd_gradient
 GTOL = 1e-8        # descend stops at a gradient norm <= GTOL
 ARMIJO_C = 1e-4    # a step must decrease J by ARMIJO_C * step * |grad|^2
@@ -103,7 +104,7 @@ def fd_gradient(objective, x, box: ParameterBox) -> np.ndarray:
 
 
 def descend(objective, x0, box: ParameterBox,
-            max_iters: int = 500) -> DescentResult:
+            max_iters: int = MAX_ITERS) -> DescentResult:
     """Projected gradient descent with backtracking line search.
 
     Gradients are central finite differences; steps are halved until the
@@ -149,7 +150,7 @@ class FullObjectiveLevel:
     """Reference stage: descend on the true objective; emit descent samples."""
 
     def __init__(self, oracle: ObjectiveOracle, box: ParameterBox,
-                 max_iters: int = 500):
+                 max_iters: int = MAX_ITERS):
         self.oracle = oracle
         self.box = box
         self.max_iters = max_iters
@@ -178,8 +179,8 @@ class SurrogateObjectiveLevel(ModelLevel):
     CRITERION_CALLS = 5
 
     def __init__(self, oracle: ObjectiveOracle, box: ParameterBox,
-                 n_min: int = 10, lengthscale: float = 0.12,
-                 ridge: float = OPT_RIDGE_DEFAULT, max_iters: int = 500,
+                 n_min: int = N_MIN, lengthscale: float = LENGTHSCALE,
+                 ridge: float = OPT_RIDGE_DEFAULT, max_iters: int = MAX_ITERS,
                  min_separation: float = OPT_MIN_SEPARATION):
         self.oracle = oracle
         self.box = box
@@ -211,6 +212,7 @@ class SurrogateObjectiveLevel(ModelLevel):
         if not isinstance(payload, DescentSamples):
             return False
         regressor = self.regressor
+        added = False
         for x, j in payload.samples:
             if (regressor.n_train and not regressor.has_input(x)
                     and float(np.min(np.linalg.norm(
@@ -218,7 +220,8 @@ class SurrogateObjectiveLevel(ModelLevel):
                     < self.min_separation):
                 continue  # near-coincident with a different stored point
             regressor.add(x, [j])
-        return True
+            added = True
+        return added
 
     def is_ready(self) -> bool:
         return self.regressor.ready

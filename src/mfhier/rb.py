@@ -37,6 +37,13 @@ from .errors import DomainError
 from .fom import AffineSystem, ParabolicResult, Trajectory
 from .hierarchy import ModelLevel, ModelOutput
 
+#: A basis extension stops adding modes once the trajectory's uncaptured
+#: X-energy fraction is below POD_TOL, after at most N_ADD_MAX new modes,
+#: and never grows the basis beyond N_MAX modes.
+POD_TOL = 1e-13
+N_ADD_MAX = 12
+N_MAX = 60
+
 
 @dataclass(frozen=True)
 class ReducedSystem:
@@ -128,8 +135,9 @@ def _x_orthonormalize(system: AffineSystem, V: np.ndarray,
 
 
 def extend_basis(reduced_system: ReducedSystem, system: AffineSystem,
-                 trajectory: Trajectory, pod_tol: float = 1e-13,
-                 n_add_max: int = 12, n_max: int = 60) -> ReducedSystem:
+                 trajectory: Trajectory, pod_tol: float = POD_TOL,
+                 n_add_max: int = N_ADD_MAX,
+                 n_max: int = N_MAX) -> ReducedSystem:
     """POD-Greedy step: append leading POD modes of the projection error.
 
     Subtracts the X-orthogonal projection onto the current span from every
@@ -284,8 +292,8 @@ class ReducedBasisLevel(ModelLevel):
     added, ``reduced_system`` is replaced by the next generation's.
     """
 
-    def __init__(self, system: AffineSystem, pod_tol: float = 1e-13,
-                 n_add_max: int = 12, n_max: int = 60):
+    def __init__(self, system: AffineSystem, pod_tol: float = POD_TOL,
+                 n_add_max: int = N_ADD_MAX, n_max: int = N_MAX):
         self.system = system
         self.pod_tol = pod_tol
         self.n_add_max = n_add_max
@@ -310,12 +318,16 @@ class ReducedBasisLevel(ModelLevel):
         return error_estimate(output.adaptation)
 
     def absorb(self, payload) -> bool:
+        """Extend the basis by a full-order trajectory; True only if modes
+        were added.  A trajectory the basis already captures, or one offered
+        at the ``n_max`` cap, changes nothing and returns False."""
         if not isinstance(payload, Trajectory):
             return False
+        before = self.reduced_system
         self.reduced_system = extend_basis(
-            self.reduced_system, self.system, payload, pod_tol=self.pod_tol,
+            before, self.system, payload, pod_tol=self.pod_tol,
             n_add_max=self.n_add_max, n_max=self.n_max)
-        return True
+        return self.reduced_system is not before
 
     def is_ready(self) -> bool:
         return self.reduced_system.N >= 1

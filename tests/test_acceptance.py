@@ -2,17 +2,16 @@
 the per-criterion lines.  Criteria run at the reference configuration
 (n_h=200, K=100, Q=2, TOL=1e-3, seed 42) unless stated otherwise."""
 
-import math
 import time
 
 import numpy as np
 import pytest
 
-from mfhier import (ParameterBox, SplitMix64, assemble, build_reduced_system,
-                    error_estimate, harness, reconstruct_final,
-                    residual_dual_norms, solve_fom, solve_rb)
+from mfhier import (ParameterBox, SplitMix64, error_estimate, harness,
+                    reconstruct_final, residual_dual_norms, solve_fom,
+                    solve_rb)
 from mfhier.optdemo import fd_gradient, himmelblau
-from mfhier.rb import ReducedTrajectory, _x_orthonormalize
+from mfhier.rb import ReducedTrajectory
 
 from conftest import random_coefficients, strip_duration_columns
 
@@ -80,16 +79,10 @@ def test_criterion_2_estimator_rigor_isolated(default_system):
     system = default_system
     box = ParameterBox([[0.1, 10.0]] * 2)
     rng = SplitMix64(271828)
-
-    def random_reduced_system(n_vectors):
-        W = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n_vectors)]
-                      for _ in range(system.n_h)])
-        V = _x_orthonormalize(system, np.zeros((system.n_h, 0)), W)
-        return build_reduced_system(system, V, 1)
-
     min_margin = np.inf
     for trial in range(200):
-        reduced = random_reduced_system(1 + trial % 8)  # N <= 8
+        # N <= 8
+        reduced = harness._random_reduced_system(system, rng, 1 + trial % 8)
         mu = box.sample(rng)
         if trial % 3 == 0:
             trajectory = solve_rb(reduced, mu)
@@ -105,19 +98,13 @@ def test_criterion_2_estimator_rigor_isolated(default_system):
 
     worst_rel = 0.0
     for _ in range(50):
-        reduced = random_reduced_system(4)
+        reduced = harness._random_reduced_system(system, rng, 4)
         mu = box.sample(rng)
         coeffs = random_coefficients(rng, system.K + 1, reduced.N)
         trajectory = ReducedTrajectory(coefficients=coeffs, mu=mu,
                                        reduced_system=reduced, producer="rb")
         online = residual_dual_norms(trajectory)
-        U = coeffs @ reduced.V.T
-        direct = np.empty(system.K)
-        for k in range(1, system.K + 1):
-            r = (system.F - (system.M @ (U[k] - U[k - 1])) / system.dt
-                 - sum(m * (A @ U[k]) for m, A in zip(mu, system.A)))
-            rho = system.x_solve(r)
-            direct[k - 1] = math.sqrt(max(float(r @ rho), 0.0))
+        direct = harness._direct_residual_norms(system, reduced.V, mu, coeffs)
         worst_rel = max(worst_rel, float(np.max(np.abs(online - direct)))
                         / max(float(np.max(direct)), 1e-30))
 
@@ -128,14 +115,9 @@ def test_criterion_2_estimator_rigor_isolated(default_system):
 
 
 def test_criterion_3_fom_correctness():
-    def analytic_error(n_h, K, T=0.1):
-        system = assemble(n_h, K, T, 1, source="zero", u0="sine")
-        trajectory = solve_fom(system, [1.0])
-        exact = math.exp(-math.pi**2 * T) * np.sin(math.pi * system.nodes())
-        return float(np.max(np.abs(trajectory.states[-1] - exact)))
-
-    coarse = analytic_error(100, 1000)
-    fine = analytic_error(201, 4000)
+    # unit diffusivity, one subdomain, T = 0.1
+    coarse = harness._analytic_error(100, 1000, 0.1, 1)
+    fine = harness._analytic_error(201, 4000, 0.1, 1)
     ratio = coarse / fine
     passed = coarse <= 1e-3 and 3.2 <= ratio <= 4.8
     _report("criterion 3 (full-order correctness)", passed,

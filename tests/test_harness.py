@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -41,16 +42,29 @@ def test_config_from_json_roundtrip(tmp_path):
         "scenario": "parabolic", "tolerance": 5e-3, "n_queries": 7,
         "seed": 99, "parameter_box": [[0.5, 2.0], [0.5, 2.0]],
         "fom": {"n_h": 40, "K": 10},
-        "rb": {"pod_tol": 1e-9, "n_add_max": 4, "N_max": 20},
-        "ml": {"n_min": 5, "lengthscale": 0.2, "ridge": 1e-7},
+        "ml": {"enabled": True},
         "output": {"results_path": "out.csv"},
     }))
-    config = harness.load_config(path)
-    assert config.fom.n_h == 40 and config.rb.N_max == 20
-    assert config.ml.lengthscale == 0.2
+    config = harness.config_from_dict(harness.read_config(path))
+    assert config.fom.n_h == 40 and config.fom.K == 10
+    assert config.ml.enabled is True
     assert config.seed == 99
 
 
+def test_readme_config_block_is_the_default():
+    # the JSON block under README's "## Configuration" names every field
+    # with its parabolic default
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## Configuration\n", 1)[1]
+    block = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    default = harness.default_config("parabolic")
+    assert block == dataclasses.asdict(default)
+    assert harness.config_from_dict(block) == default
+
+
+# the entries that name rb, ml.n_min, ml.lengthscale, ml.ridge or
+# opt.max_iters are refused as unknown keys: those are level defaults, not
+# config fields
 @pytest.mark.parametrize("bad", [
     {"scenario": "nope"},
     {"tolerance": -1.0},
@@ -111,16 +125,20 @@ def test_invalid_configs_rejected(bad):
 
 
 def test_scenario_defaults_resolved_per_field():
-    # a partial ml section keeps the scenario's defaults for the rest
-    opt = harness.default_config("optdemo", ml={"n_min": 10})
-    assert opt.ml.ridge == optdemo.OPT_RIDGE_DEFAULT == 1e-12
+    # ml.enabled takes the scenario's default; each learned level keeps the
+    # ridge its scenario needs
+    def ridge(config):
+        built = harness.build_scenario(config)
+        return (built.ml_level or built.opt_surrogate).regressor.ridge
+
+    opt = harness.default_config("optdemo")
     assert opt.ml.enabled is True
-    assert harness.default_config("optdemo", ml={"enabled": True}).ml.ridge == 1e-12
-    parabolic = harness.default_config("parabolic", ml={"n_min": 5})
-    assert parabolic.ml.ridge == 1e-8 and parabolic.ml.enabled is False
-    assert harness.default_config("optdemo", ml={"ridge": 1e-9}).ml.ridge == 1e-9
+    assert ridge(opt) == optdemo.OPT_RIDGE_DEFAULT == 1e-12
+    assert ridge(harness.default_config("optdemo", ml={"enabled": True})) == 1e-12
+    assert harness.default_config("parabolic").ml.enabled is False
+    assert ridge(harness.default_config("parabolic", ml={"enabled": True})) == 1e-8
     args = cli.build_parser().parse_args(["run", "--scenario", "optdemo", "--ml"])
-    assert cli._load_config(args).ml.ridge == 1e-12
+    assert ridge(cli._load_config(args)) == 1e-12
 
 
 def test_default_hierarchies():
@@ -526,7 +544,7 @@ def test_cli_scenario_override_takes_its_defaults(tmp_path):
         ["run", "--config", str(path), "--scenario", "optdemo"]))
     plain = cli._load_config(parser.parse_args(["run", "--scenario", "optdemo"]))
     assert overridden.parameter_box == plain.parameter_box == [[-5.0, 5.0]] * 2
-    assert overridden.ml.ridge == plain.ml.ridge == 1e-12
+    assert overridden.ml.enabled is plain.ml.enabled is True
     assert overridden.n_queries == 3
 
 
@@ -543,13 +561,15 @@ def test_cli_ml_flag_roundtrip(tmp_path, command, scenario):
     assert enabled("--ml") is True
     assert enabled("--no-ml") is False
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"ml": {"enabled": True, "n_min": 7}}))
+    path.write_text(json.dumps({"ml": {"enabled": True},
+                                "opt": {"TOL_grad": 0.5, "delay_s": 0.0}}))
     assert enabled("--config", str(path)) is True
     assert enabled("--config", str(path), "--no-ml") is False
-    # the flag overrides one field; the rest of the section is kept
+    # a flag overrides one field; the rest of the section is kept
     args = parser.parse_args([command, "--scenario", scenario, "--no-ml",
-                              "--config", str(path)])
-    assert cli._load_config(args).ml.n_min == 7
+                              "--tolerance", "0.25", "--config", str(path)])
+    config = cli._load_config(args)
+    assert config.opt.TOL_grad == 0.25 and config.opt.delay_s == 0.0
 
 
 def test_cli_exit_codes(tmp_path):
@@ -592,6 +612,33 @@ def test_cli_verify_and_sabotage(tmp_path, monkeypatch):
     assert cli_main(["verify", "--seed", "2"]) == 0
     flip_online_load_column(monkeypatch)
     assert cli_main(["verify", "--seed", "2"]) == 1
+
+
+def test_cli_removed_config_keys_refused(tmp_path, capsys):
+    # algorithm settings are level defaults: naming one is an error, never
+    # silently ignored
+    out = tmp_path / "x.csv"
+    for removed in ({"fom": {"source": "one"}}, {"fom": {"u0": "zero"}},
+                    {"rb": {"pod_tol": 1e-13}}, {"rb": {"n_add_max": 12}},
+                    {"rb": {"N_max": 120}}, {"ml": {"n_min": 10}},
+                    {"ml": {"lengthscale": 0.12}}, {"ml": {"ridge": 1e-8}},
+                    {"opt": {"max_iters": 500}}):
+        path = tmp_path / "removed.json"
+        path.write_text(json.dumps(removed))
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "unknown keys" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_verify_is_parabolic_only(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", "--scenario", "optdemo"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --scenario" in capsys.readouterr().err
+    path = tmp_path / "opt.json"
+    path.write_text(json.dumps({"scenario": "optdemo"}))
+    assert cli_main(["verify", "--config", str(path)]) == 2
+    assert "parabolic scenario only" in capsys.readouterr().err
 
 
 def test_cli_shards_flag_removed(tmp_path, capsys):

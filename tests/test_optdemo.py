@@ -185,9 +185,12 @@ def test_near_duplicate_samples_thinned(opt_box):
     _, _, surrogate, _ = build_hierarchy(opt_box)
     x = np.array([1.0, 1.0])
     batch = DescentSamples([(x, 2.0), (x + 1e-9, 2.0000001), (x, 3.0)])
-    surrogate.absorb(batch)
+    assert surrogate.absorb(batch) is True
     # the exact duplicate replaced the value, the near-duplicate was skipped
     assert surrogate.regressor.n_train == 1
+    assert surrogate.regressor.targets[0, 0] == 3.0
+    # a batch of near-duplicates alone changes nothing: no adaptation event
+    assert surrogate.absorb(DescentSamples([(x + 1e-9, 2.0)])) is False
     assert surrogate.regressor.targets[0, 0] == 3.0
 
 

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from mfhier import (DomainError, ParameterBox, SplitMix64, assemble,
-                    build_reduced_system, coercivity_lower_bound,
-                    error_estimate, extend_basis, harness, reconstruct_final,
-                    residual_dual_norms, solve_fom, solve_rb)
+from mfhier import (DomainError, FullOrderLevel, ModelHierarchy, ParameterBox,
+                    SplitMix64, assemble, build_reduced_system,
+                    coercivity_lower_bound, error_estimate, extend_basis,
+                    harness, reconstruct_final, residual_dual_norms,
+                    solve_fom, solve_rb)
 from mfhier.rb import ReducedBasisLevel, ReducedTrajectory, _x_orthonormalize
 
 from conftest import random_coefficients
@@ -18,32 +19,12 @@ def empty_reduced_system(system):
     return build_reduced_system(system, np.zeros((system.n_h, 0)), 0)
 
 
-def grow_basis(system, mus, pod_tol=1e-13, n_add_max=12, n_max=60):
+def grow_basis(system, mus, **settings):
     reduced = empty_reduced_system(system)
     for mu in mus:
-        trajectory = solve_fom(system, mu)
-        reduced = extend_basis(reduced, system, trajectory,
-                               pod_tol, n_add_max, n_max)
+        reduced = extend_basis(reduced, system, solve_fom(system, mu),
+                               **settings)
     return reduced
-
-
-def random_reduced_system(system, rng, n_vectors):
-    W = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n_vectors)]
-                  for _ in range(system.n_h)])
-    V = _x_orthonormalize(system, np.zeros((system.n_h, 0)), W)
-    return build_reduced_system(system, V, 1)
-
-
-def direct_residual_norms(system, V, mu, coeffs):
-    """Full-space oracle: assemble r^k, Riesz-lift, take the X norm."""
-    U = coeffs @ V.T
-    norms = np.empty(system.K)
-    for k in range(1, system.K + 1):
-        r = (system.F - (system.M @ (U[k] - U[k - 1])) / system.dt
-             - sum(m_q * (A_q @ U[k]) for m_q, A_q in zip(mu, system.A)))
-        rho = system.x_solve(r)
-        norms[k - 1] = math.sqrt(max(float(r @ rho), 0.0))
-    return norms
 
 
 # ---------------------------------------------------------------- extension
@@ -117,7 +98,7 @@ def test_estimator_factors_match_full_space(n_h, Q, n_vectors):
     # (20, 4, 6) has 1 + N + QN = 31 columns > n_h rows
     system = assemble(n_h, 10, 1.0, Q, u0="sine")
     rng = SplitMix64(21)
-    reduced = random_reduced_system(system, rng, n_vectors)
+    reduced = harness._random_reduced_system(system, rng, n_vectors)
     V = reduced.V
     R = reduced.residual_factor
     C = np.column_stack([system.F, system.M @ V,
@@ -270,13 +251,14 @@ def test_online_residuals_match_full_space_oracle(small_system):
     box = ParameterBox([[0.1, 10.0]] * 2)
     worst = 0.0
     for _ in range(50):
-        reduced = random_reduced_system(small_system, rng, 4)
+        reduced = harness._random_reduced_system(small_system, rng, 4)
         mu = box.sample(rng)
         coeffs = random_coefficients(rng, small_system.K + 1, reduced.N)
         trajectory = ReducedTrajectory(coefficients=coeffs, mu=mu,
                                        reduced_system=reduced, producer="rb")
         online = residual_dual_norms(trajectory)
-        direct = direct_residual_norms(small_system, reduced.V, mu, coeffs)
+        direct = harness._direct_residual_norms(small_system, reduced.V, mu,
+                                                coeffs)
         worst = max(worst, float(np.max(np.abs(online - direct)))
                     / max(float(np.max(direct)), 1e-30))
     assert worst <= 1e-8
@@ -309,7 +291,7 @@ def test_estimator_rigor_random_sample(small_system):
     box = ParameterBox([[0.1, 10.0]] * 2)
     effectivities = []
     for trial in range(40):
-        reduced = random_reduced_system(small_system, rng, 4)
+        reduced = harness._random_reduced_system(small_system, rng, 4)
         mu = box.sample(rng)
         if trial % 2 == 0:
             trajectory = solve_rb(reduced, mu)
@@ -481,6 +463,21 @@ def test_rb_level_zero_mode_absorb_keeps_generation(small_system):
     level = ReducedBasisLevel(small_system)
     trajectory = solve_fom(small_system, [1.0, 1.0])
     assert level.absorb(trajectory) is True
-    # same data: taken, but no mode is added
-    assert level.absorb(trajectory) is True
+    # same data: no mode is added, so the level reports no change
+    assert level.absorb(trajectory) is False
     assert level.reduced_system.generation == 1
+
+
+def test_rb_level_at_cap_logs_no_event(small_system):
+    # at the n_max cap a full-order solve changes no basis and is no event
+    level = ReducedBasisLevel(small_system, n_max=2)
+    hierarchy = ModelHierarchy([level, FullOrderLevel(small_system)],
+                               tolerance=0.0,
+                               box=ParameterBox([[0.1, 10.0]] * 2))
+    answer, events = hierarchy.handle_request([1.0, 1.0])
+    assert answer.is_reference and events == [(2, 1)]
+    capped = level.reduced_system
+    assert capped.N == 2 and capped.generation == 1
+    answer, events = hierarchy.handle_request([0.1, 10.0])
+    assert answer.is_reference and events == []
+    assert level.reduced_system is capped
