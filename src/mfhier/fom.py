@@ -9,6 +9,7 @@ estimation possible downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -133,21 +134,16 @@ def _source_values(source, Q: int) -> np.ndarray:
     return values
 
 
-def _initial_values(u0, x: np.ndarray) -> np.ndarray:
-    if isinstance(u0, str):
-        if u0 == "zero":
-            return np.zeros_like(x)
-        if u0 == "sine":
-            return np.sin(np.pi * x)
-        raise ConfigurationError(f"unknown initial-value tag {u0!r}")
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != x.shape:
-        raise ConfigurationError("initial vector has wrong length")
-    return u0
+def _initial_values(u0: str, x: np.ndarray) -> np.ndarray:
+    if u0 == "zero":
+        return np.zeros_like(x)
+    if u0 == "sine":
+        return np.sin(np.pi * x)
+    raise ConfigurationError(f"unknown initial-value tag {u0!r}")
 
 
 def assemble(n_h: int, K: int, T: float, Q: int,
-             source="one", u0="zero") -> AffineSystem:
+             source="one", u0: str = "zero") -> AffineSystem:
     """Assemble mass, per-subdomain stiffness and load on a uniform mesh.
 
     Subdomain q covers [q/Q, (q+1)/Q); elements straddling a subdomain
@@ -163,8 +159,8 @@ def assemble(n_h: int, K: int, T: float, Q: int,
     every left-end one, as a loop over elements and subdomains adds them,
     so the matrices and F keep their bits.
     """
-    if n_h < Q or Q < 1 or K < 1 or not T > 0:  # also rejects NaN
-        raise ConfigurationError("need n_h >= Q >= 1, K >= 1, T > 0")
+    if n_h < Q or Q < 1 or K < 1 or not 0 < T < math.inf:  # also rejects NaN
+        raise ConfigurationError("need n_h >= Q >= 1, K >= 1, finite T > 0")
     h = 1.0 / (n_h + 1)
     x = h * np.arange(1, n_h + 1)
 

@@ -112,6 +112,12 @@ class RunConfig:
                             ("opt.TOL_grad", self.opt.TOL_grad)):
             if value < 0:
                 raise ConfigurationError(f"{path} must be >= 0, got {value!r}")
+        if not 0 < self.fom.T < math.inf:
+            raise ConfigurationError("fom.T must be finite and > 0, "
+                                     f"got {self.fom.T!r}")
+        if not 0 <= self.opt.delay_s < math.inf:
+            raise ConfigurationError("opt.delay_s must be finite and >= 0, "
+                                     f"got {self.opt.delay_s!r}")
         if self.n_queries < 0:
             raise ConfigurationError("n_queries must be >= 0")
         if not 0 <= self.seed < 2**64:
@@ -142,6 +148,9 @@ class RunConfig:
                 raise ConfigurationError("parameter box dimension must equal fom.Q")
             if np.any(box.lows <= 0):
                 raise ConfigurationError("diffusivity box must be positive")
+        elif box.dim != 2:  # Himmelblau reads x[0] and x[1]
+            raise ConfigurationError("the optdemo parameter_box must be 2-D, "
+                                     f"got dimension {box.dim}")
 
     @property
     def box(self) -> ParameterBox:
@@ -474,7 +483,6 @@ def report(path) -> StreamSummary:
 
 @dataclass
 class RunResult:
-    config: RunConfig
     records: list
     rows: list  # ResultRow per query, as written to the results CSV
     summary: StreamSummary
@@ -498,7 +506,7 @@ def _execute(config: RunConfig, adaptation_enabled: bool) -> RunResult:
     records = scenario.hierarchy.run_query_stream(parameters, on_record=on_record)
     wall_s = time.perf_counter() - t0
 
-    result = RunResult(config=config, records=records, rows=rows,
+    result = RunResult(records=records, rows=rows,
                        summary=summarize(rows, n_stages),
                        wall_s=wall_s, scenario=scenario)
     if config.output.results_path:

@@ -306,10 +306,10 @@ class MLCoefficientLevel(ModelLevel):
     """
 
     def __init__(self, box: ParameterBox, rb_level, n_min: int = N_MIN,
-                 lengthscale: float = LENGTHSCALE, ridge: float = RIDGE):
+                 lengthscale: float = LENGTHSCALE):
         self.rb_level = rb_level
         self.reduced_system = rb_level.reduced_system
-        self.regressor = KernelRegressor(box, lengthscale, ridge, n_min)
+        self.regressor = KernelRegressor(box, lengthscale, RIDGE, n_min)
 
     def evaluate(self, mu) -> ModelOutput:
         trajectory = predict_trajectory(self.regressor, self.reduced_system,

@@ -10,6 +10,7 @@ candidate, i.e. the acceptance criterion consults the expensive model.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -38,9 +39,9 @@ def himmelblau(x) -> float:
 class ObjectiveOracle:
     """Counted (and optionally delayed) access to the full objective."""
 
-    def __init__(self, fn=himmelblau, delay_s: float = 0.002):
-        if not delay_s >= 0:  # also rejects NaN
-            raise ConfigurationError("delay must be nonnegative")
+    def __init__(self, fn=himmelblau, *, delay_s: float):
+        if not 0 <= delay_s < math.inf:  # also rejects NaN
+            raise ConfigurationError("delay must be finite and nonnegative")
         self.fn = fn
         self.delay_s = delay_s
         self.eval_counter = 0
@@ -70,7 +71,6 @@ class DescentSamples:
 class DescentResult:
     x: np.ndarray
     j: float
-    grad_norm: float
     n_iters: int
     converged: bool
     samples: list = field(default_factory=list)  # iterate (x, J(x)) pairs
@@ -103,8 +103,7 @@ def fd_gradient(objective, x, box: ParameterBox) -> np.ndarray:
     return grad
 
 
-def descend(objective, x0, box: ParameterBox,
-            max_iters: int = MAX_ITERS) -> DescentResult:
+def descend(objective, x0, box: ParameterBox) -> DescentResult:
     """Projected gradient descent with backtracking line search.
 
     Gradients are central finite differences; steps are halved until the
@@ -118,14 +117,13 @@ def descend(objective, x0, box: ParameterBox,
     best_x, best_j = x.copy(), j
     n_iters = 0
     converged = False
-    grad_norm = np.inf
-    for n_iters in range(max_iters + 1):
+    for n_iters in range(MAX_ITERS + 1):
         grad = fd_gradient(objective, x, box)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= GTOL:
             converged = True
             break
-        if n_iters == max_iters:
+        if n_iters == MAX_ITERS:
             break
         step = 1.0
         accepted = False
@@ -142,22 +140,20 @@ def descend(objective, x0, box: ParameterBox,
         samples.append((x.copy(), j))
         if j < best_j:
             best_x, best_j = x.copy(), j
-    return DescentResult(x=best_x, j=best_j, grad_norm=grad_norm,
-                         n_iters=n_iters, converged=converged, samples=samples)
+    return DescentResult(x=best_x, j=best_j, n_iters=n_iters,
+                         converged=converged, samples=samples)
 
 
 class FullObjectiveLevel:
     """Reference stage: descend on the true objective; emit descent samples."""
 
-    def __init__(self, oracle: ObjectiveOracle, box: ParameterBox,
-                 max_iters: int = MAX_ITERS):
+    def __init__(self, oracle: ObjectiveOracle, box: ParameterBox):
         self.oracle = oracle
         self.box = box
-        self.max_iters = max_iters
 
     def evaluate(self, x0) -> ModelOutput:
         calls_before = self.oracle.eval_counter
-        result = descend(self.oracle, x0, self.box, max_iters=self.max_iters)
+        result = descend(self.oracle, x0, self.box)
         payload = OptAnswer(x=result.x, j=result.j,
                             descent_calls=self.oracle.eval_counter - calls_before)
         return ModelOutput(payload=payload,
@@ -168,7 +164,7 @@ class SurrogateObjectiveLevel(ModelLevel):
     """Cheap stage: descend on a learned objective, certify with true gradient.
 
     Training data are the iterate samples of true-objective descents;
-    near-coincident points (closer than ``min_separation`` in scaled
+    near-coincident points (closer than :data:`OPT_MIN_SEPARATION` in scaled
     coordinates) are skipped to keep the kernel system well conditioned.
     The error estimate is ||grad J(x*)|| computed on the true objective
     with 2*dim calls, plus one call to report the true J(x*).
@@ -179,14 +175,11 @@ class SurrogateObjectiveLevel(ModelLevel):
     CRITERION_CALLS = 5
 
     def __init__(self, oracle: ObjectiveOracle, box: ParameterBox,
-                 n_min: int = N_MIN, lengthscale: float = LENGTHSCALE,
-                 ridge: float = OPT_RIDGE_DEFAULT, max_iters: int = MAX_ITERS,
-                 min_separation: float = OPT_MIN_SEPARATION):
+                 n_min: int = N_MIN):
         self.oracle = oracle
         self.box = box
-        self.max_iters = max_iters
-        self.min_separation = min_separation
-        self.regressor = KernelRegressor(box, lengthscale, ridge, n_min)
+        self.regressor = KernelRegressor(box, LENGTHSCALE, OPT_RIDGE_DEFAULT,
+                                         n_min)
 
     def evaluate(self, x0) -> ModelOutput:
         regressor = self.regressor
@@ -194,7 +187,7 @@ class SurrogateObjectiveLevel(ModelLevel):
         def surrogate(x):
             return float(regressor.predict(x)[0])
 
-        result = descend(surrogate, x0, self.box, max_iters=self.max_iters)
+        result = descend(surrogate, x0, self.box)
         j_true = self.oracle(result.x)
         return ModelOutput(payload=OptAnswer(x=result.x, j=j_true))
 
@@ -217,7 +210,7 @@ class SurrogateObjectiveLevel(ModelLevel):
             if (regressor.n_train and not regressor.has_input(x)
                     and float(np.min(np.linalg.norm(
                         regressor.inputs - self.box.scale01(x), axis=1)))
-                    < self.min_separation):
+                    < OPT_MIN_SEPARATION):
                 continue  # near-coincident with a different stored point
             regressor.add(x, [j])
             added = True

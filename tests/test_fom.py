@@ -176,6 +176,8 @@ def test_invalid_sizes_rejected():
     with pytest.raises(ConfigurationError):
         assemble(10, 1, float("nan"), 1)
     with pytest.raises(ConfigurationError):
+        assemble(10, 1, float("inf"), 1)
+    with pytest.raises(ConfigurationError):
         assemble(10, 1, 1.0, 2, source="garbage")
 
 

@@ -62,6 +62,20 @@ def test_readme_config_block_is_the_default():
     assert harness.config_from_dict(block) == default
 
 
+# values the field-by-field checks pass but a run could not use, each
+# with the field its message names
+RANGE_REFUSALS = [
+    ({"scenario": "optdemo", "parameter_box": [[-5.0, 5.0]]}, "parameter_box"),
+    ({"scenario": "optdemo", "parameter_box": [[-5.0, 5.0]] * 3},
+     "parameter_box"),
+    ({"fom": {"T": math.inf}}, "fom.T"),
+    ({"fom": {"T": 0}}, "fom.T"),
+    ({"fom": {"T": -1.0}}, "fom.T"),
+    ({"scenario": "optdemo", "opt": {"delay_s": math.inf}}, "opt.delay_s"),
+    ({"scenario": "optdemo", "opt": {"delay_s": -1.0}}, "opt.delay_s"),
+]
+
+
 # the entries that name rb, ml.n_min, ml.lengthscale, ml.ridge or
 # opt.max_iters are refused as unknown keys: those are level defaults, not
 # config fields
@@ -118,10 +132,23 @@ def test_readme_config_block_is_the_default():
     {"rb": {"pod_tol": float("nan")}},
     {"rb": {"pod_tol": -1.0}},
     {"scenario": "optdemo", "opt": {"delay_s": float("nan")}},
+    *(bad for bad, _ in RANGE_REFUSALS),
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ConfigurationError):
         harness.config_from_dict(bad)
+
+
+@pytest.mark.parametrize("bad, name", RANGE_REFUSALS)
+def test_cli_range_refusal_names_its_field(bad, name, tmp_path, capsys):
+    with pytest.raises(ConfigurationError, match=name):
+        harness.config_from_dict(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))  # math.inf is written as Infinity
+    out = tmp_path / "x.csv"
+    assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scenario_defaults_resolved_per_field():

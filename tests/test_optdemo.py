@@ -104,7 +104,7 @@ def test_oracle_counts_every_call():
     assert oracle.eval_counter == 2
 
 
-@pytest.mark.parametrize("delay_s", [-0.001, float("nan")])
+@pytest.mark.parametrize("delay_s", [-0.001, float("nan"), float("inf")])
 def test_oracle_rejects_invalid_delay(delay_s):
     with pytest.raises(ConfigurationError):
         ObjectiveOracle(delay_s=delay_s)
