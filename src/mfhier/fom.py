@@ -4,7 +4,9 @@ Heat equation on (0, 1) with homogeneous Dirichlet boundary, diffusivity
 piecewise constant on Q equal subdomains with values given by the
 parameter vector.  The operator has affine parameter dependence
 A(mu) = sum_q mu_q A_q, which is what makes online-efficient error
-estimation possible downstream.
+estimation possible downstream.  Every operator is symmetric tridiagonal,
+so the implicit Euler march factors its step matrix once with LAPACK's
+tridiagonal LDL^T and steps by one banded matvec and one tridiagonal solve.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ from typing import Any
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConfigurationError, DomainError
 from .hierarchy import ModelOutput
+
+_dsbmv = scipy.linalg.blas.dsbmv
+_pttrf = scipy.linalg.lapack.dpttrf
+_pttrs = scipy.linalg.lapack.dpttrs
 
 
 def _tridiag(diag: np.ndarray, off: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -39,12 +44,18 @@ def _tridiag(diag: np.ndarray, off: np.ndarray) -> scipy.sparse.csr_matrix:
                                    shape=(n, n))
 
 
-def _band_cholesky(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Upper banded Cholesky factor U of the tridiagonal S = U^T U with
-    main diagonal ``diag`` and off-diagonal ``off``."""
+def _upper_band(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """LAPACK upper band storage (2, n) of the symmetric tridiagonal matrix
+    with main diagonal ``diag`` and off-diagonal ``off``."""
     band = np.zeros((2, diag.size))
     band[0, 1:] = off
     band[1] = diag
+    return band
+
+
+def _band_cholesky(band: np.ndarray) -> np.ndarray:
+    """Upper banded Cholesky factor U of the tridiagonal S = U^T U given by
+    its upper band storage."""
     return scipy.linalg.cholesky_banded(band, check_finite=False)
 
 
@@ -55,7 +66,10 @@ class AffineSystem:
     ``M`` is the mass matrix, ``A[q]`` the stiffness contribution of
     subdomain q, ``X = sum_q A[q]`` the H^1_0-seminorm Gram matrix,
     ``F`` the load vector and ``qoi_vector = M @ 1`` realizes the
-    quantity of interest s = integral of u(., T).
+    quantity of interest s = integral of u(., T).  The private fields keep
+    the bands and factors the solvers use: ``_m_band`` is M in upper band
+    storage, ``_a_diag`` and ``_a_off`` stack the diagonals and
+    off-diagonals of the A[q].
     """
 
     n_h: int
@@ -73,6 +87,9 @@ class AffineSystem:
     qoi_const: float  # ||1||_M, certifies |s - s~| <= qoi_const * Delta
     _x_chol: Any = field(repr=False, compare=False, default=None)
     _m_chol: Any = field(repr=False, compare=False, default=None)
+    _m_band: Any = field(repr=False, compare=False, default=None)
+    _a_diag: Any = field(repr=False, compare=False, default=None)
+    _a_off: Any = field(repr=False, compare=False, default=None)
 
     def nodes(self) -> np.ndarray:
         return self.h * np.arange(1, self.n_h + 1)
@@ -192,6 +209,7 @@ def assemble(n_h: int, K: int, T: float, Q: int,
 
     u0_vec = _initial_values(u0, x)
     M = _tridiag(diag_m, off_m)
+    m_band = _upper_band(diag_m, off_m)
     ones = np.ones(n_h)
     qoi_vector = M @ ones
     return AffineSystem(
@@ -200,8 +218,9 @@ def assemble(n_h: int, K: int, T: float, Q: int,
         X=_tridiag(X_diag, X_off), F=F, u0=u0_vec,
         qoi_vector=qoi_vector,
         qoi_const=float(np.sqrt(ones @ qoi_vector)),
-        _x_chol=(_band_cholesky(X_diag, X_off), False),
-        _m_chol=_band_cholesky(diag_m, off_m),
+        _x_chol=(_band_cholesky(_upper_band(X_diag, X_off)), False),
+        _m_chol=_band_cholesky(m_band),
+        _m_band=m_band, _a_diag=A_diag, _a_off=A_off,
     )
 
 
@@ -215,16 +234,32 @@ def _check_mu(system: AffineSystem, mu) -> np.ndarray:
 
 
 def solve_fom(system: AffineSystem, mu) -> Trajectory:
-    """Implicit Euler march; one sparse factorization reused over all steps."""
+    """Implicit Euler march B u^k = M u^{k-1} + dt F, B = M + dt A(mu).
+
+    B is symmetric tridiagonal: its bands are M's plus dt times the
+    mu-weighted A_q bands.  LAPACK's ``dpttrf`` factors it once as L D L^T;
+    each step is one banded matvec (``dsbmv``) for the right-hand side and
+    one ``dpttrs`` solve.
+    """
     mu = _check_mu(system, mu)
-    B = (system.M + system.dt * sum(m_q * A_q for m_q, A_q in zip(mu, system.A)))
-    lu = scipy.sparse.linalg.splu(B.tocsc())
+    dt = system.dt
+    m_band = system._m_band
+    off = m_band[0, 1:] + dt * (mu @ system._a_off)
+    if not off.size:  # the f2py wrappers want one off-diagonal entry at n = 1
+        off = np.zeros(1)
+    d, e, info = _pttrf(m_band[1] + dt * (mu @ system._a_diag), off,
+                        overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise DomainError(f"step matrix is not positive definite (info={info})")
     states = np.empty((system.K + 1, system.n_h))
     states[0] = system.u0
-    dt_f = system.dt * system.F
+    dt_f = dt * system.F
     u = system.u0
     for k in range(1, system.K + 1):
-        u = lu.solve(system.M @ u + dt_f)
+        # dsbmv writes M u + dt F into a copy of dt_f; dpttrs overwrites
+        # that copy with the solution
+        u, info = _pttrs(d, e, _dsbmv(1, 1.0, m_band, u, beta=1.0, y=dt_f),
+                         overwrite_b=1)
         states[k] = u
     return Trajectory(states=states)
 

@@ -10,6 +10,8 @@ is the speedup reference.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import functools
 import json
@@ -18,9 +20,11 @@ import numbers
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
 from . import fom, mlsurrogate, optdemo, rb
 from .errors import ConfigurationError
@@ -64,9 +68,9 @@ _DUMP_KINDS = {"parabolic": ("trajectory", "basis", "training"),
               "optdemo": ("training",)}
 
 #: ``ml.enabled`` of a config that leaves it out.  The learned coefficient
-#: stage costs the parabolic streams more than it saves (README, "Which
-#: stages pay"), so it is opt-in there; the optimization surrogate saves
-#: oracle calls.
+#: stage about breaks even on the Q=2 streams and costs the Q=8 ones more
+#: than it saves (README, "Which stages pay"), so it is opt-in there; the
+#: optimization surrogate saves oracle calls.
 _ML_DEFAULTS = {"parabolic": False, "optdemo": True}
 
 #: Config fields that count something and must be integers (not bools).
@@ -481,6 +485,53 @@ def report(path) -> StreamSummary:
 # run / baseline
 
 
+#: The OpenBLAS builds that numpy and scipy wheels vendor: the package, the
+#: library's file pattern in ``<package>.libs`` and the suffix of its
+#: ``scipy_openblas_{get,set}_num_threads`` symbols.
+_VENDORED_OPENBLAS = ((np, "libscipy_openblas64_*.so", "64_"),
+                      (scipy, "libscipy_openblas*.so", ""))
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each vendored OpenBLAS found;
+    a library or symbol that is not there is skipped."""
+    controls = []
+    for package, pattern, suffix in _VENDORED_OPENBLAS:
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path))
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread and give back the caller's counts.
+
+    The hierarchy's dense kernels are small (N <= 60, a few hundred
+    training pairs).  On OpenBLAS's default pool the first ``eigh`` calls
+    of a process can stall for 150-210 ms each when no threaded BLAS work
+    ran for a while, which one thread avoids.
+    """
+    controls = _openblas_thread_controls()
+    counts = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, counts):
+            set_(count)
+
+
 @dataclass
 class RunResult:
     records: list
@@ -502,9 +553,11 @@ def _execute(config: RunConfig, adaptation_enabled: bool) -> RunResult:
         rows.append(result_row(record, qoi, scenario.basis_n(), scenario.ml_n(),
                                n_stages))
 
-    t0 = time.perf_counter()
-    records = scenario.hierarchy.run_query_stream(parameters, on_record=on_record)
-    wall_s = time.perf_counter() - t0
+    with _one_blas_thread():
+        t0 = time.perf_counter()
+        records = scenario.hierarchy.run_query_stream(parameters,
+                                                      on_record=on_record)
+        wall_s = time.perf_counter() - t0
 
     result = RunResult(records=records, rows=rows,
                        summary=summarize(rows, n_stages),
@@ -592,6 +645,7 @@ def _analytic_error(n_h: int, K: int, T: float, Q: int) -> float:
     return float(np.max(np.abs(trajectory.states[-1] - exact)))
 
 
+@_one_blas_thread()
 def verify(config: RunConfig) -> VerifyReport:
     """User-facing correctness suite of the parabolic scenario; see README
     for the check list."""

@@ -9,8 +9,11 @@ one the targets are in, the next ``absorb`` re-expresses them in the new
 basis (:func:`rebase`) before it takes anything else.  A prediction carries
 the reduced system its targets are in, so the estimator and the lift read
 the basis from the prediction itself.  A Gaussian kernel with a
-constant lengthscale on box-scaled inputs keeps the regressor
-deterministic and cheap to update.
+constant lengthscale keeps the regressor deterministic and cheap to
+update.  The stage's regressor sees each diffusivity on a log scale,
+mapped onto [0, 1] across the box (:class:`LogScaledBox`): the reduced
+coefficients vary with log mu, and a linear map of the box would squeeze
+its lower decade into the first tenth of the unit interval.
 
 :class:`KernelRegressor` is the only owner of the training pairs and has
 one update rule, :meth:`KernelRegressor.add`: a new, distinct input is
@@ -39,19 +42,38 @@ from .rb import ReducedSystem, ReducedTrajectory, error_estimate, solve_rb
 _trtrs = scipy.linalg.lapack.dtrtrs
 
 #: Largest power function P(mu) at which the learned stage predicts.  On
-#: the seed-42, 1 and 2 reference streams (Q=2, lengthscale 0.12) the
-#: largest P of an accepted prediction is 0.027, 0.124 and 0.022; on the
-#: Q=8 streams of the same seeds no attempt has P below 0.958, and none is
-#: accepted.  0.5 keeps every accepted answer and declines the Q=8 attempts
-#: before their prediction, lift to full space and residual estimate.
+#: log-scaled inputs at lengthscale 0.12, the largest P of an accepted
+#: prediction is 0.046, 0.045 and 0.188 on the 2000-query Q=2 streams of
+#: seeds 42, 1 and 2; on the 1000-query Q=8 streams of the same seeds the
+#: smallest P of an attempt is 0.429, 0.539 and 0.380, and none is
+#: accepted.  0.5 keeps every accepted answer and declines all but 0-5 of
+#: the 989 Q=8 attempts before their prediction, lift to full space and
+#: residual estimate.
 POWER_GATE = 0.5
 
-#: Gaussian kernel lengthscale in box-scaled units, and the training pairs
-#: a regressor needs before it predicts.
+#: Gaussian kernel lengthscale in the units of the regressor box's
+#: ``scale01`` (log-scaled for the learned coefficient stage), and the
+#: training pairs a regressor needs before it predicts.
 LENGTHSCALE = 0.12
 N_MIN = 10
 #: Ridge of the learned coefficient stage.
 RIDGE = 1e-8
+
+
+class LogScaledBox(ParameterBox):
+    """A positive parameter box whose :meth:`scale01` maps log mu onto
+    [0, 1]^Q: (log mu - log lo) / (log hi - log lo) componentwise."""
+
+    def __init__(self, box: ParameterBox):
+        if np.any(box.lows <= 0):
+            raise ConfigurationError("log-scaled inputs need a positive box")
+        super().__init__(zip(box.lows, box.highs))
+        self._log_lows = np.log(self.lows)
+        self._log_span = np.log(self.highs) - self._log_lows
+
+    def scale01(self, mu) -> np.ndarray:
+        mu = np.asarray(mu, dtype=float)
+        return (np.log(mu) - self._log_lows) / self._log_span
 
 
 def _gaussian(a: np.ndarray, b: np.ndarray, lengthscale: float) -> np.ndarray:
@@ -74,13 +96,14 @@ class KernelRegressor:
     """Gaussian-kernel ridge regression, vector-valued outputs.
 
     Owns the training pairs in growing buffers: raw inputs (for rebase and
-    the training dump), box-scaled inputs, float32 targets, the index that
-    makes a duplicate input replace its target, and the lower Cholesky
-    factor of (K_mat + ridge I).  Nothing is allocated before the first
-    pair arrives.  Predictions need at least ``n_min`` pairs.  The targets
-    are kept (m, capacity) C-order float32: the prediction matvec streams
-    the same warm, cache-sized buffer, and the induced ~1e-7 relative noise
-    is far below the regression error this surrogate can reach.
+    the training dump), their ``box.scale01`` images, float32 targets, the
+    index that makes a duplicate input replace its target, and the lower
+    Cholesky factor of (K_mat + ridge I).  Nothing is allocated before the
+    first pair arrives.  Predictions need at least ``n_min`` pairs.  The
+    targets are kept (m, capacity) C-order float32: the prediction matvec
+    streams the same warm, cache-sized buffer, and the induced ~1e-7
+    relative noise is far below the regression error this surrogate can
+    reach.
     """
 
     def __init__(self, box: ParameterBox, lengthscale: float = LENGTHSCALE,
@@ -302,14 +325,17 @@ class MLCoefficientLevel(ModelLevel):
     ``rb_level`` has swapped in another since, then takes reduced-basis
     solutions as training pairs (the regressor learns only from the reduced
     model).  The error estimate is the residual bound of the prediction's
-    own reduced system, the space it is predicted and lifted in.
+    own reduced system, the space it is predicted and lifted in.  The
+    regressor reads the parameters of the positive ``box`` on a log scale
+    (:class:`LogScaledBox`).
     """
 
     def __init__(self, box: ParameterBox, rb_level, n_min: int = N_MIN,
                  lengthscale: float = LENGTHSCALE):
         self.rb_level = rb_level
         self.reduced_system = rb_level.reduced_system
-        self.regressor = KernelRegressor(box, lengthscale, RIDGE, n_min)
+        self.regressor = KernelRegressor(LogScaledBox(box), lengthscale,
+                                         RIDGE, n_min)
 
     def evaluate(self, mu) -> ModelOutput:
         trajectory = predict_trajectory(self.regressor, self.reduced_system,

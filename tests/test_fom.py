@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from mfhier import (ConfigurationError, DomainError, FullOrderLevel,
-                    SplitMix64, assemble, compute_qoi, solve_fom)
+                    SplitMix64, assemble, compute_qoi, fom, solve_fom)
 
 from conftest import random_coefficients
 
@@ -208,6 +209,48 @@ def test_domain_error_for_nonpositive_diffusivity(small_system):
         solve_fom(small_system, [-1.0, 2.0])
     with pytest.raises(DomainError):
         solve_fom(small_system, [1.0])  # wrong length
+
+
+def splu_march(system, mu):
+    """Reference: the former march, a sparse LU of B = M + dt A(mu) reused
+    over the steps u^k = B^{-1} (M u^{k-1} + dt F)."""
+    B = system.M + system.dt * sum(m_q * A_q for m_q, A_q in zip(mu, system.A))
+    lu = scipy.sparse.linalg.splu(B.tocsc())
+    states = [system.u0]
+    for _ in range(system.K):
+        states.append(lu.solve(system.M @ states[-1] + system.dt * system.F))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("Q", [1, 2, 8])
+@pytest.mark.parametrize("u0", ["zero", "sine"])
+def test_tridiagonal_march_matches_splu_march(Q, u0):
+    # both marches are backward stable with per-step relative error about
+    # cond(B) eps, and the step contracts in the M-norm, so they drift apart
+    # at most linearly over K steps: by 2 K cond(B) eps ||u||_M, ||u||_M the
+    # largest state norm, with Gershgorin's cond(B) <= 3 + 12 dt max(mu)/h^2
+    system = assemble(200, 100, 1.0, Q, u0=u0)
+    rng = SplitMix64(1000 + Q)
+    eps = np.finfo(float).eps
+    for _ in range(10):
+        mu = 10.0 ** np.array([rng.uniform(-1.0, 1.0) for _ in range(Q)])
+        states = solve_fom(system, mu).states
+        reference = splu_march(system, mu)
+        cond = 3.0 + 12.0 * system.dt * mu.max() / system.h**2
+        bound = (2.0 * system.K * cond * eps
+                 * max(system.m_norm(u) for u in reference))
+        assert np.array_equal(states[0], reference[0])
+        assert max(system.m_norm(u - v)
+                   for u, v in zip(states, reference)) <= bound
+
+
+def test_unfactorable_step_matrix_is_a_domain_error(small_system,
+                                                   monkeypatch):
+    # B = M + dt A(mu) is positive definite for mu > 0, so only a LAPACK
+    # failure reaches this path
+    monkeypatch.setattr(fom, "_pttrf", lambda d, e, **kwargs: (d, e, 1))
+    with pytest.raises(DomainError):
+        solve_fom(small_system, [1.0, 2.0])
 
 
 def test_energy_decay_without_source():

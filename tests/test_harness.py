@@ -716,3 +716,35 @@ def test_mean_eval_time_ordering_with_enough_samples(tmp_path):
         costly = cheap + 1
         if s.evaluations[cheap] >= 50 and s.evaluations[costly] >= 50:
             assert s.eval_mean_s[cheap] < s.eval_mean_s[costly]
+
+
+# ---------------------------------------------------------------- BLAS threads
+
+
+def test_run_uses_one_blas_thread_and_restores_the_callers(monkeypatch):
+    controls = harness._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no vendored OpenBLAS found")
+    counts_in_solve = []
+    solve_fom = fom.solve_fom
+
+    def counting_solve(system, mu):
+        counts_in_solve.append([get() for get, _ in controls])
+        return solve_fom(system, mu)
+
+    monkeypatch.setattr(fom, "solve_fom", counting_solve)
+    initial = [get() for get, _ in controls]
+    config = harness.default_config("parabolic", n_queries=5)
+    config.output.results_path = ""
+    try:
+        for _, set_ in controls:
+            set_(2)
+        caller = [get() for get, _ in controls]
+        harness.run(config)
+        after = [get() for get, _ in controls]
+    finally:
+        for (_, set_), count in zip(controls, initial):
+            set_(count)
+    assert counts_in_solve and all(counts == [1] * len(controls)
+                                   for counts in counts_in_solve)
+    assert after == caller

@@ -386,3 +386,44 @@ def test_ml_training_set_monotone(small_system, diffusivity_box):
         assert ml.absorb(solve_rb(rb.reduced_system, np.asarray(mu))) is True
         sizes.append(ml.regressor.n_train)
     assert sizes == sorted(sizes)
+
+
+# ---------------------------------------------------------------- input map
+
+
+def test_learned_stage_reads_log_scaled_inputs(small_system, diffusivity_box):
+    _, ml = make_ml(small_system, diffusivity_box, n_absorb=12)
+    mus = ml.regressor.raw_inputs
+    lo, hi = diffusivity_box.lows, diffusivity_box.highs
+    expected = (np.log(mus) - np.log(lo)) / (np.log(hi) - np.log(lo))
+    np.testing.assert_allclose(ml.regressor.inputs, expected, rtol=1e-15,
+                               atol=0)
+    np.testing.assert_allclose(ml.regressor.box.scale01(lo), 0.0, atol=0)
+    np.testing.assert_allclose(ml.regressor.box.scale01(hi), 1.0, rtol=1e-15)
+
+
+def test_log_scaled_box_needs_a_positive_box():
+    with pytest.raises(ConfigurationError):
+        mlsurrogate.LogScaledBox(ParameterBox([[0.0, 1.0]]))
+
+
+def test_optdemo_surrogate_inputs_stay_linear():
+    config = harness.default_config("optdemo", n_queries=3,
+                                    opt={"delay_s": 0.0})
+    config.output.results_path = ""
+    regressor = harness.run(config).scenario.opt_surrogate.regressor
+    assert regressor.n_train > 0
+    np.testing.assert_array_equal(regressor.inputs,
+                                  config.box.scale01(regressor.raw_inputs))
+
+
+def test_learned_stage_answers_most_of_the_criterion_5_stream():
+    # the seed-42 Q=2 stream of criterion 5: on log-scaled inputs stage 1
+    # answers about 382 of 500 queries, with the full-order solves of the
+    # RB+FOM hierarchy
+    config = harness.default_config("parabolic", n_queries=500, seed=42,
+                                    ml={"enabled": True})
+    config.output.results_path = ""
+    summary = harness.run(config).summary
+    assert summary.accepted[1] >= 300
+    assert summary.accepted[3] == 4
