@@ -52,15 +52,9 @@ print(f"effectivity (bound / true error): min {eff.min():.1f}, "
       f"median {np.median(eff):.1f}, max {eff.max():.1f}")
 
 
-def tridiagonal(S):
-    """Diagonal and off-diagonal of a symmetric tridiagonal matrix, in long
-    double."""
-    return (S.diagonal(0).astype(np.longdouble),
-            S.diagonal(1).astype(np.longdouble))
-
-
 def tri_matvec(S, rows):
-    diag, off = S
+    """S @ row for every row of the long-double ``rows``, in long double."""
+    diag, off = S.diag.astype(np.longdouble), S.off.astype(np.longdouble)
     out = diag * rows
     out[:, :-1] += off * rows[:, 1:]
     out[:, 1:] += off * rows[:, :-1]
@@ -68,8 +62,9 @@ def tri_matvec(S, rows):
 
 
 def tri_solve(S, rows):
-    """Thomas algorithm along the last axis, one system per row."""
-    diag, off = S
+    """Thomas algorithm along the last axis, one system per row, in long
+    double."""
+    diag, off = S.diag.astype(np.longdouble), S.off.astype(np.longdouble)
     n = len(diag)
     c = np.empty(n - 1, dtype=np.longdouble)
     d = np.empty_like(rows)
@@ -84,18 +79,16 @@ def tri_solve(S, rows):
     return d
 
 
-M_ld = tridiagonal(system.M)
-A_ld = [tridiagonal(A) for A in system.A]
-X_ld = tridiagonal(system.X)
 F_ld = system.F.astype(np.longdouble)
 
 
 def reference_norms(V, mu, coeffs):
     """||r^k||_{X'} for k = 1..K, every operation in long double."""
     U = coeffs.astype(np.longdouble) @ V.astype(np.longdouble).T
-    r = (F_ld - tri_matvec(M_ld, U[1:] - U[:-1]) / np.longdouble(system.dt)
-         - sum(np.longdouble(m) * tri_matvec(A, U[1:]) for m, A in zip(mu, A_ld)))
-    return np.sqrt(np.einsum("ij,ij->i", r, tri_solve(X_ld, r)))
+    r = (F_ld - tri_matvec(system.M, U[1:] - U[:-1]) / np.longdouble(system.dt)
+         - sum(np.longdouble(m) * tri_matvec(A, U[1:])
+               for m, A in zip(mu, system.A)))
+    return np.sqrt(np.einsum("ij,ij->i", r, tri_solve(system.X, r)))
 
 
 print("\nonline residual dual norms against a long-double reference "

@@ -97,10 +97,10 @@ def _load_config(args) -> harness.RunConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command != "report":
-        # invalid or unreadable configuration -> exit 2
+        # invalid, missing or unreadable configuration -> exit 2
         try:
             config = _load_config(args)
-        except (ConfigurationError, FileNotFoundError) as err:
+        except (ConfigurationError, OSError) as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_BAD_CONFIG
     try:

@@ -4,8 +4,10 @@ Heat equation on (0, 1) with homogeneous Dirichlet boundary, diffusivity
 piecewise constant on Q equal subdomains with values given by the
 parameter vector.  The operator has affine parameter dependence
 A(mu) = sum_q mu_q A_q, which is what makes online-efficient error
-estimation possible downstream.  Every operator is symmetric tridiagonal,
-so the implicit Euler march factors its step matrix once with LAPACK's
+estimation possible downstream.  Every operator is symmetric tridiagonal
+and kept once, as its two bands (:class:`Tridiagonal`): the offline
+products, the march and the Cholesky factors all read the same arrays.
+The implicit Euler march factors its step matrix once with LAPACK's
 tridiagonal LDL^T and steps by one banded matvec and one tridiagonal solve.
 """
 
@@ -17,7 +19,6 @@ from typing import Any
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import ConfigurationError, DomainError
 from .hierarchy import ModelOutput
@@ -27,36 +28,43 @@ _pttrf = scipy.linalg.lapack.dpttrf
 _pttrs = scipy.linalg.lapack.dpttrs
 
 
-def _tridiag(diag: np.ndarray, off: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Symmetric tridiagonal CSR matrix with main diagonal ``diag`` and both
-    off-diagonals ``off``.  Zeros are not stored, so the arrays are those of
-    ``scipy.sparse.diags([off, diag, off], [-1, 0, 1]).tocsr()``."""
-    n = diag.size
-    values = np.zeros((n, 3))  # row i holds columns i-1, i, i+1
-    values[1:, 0] = off
-    values[:, 1] = diag
-    values[:-1, 2] = off
-    stored = values != 0
-    columns = np.arange(n, dtype=np.int32)[:, None] + np.array([-1, 0, 1], dtype=np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(stored.sum(axis=1), out=indptr[1:])
-    return scipy.sparse.csr_matrix((values[stored], columns[stored], indptr),
-                                   shape=(n, n))
+@dataclass(frozen=True, eq=False)
+class Tridiagonal:
+    """Symmetric tridiagonal matrix kept as its bands ``diag`` and ``off``.
+
+    ``S @ v`` takes a vector or a block of columns and returns a C-ordered
+    array with the values of a CSR product, bit for bit for finite v.  A
+    CSR row sum is ((0 + sub) + main) + super over the nonzero entries.  A
+    zero term changes no nonzero sum and a float sum may swap its operands,
+    so (main + sub) + super can differ only by giving -0 for +0, which the
+    final + 0.0 undoes.
+    """
+
+    diag: np.ndarray
+    off: np.ndarray
+
+    def __matmul__(self, v) -> np.ndarray:
+        # a C-ordered v keeps each pass below on contiguous rows
+        v = np.ascontiguousarray(v, dtype=float)
+        rows = (slice(None),) + (None,) * (v.ndim - 1)
+        diag, off = self.diag[rows], self.off[rows]
+        out = diag * v
+        out[1:] += off * v[:-1]
+        out[:-1] += off * v[1:]
+        out += 0.0
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
+
+    def upper_band(self) -> np.ndarray:
+        """LAPACK upper band storage (2, n); its entry [0, 0] is unused."""
+        return np.concatenate(([0.0], self.off, self.diag)).reshape(2, -1)
 
 
-def _upper_band(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """LAPACK upper band storage (2, n) of the symmetric tridiagonal matrix
-    with main diagonal ``diag`` and off-diagonal ``off``."""
-    band = np.zeros((2, diag.size))
-    band[0, 1:] = off
-    band[1] = diag
-    return band
-
-
-def _band_cholesky(band: np.ndarray) -> np.ndarray:
-    """Upper banded Cholesky factor U of the tridiagonal S = U^T U given by
-    its upper band storage."""
-    return scipy.linalg.cholesky_banded(band, check_finite=False)
+def _band_cholesky(S: Tridiagonal) -> np.ndarray:
+    """Upper banded Cholesky factor U of S = U^T U."""
+    return scipy.linalg.cholesky_banded(S.upper_band(), check_finite=False)
 
 
 @dataclass(frozen=True)
@@ -66,10 +74,9 @@ class AffineSystem:
     ``M`` is the mass matrix, ``A[q]`` the stiffness contribution of
     subdomain q, ``X = sum_q A[q]`` the H^1_0-seminorm Gram matrix,
     ``F`` the load vector and ``qoi_vector = M @ 1`` realizes the
-    quantity of interest s = integral of u(., T).  The private fields keep
-    the bands and factors the solvers use: ``_m_band`` is M in upper band
-    storage, ``_a_diag`` and ``_a_off`` stack the diagonals and
-    off-diagonals of the A[q].
+    quantity of interest s = integral of u(., T).  Each operator is one
+    :class:`Tridiagonal`, which the products, the march and the Cholesky
+    factors all read; the private fields keep the factors of X and M.
     """
 
     n_h: int
@@ -78,18 +85,15 @@ class AffineSystem:
     T: float
     dt: float
     Q: int
-    M: scipy.sparse.csr_matrix
-    A: tuple
-    X: scipy.sparse.csr_matrix
+    M: Tridiagonal
+    A: tuple          # of Tridiagonal, one per subdomain
+    X: Tridiagonal
     F: np.ndarray
     u0: np.ndarray
     qoi_vector: np.ndarray
     qoi_const: float  # ||1||_M, certifies |s - s~| <= qoi_const * Delta
     _x_chol: Any = field(repr=False, compare=False, default=None)
     _m_chol: Any = field(repr=False, compare=False, default=None)
-    _m_band: Any = field(repr=False, compare=False, default=None)
-    _a_diag: Any = field(repr=False, compare=False, default=None)
-    _a_off: Any = field(repr=False, compare=False, default=None)
 
     def nodes(self) -> np.ndarray:
         return self.h * np.arange(1, self.n_h + 1)
@@ -171,18 +175,15 @@ def assemble(n_h: int, K: int, T: float, Q: int,
     The element integrals are (Q, n_h + 1) arrays, element e spanning
     [e*h, (e+1)*h] with interior dofs e-1 and e.  The stiffness weight
     w = overlap / h**2 gives A_q the diagonal w[:, :-1] + w[:, 1:] and the
-    off-diagonal -w[:, 1:-1].  X's bands are the A_q bands summed in q
+    off-diagonal 0 - w[:, 1:-1].  X's bands are the A_q bands summed in q
     order, and F takes every right-end hat integral (q ascending) before
-    every left-end one, as a loop over elements and subdomains adds them,
-    so the matrices and F keep their bits.
+    every left-end one, as a loop over elements and subdomains adds them to
+    zeros, so the bands and F keep the loop's bits.
     """
     if n_h < Q or Q < 1 or K < 1 or not 0 < T < math.inf:  # also rejects NaN
         raise ConfigurationError("need n_h >= Q >= 1, K >= 1, finite T > 0")
     h = 1.0 / (n_h + 1)
     x = h * np.arange(1, n_h + 1)
-
-    diag_m = np.full(n_h, 2.0 * h / 3.0)
-    off_m = np.full(n_h - 1, h / 6.0)
 
     e = np.arange(n_h + 1)
     x_left = e * h
@@ -202,25 +203,20 @@ def assemble(n_h: int, K: int, T: float, Q: int,
     load_left = np.where(inside, source_vals * int_left, 0.0)
 
     A_diag = w[:, :-1] + w[:, 1:]
-    A_off = -w[:, 1:-1]
+    A_off = 0.0 - w[:, 1:-1]
     # running sums of the rows in q order, right ends before left ends for F
     F = sum(load_left[:, 1:], start=sum(load_right[:, :-1]))
-    X_diag, X_off = sum(A_diag), sum(A_off)
 
-    u0_vec = _initial_values(u0, x)
-    M = _tridiag(diag_m, off_m)
-    m_band = _upper_band(diag_m, off_m)
+    M = Tridiagonal(np.full(n_h, 2.0 * h / 3.0), np.full(n_h - 1, h / 6.0))
+    X = Tridiagonal(sum(A_diag), sum(A_off))
     ones = np.ones(n_h)
     qoi_vector = M @ ones
     return AffineSystem(
         n_h=n_h, h=h, K=K, T=float(T), dt=float(T) / K, Q=Q,
-        M=M, A=tuple(_tridiag(d, o) for d, o in zip(A_diag, A_off)),
-        X=_tridiag(X_diag, X_off), F=F, u0=u0_vec,
-        qoi_vector=qoi_vector,
+        M=M, A=tuple(map(Tridiagonal, A_diag, A_off)), X=X, F=F,
+        u0=_initial_values(u0, x), qoi_vector=qoi_vector,
         qoi_const=float(np.sqrt(ones @ qoi_vector)),
-        _x_chol=(_band_cholesky(_upper_band(X_diag, X_off)), False),
-        _m_chol=_band_cholesky(m_band),
-        _m_band=m_band, _a_diag=A_diag, _a_off=A_off,
+        _x_chol=(_band_cholesky(X), False), _m_chol=_band_cholesky(M),
     )
 
 
@@ -228,8 +224,8 @@ def _check_mu(system: AffineSystem, mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (system.Q,):
         raise DomainError(f"expected {system.Q} diffusivity values, got {mu.shape}")
-    if np.any(mu <= 0):
-        raise DomainError("diffusivity must be strictly positive (coercivity)")
+    if not np.all((mu > 0) & (mu < np.inf)):  # also rejects NaN
+        raise DomainError("diffusivity must be finite and positive (coercivity)")
     return mu
 
 
@@ -242,19 +238,19 @@ def solve_fom(system: AffineSystem, mu) -> Trajectory:
     one ``dpttrs`` solve.
     """
     mu = _check_mu(system, mu)
-    dt = system.dt
-    m_band = system._m_band
-    off = m_band[0, 1:] + dt * (mu @ system._a_off)
+    dt, M = system.dt, system.M
+    diag = M.diag + dt * (mu @ np.array([A_q.diag for A_q in system.A]))
+    off = M.off + dt * (mu @ np.array([A_q.off for A_q in system.A]))
     if not off.size:  # the f2py wrappers want one off-diagonal entry at n = 1
         off = np.zeros(1)
-    d, e, info = _pttrf(m_band[1] + dt * (mu @ system._a_diag), off,
-                        overwrite_d=1, overwrite_e=1)
+    d, e, info = _pttrf(diag, off, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise DomainError(f"step matrix is not positive definite (info={info})")
     states = np.empty((system.K + 1, system.n_h))
     states[0] = system.u0
     dt_f = dt * system.F
     u = system.u0
+    m_band = M.upper_band()
     for k in range(1, system.K + 1):
         # dsbmv writes M u + dt F into a copy of dt_f; dpttrs overwrites
         # that copy with the solution

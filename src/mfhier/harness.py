@@ -197,7 +197,7 @@ def read_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigurationError(f"config is not valid JSON: {err}") from None
 
 
@@ -367,8 +367,11 @@ def _parse_row(line: str, dim: int, n_stages: int, row_number: int) -> ResultRow
 
 def read_results(path) -> tuple[list, int]:
     """Parse a results CSV; returns (rows, number of stages)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"results file is not UTF-8: {err}") from None
     if not lines:
         raise ConfigurationError("results file is empty (missing header)")
     header = lines[0].split(",")

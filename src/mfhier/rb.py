@@ -115,17 +115,17 @@ def _x_orthonormalize(system: AffineSystem, V: np.ndarray,
     kept = []
     for j in range(W.shape[1]):
         w = W[:, j].copy()
-        norm0 = np.sqrt(max(w @ (system.X @ w), 0.0))
+        xw = system.X @ w  # always X @ w for the current w
+        norm0 = np.sqrt(max(w @ xw, 0.0))
         if norm0 <= 0.0:
             continue
         for _ in range(2):
-            xw = system.X @ w
             w = w - V @ (V.T @ xw)
             xw = system.X @ w
             for v in kept:
                 w = w - v * (v @ xw)
                 xw = system.X @ w
-        norm = np.sqrt(max(w @ (system.X @ w), 0.0))
+        norm = np.sqrt(max(w @ xw, 0.0))
         if norm <= 1e-10 * norm0:
             continue
         kept.append(w / norm)
@@ -194,8 +194,8 @@ def extend_basis(reduced_system: ReducedSystem, system: AffineSystem,
 def coercivity_lower_bound(mu) -> float:
     """min-theta bound; exact here since a(v,v;mu) >= min_q mu_q * v^T X v."""
     mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0):
-        raise DomainError("coercivity lost for non-positive diffusivity")
+    if not np.all((mu > 0) & (mu < np.inf)):  # also rejects NaN
+        raise DomainError("coercivity lost: diffusivity not finite and positive")
     return float(mu.min())
 
 
@@ -209,13 +209,13 @@ def solve_rb(reduced_system: ReducedSystem, mu) -> ReducedTrajectory:
     vector-matrix products of the augmented row [a^k, 1] = [a^{k-1}, 1] P,
     P = [[T^T, 0], [c^T, 1]].  The result is the step-by-step solve up to
     round-off, and the estimator certifies whatever coefficients it gets.
-    Raises :class:`DomainError` for a non-positive mu or a B that is not
-    positive definite.
+    Raises :class:`DomainError` for a mu that is not finite and positive or
+    a B that is not positive definite.
     """
     rs = reduced_system
     mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0):
-        raise DomainError("diffusivity must be strictly positive")
+    if not np.all((mu > 0) & (mu < np.inf)):  # also rejects NaN
+        raise DomainError("diffusivity must be finite and strictly positive")
     N = rs.N
     rows = np.zeros((rs.K + 1, N + 1))
     if N:

@@ -81,12 +81,16 @@ def test_piecewise_source_exact_integration():
         assert abs(system.F[i] - quad) < 1e-8
 
 
+def csr_tridiag(diag, off):
+    """Reference: the CSR matrix of symmetric tridiagonal bands; zeros are
+    not stored."""
+    return scipy.sparse.diags([off, diag, off], [-1, 0, 1],
+                              shape=(diag.size, diag.size), format="csr")
+
+
 def element_loop_assembly(n_h, Q, source_vals):
     """Reference: the former per-element, per-subdomain assembly loop."""
     h = 1.0 / (n_h + 1)
-
-    def tridiag(diag, off):
-        return scipy.sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
 
     def band_cholesky(S):
         band = np.zeros((2, S.shape[0]))
@@ -94,7 +98,7 @@ def element_loop_assembly(n_h, Q, source_vals):
         band[1] = S.diagonal()
         return scipy.linalg.cholesky_banded(band, check_finite=False)
 
-    M = tridiag(np.full(n_h, 2.0 * h / 3.0), np.full(n_h - 1, h / 6.0))
+    M = csr_tridiag(np.full(n_h, 2.0 * h / 3.0), np.full(n_h - 1, h / 6.0))
     A_diag = np.zeros((Q, n_h))
     A_off = np.zeros((Q, n_h - 1))
     F = np.zeros(n_h)
@@ -120,7 +124,7 @@ def element_loop_assembly(n_h, Q, source_vals):
                 F[left_dof] += source_vals[q] * int_left
             if right_dof < n_h:
                 F[right_dof] += source_vals[q] * int_right
-    A = tuple(tridiag(A_diag[q], A_off[q]) for q in range(Q))
+    A = tuple(csr_tridiag(A_diag[q], A_off[q]) for q in range(Q))
     X = sum(A[1:], start=A[0]).tocsr()
     ones = np.ones(n_h)
     qoi_vector = M @ ones
@@ -136,10 +140,10 @@ def assert_same_bits(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
-def assert_same_csr(actual, expected):
-    for name in ("data", "indices", "indptr"):
-        assert_same_bits(getattr(actual, name), getattr(expected, name))
-    assert actual.shape == expected.shape
+def assert_same_bands(actual, expected):
+    """The bands of ``actual`` are the diagonals of the CSR ``expected``."""
+    assert_same_bits(actual.diag, expected.diagonal(0))
+    assert_same_bits(actual.off, expected.diagonal(1))
 
 
 @pytest.mark.parametrize("n_h, Q, source", [
@@ -147,7 +151,7 @@ def assert_same_csr(actual, expected):
     (31, 5, "one"), (8, 8, "one"), (1, 1, "one"), (9, 2, [2.0, 5.0]),
     (1124, 2, "one")])
 def test_assembly_matches_element_loop(n_h, Q, source):
-    # the array assembly must give the loop's operators bit for bit: Q=7
+    # the array assembly must give the loop's bands bit for bit: Q=7
     # puts subdomain edges between nodes, Q = n_h gives every subdomain one
     # dof, n_h = 1 has no off-diagonal, and at n_h = 1124 an array square
     # differs from the loop's float ``**`` in the last bit of F
@@ -155,16 +159,38 @@ def test_assembly_matches_element_loop(n_h, Q, source):
     source_vals = (np.ones(Q) if source == "one"
                    else np.asarray(source, dtype=float))
     reference = element_loop_assembly(n_h, Q, source_vals)
-    assert_same_csr(system.M, reference["M"])
-    assert_same_csr(system.X, reference["X"])
+    assert_same_bands(system.M, reference["M"])
+    assert_same_bands(system.X, reference["X"])
     assert len(system.A) == Q
     for A_q, reference_q in zip(system.A, reference["A"]):
-        assert_same_csr(A_q, reference_q)
+        assert_same_bands(A_q, reference_q)
     assert_same_bits(system.F, reference["F"])
     assert_same_bits(system.qoi_vector, reference["qoi_vector"])
     assert system.qoi_const == reference["qoi_const"]
     assert_same_bits(system._x_chol[0], reference["x_chol"])
     assert_same_bits(system._m_chol, reference["m_chol"])
+
+
+@pytest.mark.parametrize("n_h, Q", [(n_h, Q) for Q in (1, 2, 8)
+                                     for n_h in (1, 2, 9, 200) if n_h >= Q])
+def test_band_products_match_csr_products(n_h, Q):
+    # the band product gives the sparse product's values to the last bit
+    # and the sign of zero, for vectors and for C- and F-ordered blocks;
+    # the +0 and -0 entries of v meet the empty rows of the A_q outside
+    # their subdomain
+    system = assemble(n_h, 3, 1.0, Q)
+    rng = SplitMix64(n_h * 10 + Q)
+    block = random_coefficients(rng, n_h, 101)
+    block[::3, ::2] = 0.0
+    block[1::3, ::2] = -0.0
+    operands = [block[:, 0], block[:, 1], block[:, :7],
+                np.asfortranarray(block[:, :7]), np.asfortranarray(block)]
+    for S in (system.M, system.X, *system.A):
+        reference = csr_tridiag(S.diag, S.off)
+        for v in operands:
+            product = S @ v
+            assert product.flags.c_contiguous
+            assert_same_bits(product, reference @ v)
 
 
 def test_invalid_sizes_rejected():
@@ -213,12 +239,14 @@ def test_domain_error_for_nonpositive_diffusivity(small_system):
 
 def splu_march(system, mu):
     """Reference: the former march, a sparse LU of B = M + dt A(mu) reused
-    over the steps u^k = B^{-1} (M u^{k-1} + dt F)."""
-    B = system.M + system.dt * sum(m_q * A_q for m_q, A_q in zip(mu, system.A))
+    over the steps u^k = B^{-1} (M u^{k-1} + dt F), on CSR matrices."""
+    M = csr_tridiag(system.M.diag, system.M.off)
+    A = [csr_tridiag(A_q.diag, A_q.off) for A_q in system.A]
+    B = M + system.dt * sum(m_q * A_q for m_q, A_q in zip(mu, A))
     lu = scipy.sparse.linalg.splu(B.tocsc())
     states = [system.u0]
     for _ in range(system.K):
-        states.append(lu.solve(system.M @ states[-1] + system.dt * system.F))
+        states.append(lu.solve(M @ states[-1] + system.dt * system.F))
     return np.array(states)
 
 

@@ -604,6 +604,11 @@ def test_cli_exit_codes(tmp_path):
     bad_config.write_text("{not json")
     assert cli_main(["run", "--config", str(bad_config)]) == 2
     assert cli_main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+    # a config that cannot be read or decoded is refused like a missing one
+    assert cli_main(["run", "--config", str(tmp_path)]) == 2
+    latin1_config = tmp_path / "latin1.json"
+    latin1_config.write_bytes(b'{"seed": "\xe9"}')
+    assert cli_main(["run", "--config", str(latin1_config)]) == 2
     # a NaN tolerance would send every query on to the reference, and an
     # infinite box bound would reach the solvers
     nan_out = tmp_path / "nan.csv"
@@ -623,6 +628,9 @@ def test_cli_exit_codes(tmp_path):
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("query_id,nope\n")
     assert cli_main(["report", str(bad_csv)]) == 2
+    latin1_csv = tmp_path / "latin1.csv"
+    latin1_csv.write_bytes(b"query_id,mu_\xe9\n")
+    assert cli_main(["report", str(latin1_csv)]) == 2
     assert cli_main(["report", str(tmp_path / "missing.csv")]) == 3
     # a dump the scenario cannot write is refused before any query runs
     opt_out = tmp_path / "opt.csv"

@@ -198,6 +198,20 @@ def test_solve_rb_rejects_nonpositive(small_system):
         solve_rb(reduced, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_diffusivity_not_finite_positive_is_a_domain_error(small_system, bad):
+    # NaN fails every comparison and inf passes mu > 0: a test of mu <= 0
+    # alone returns a NaN trajectory, NaN coefficients or an infinite alpha
+    reduced = grow_basis(small_system, [[1.0, 1.0]])
+    mu = [2.0, bad]
+    with pytest.raises(DomainError):
+        solve_fom(small_system, mu)
+    with pytest.raises(DomainError):
+        solve_rb(reduced, mu)
+    with pytest.raises(DomainError):
+        coercivity_lower_bound(mu)
+
+
 # ---------------------------------------------------------------- coercivity
 
 
