@@ -400,6 +400,7 @@ class StreamSummary:
     accepted_halves: tuple  # (first half, second half), each stage -> accepted
     adaptation: dict        # (source, target) -> events
     adaptation_total: int
+    reference_unabsorbed: int  # reference answers no cheaper level absorbed
     qoi_mean: float
     estimate_mean: float    # mean accepted estimate, "ref" counted as 0
 
@@ -416,6 +417,7 @@ class StreamSummary:
             "accepted_halves": {"first": keyed(first), "second": keyed(second)},
             "adaptation": {f"{s}>{t}": c for (s, t), c in self.adaptation.items()},
             "adaptation_total": self.adaptation_total,
+            "reference_unabsorbed": self.reference_unabsorbed,
             "qoi_mean": self.qoi_mean,
             "estimate_mean": self.estimate_mean,
         }
@@ -436,7 +438,9 @@ class StreamSummary:
                      + "  (first/second)")
         lines.append(f"  adaptation events: {self.adaptation_total}  "
                      + " ".join(f"{s}>{t}:{c}"
-                                for (s, t), c in self.adaptation.items()))
+                                for (s, t), c in self.adaptation.items())
+                     + "   reference answers no level absorbed: "
+                     f"{self.reference_unabsorbed}")
         lines.append(f"  qoi mean: {self.qoi_mean:.10g}")
         lines.append(f"  estimate mean: {self.estimate_mean:.3e}")
         return "\n".join(lines)
@@ -445,7 +449,9 @@ class StreamSummary:
 def summarize(rows, n_stages: int) -> StreamSummary:
     """Aggregate a results table: per-stage counts and times, the accepted
     stages of each half of the stream (the adaptive load shift), the
-    adaptation events and the means of the QoI and the accepted estimate."""
+    adaptation events, the reference answers whose row has no event from
+    the reference stage (a solve that taught no cheaper level, e.g. at the
+    basis cap) and the means of the QoI and the accepted estimate."""
     stages = range(1, n_stages + 1)
     n = len(rows)
     n_first = (n + 1) // 2
@@ -454,8 +460,12 @@ def summarize(rows, n_stages: int) -> StreamSummary:
     evaluations = dict.fromkeys(stages, 0)
     eval_total = dict.fromkeys(stages, 0.0)
     adaptation = {}
+    reference_unabsorbed = 0
     for i, row in enumerate(rows):
         accepted[row.stage] += 1
+        if (row.stage == n_stages
+                and all(source != n_stages for source, _ in row.events)):
+            reference_unabsorbed += 1
         (first if i < n_first else second)[row.stage] += 1
         for stage, duration in zip(stages, row.durations):
             if duration > 0:
@@ -473,6 +483,7 @@ def summarize(rows, n_stages: int) -> StreamSummary:
         accepted_halves=(first, second),
         adaptation=dict(sorted(adaptation.items())),
         adaptation_total=sum(adaptation.values()),
+        reference_unabsorbed=reference_unabsorbed,
         qoi_mean=sum(row.qoi for row in rows) / n if n else 0.0,
         estimate_mean=(sum(row.estimate for row in rows
                            if row.estimate is not None) / n if n else 0.0),

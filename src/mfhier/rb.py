@@ -205,10 +205,13 @@ def solve_rb(reduced_system: ReducedSystem, mu) -> ReducedTrajectory:
     Every step solves B a^k = M_N a^{k-1} + dt F_N with the same
     B = M_N + dt sum_q mu_q A_q, so a^k = T a^{k-1} + c with
     B [T, c] = [M_N, dt F_N]: one Cholesky factorization of B and one
-    solve with N + 1 right-hand sides per parameter.  The K steps are then
-    vector-matrix products of the augmented row [a^k, 1] = [a^{k-1}, 1] P,
-    P = [[T^T, 0], [c^T, 1]].  The result is the step-by-step solve up to
-    round-off, and the estimator certifies whatever coefficients it gets.
+    solve with N + 1 right-hand sides per parameter.  With the augmented
+    row [a^k, 1] = [a^0, 1] P^k, P = [[T^T, 0], [c^T, 1]], the march doubles:
+    rows m..m+k-1 are rows 0..k-1 times P^m, k = min(m, K + 1 - m), and P
+    is squared between blocks, so K = 100 steps take 7 block products and
+    6 squarings of the (N + 1)^2 propagator instead of 100 vector-matrix
+    products.  The result is the step-by-step solve up to round-off, and
+    the estimator certifies whatever coefficients it gets.
     Raises :class:`DomainError` for a mu that is not finite and positive or
     a B that is not positive definite.
     """
@@ -233,8 +236,13 @@ def solve_rb(reduced_system: ReducedSystem, mu) -> ReducedTrajectory:
         P[N, N] = 1.0
         rows[0, :N] = rs.a0
         rows[0, N] = 1.0
-        for previous, row in zip(rows, rows[1:]):
-            np.dot(previous, P, out=row)
+        m = 1  # rows[:m] are done; P holds P^m
+        while m <= rs.K:
+            k = min(m, rs.K + 1 - m)
+            np.dot(rows[:k], P, out=rows[m:m + k])
+            m += k
+            if m <= rs.K:
+                P = P @ P
     # an owned array: a view would keep the (K+1, N+1) work array alive
     return ReducedTrajectory(coefficients=rows[:, :N].copy(), mu=mu,
                              reduced_system=rs, producer="rb")
@@ -244,7 +252,12 @@ def _residuals(trajectory: ReducedTrajectory) -> np.ndarray:
     """Row k-1 is R theta^k, whose 2-norm is ||r^k||_{X'}, k = 1..K.
 
     r^k = F - (1/dt) M V (a^k - a^{k-1}) - sum_q mu_q A_q V a^k; mu is
-    folded into the A-columns of R before the time loop.
+    folded into the A-columns of R before the time loop.  R is upper
+    triangular, so its M V block is zero below row N and the differences
+    meet only its first N + 1 rows: the products cost K N (N + 1) plus
+    K N rows(R) multiply-adds.  The difference term is subtracted from
+    the load column before the A-term, the order of the full product, so
+    the residuals are those of R theta^k to the bit.
     """
     rs = trajectory.reduced_system
     a = trajectory.coefficients
@@ -253,7 +266,10 @@ def _residuals(trajectory: ReducedTrajectory) -> np.ndarray:
     mu = np.asarray(trajectory.mu, dtype=float)
     R_mu = mu @ R[:, 1 + N:].reshape(len(R), rs.Q, N)
     d = (a[1:] - a[:-1]) / rs.dt
-    return R[:, 0] - d @ R[:, 1:1 + N].T - a[1:] @ R_mu.T
+    residuals = np.tile(R[:, 0], (len(d), 1))
+    residuals[:, :N + 1] -= d @ R[:N + 1, 1:1 + N].T
+    residuals -= a[1:] @ R_mu.T
+    return residuals
 
 
 def residual_dual_norms(trajectory: ReducedTrajectory) -> np.ndarray:

@@ -158,6 +158,26 @@ def test_solve_rb_matches_stepwise_reference(Q):
                 <= 1e-12 * np.max(np.abs(reference))), mu
 
 
+@pytest.mark.parametrize("K, with_basis", [(1, False)] + [
+    (K, True) for K in (1, 2, 3, 7, 8, 63, 64, 100)])
+def test_doubling_march_matches_stepwise_reference_at_block_edges(K, with_basis):
+    # the doubling march writes rows in blocks 1, 2, 4, ..: K at and next
+    # to a power of two end it on a full or a one-row last block
+    system = assemble(n_h=40, K=K, T=1.0, Q=2)
+    rng = SplitMix64(44)
+    box = ParameterBox([[0.1, 10.0]] * 2)
+    reduced = empty_reduced_system(system)
+    if with_basis:
+        reduced = grow_basis(system, [box.sample(rng) for _ in range(2)])
+        assert reduced.N >= 2
+    for mu in [box.sample(rng) for _ in range(5)] + [np.array([0.1, 10.0])]:
+        coeffs = solve_rb(reduced, mu).coefficients
+        reference = stepwise_implicit_euler(reduced, mu)
+        assert coeffs.shape == reference.shape == (K + 1, reduced.N)
+        assert (np.max(np.abs(coeffs - reference), initial=0.0)
+                <= 1e-12 * np.max(np.abs(reference), initial=0.0)), mu
+
+
 def test_solve_rb_returns_owned_coefficients(small_system):
     reduced = grow_basis(small_system, [[1.0, 1.0]])
     coeffs = solve_rb(reduced, [2.0, 0.5]).coefficients
@@ -234,6 +254,20 @@ def test_coercivity_is_exact_for_x_norm(small_system):
 
 
 # ---------------------------------------------------------------- residuals
+
+
+@pytest.mark.parametrize("Q", [2, 4])
+def test_residual_factor_mass_block_is_zero_below_row_n(Q):
+    # rb._residuals multiplies the coefficient differences by the first
+    # N + 1 rows of the M V block only
+    system = assemble(n_h=60, K=20, T=1.0, Q=Q)
+    rng = SplitMix64(45)
+    box = ParameterBox([[0.1, 10.0]] * Q)
+    reduced = grow_basis(system, [box.sample(rng) for _ in range(2)])
+    N, R = reduced.N, reduced.residual_factor
+    assert N >= 2 and R.shape[0] > N + 1
+    assert np.all(R[N + 1:, 1:1 + N] == 0.0)
+    assert np.all(np.diag(R)[1:1 + N] != 0.0)
 
 
 def test_residual_norms_zero_for_reproduced_trajectory():
@@ -495,3 +529,22 @@ def test_rb_level_at_cap_logs_no_event(small_system):
     answer, events = hierarchy.handle_request([0.1, 10.0])
     assert answer.is_reference and events == []
     assert level.reduced_system is capped
+
+
+def test_summary_counts_reference_answers_at_the_cap(small_system):
+    # at the n_max cap every further full-order solve teaches no level
+    level = ReducedBasisLevel(small_system, n_max=2)
+    hierarchy = ModelHierarchy([level, FullOrderLevel(small_system)],
+                               tolerance=0.0,
+                               box=ParameterBox([[0.1, 10.0]] * 2))
+    records = hierarchy.run_query_stream(
+        [[1.0, 1.0], [0.1, 10.0], [10.0, 0.1], [3.0, 3.0]])
+    assert level.reduced_system.N == 2
+    rows = [harness.result_row(record, 0.0, level.reduced_system.N, 0, 2)
+            for record in records]
+    summary = harness.summarize(rows, 2)
+    assert summary.accepted == {1: 0, 2: 4}
+    assert summary.adaptation == {(2, 1): 1}
+    assert summary.reference_unabsorbed == 3
+    assert summary.to_dict()["reference_unabsorbed"] == 3
+    assert "reference answers no level absorbed: 3" in summary.format()
