@@ -33,9 +33,8 @@ import math
 
 import numpy as np
 import scipy.linalg
-import scipy.spatial.distance
 
-from .errors import ConfigurationError, NotReadyError
+from .errors import ConfigurationError, DomainError, NotReadyError
 from .hierarchy import ModelLevel, ModelOutput, ParameterBox
 from .rb import ReducedSystem, ReducedTrajectory, error_estimate, solve_rb
 
@@ -77,7 +76,13 @@ class LogScaledBox(ParameterBox):
 
 
 def _gaussian(a: np.ndarray, b: np.ndarray, lengthscale: float) -> np.ndarray:
-    sq = scipy.spatial.distance.cdist(a, b, "sqeuclidean")
+    """Kernel of every row pair.  Squared differences are summed one
+    component at a time, the round-off of a sequential sum at any dimension
+    (a reduction over the last axis sums eight or more pairwise)."""
+    sq = np.zeros((len(a), len(b)))
+    for k in range(a.shape[1]):
+        diff = np.subtract.outer(a[:, k], b[:, k])
+        sq += diff * diff
     return np.exp(-sq / (2.0 * lengthscale**2))
 
 
@@ -177,7 +182,7 @@ class KernelRegressor:
         there is no current factor, or the bordering fails, the factor
         stays stale until the next :meth:`predict`.
         """
-        mu = np.asarray(mu, dtype=float)
+        mu = self._check_mu(mu)
         y = np.asarray(y, dtype=float).ravel()
         if self._targets_t is not None and y.shape[0] != self._targets_t.shape[0]:
             raise ConfigurationError("output width changed; rebase first")
@@ -212,7 +217,7 @@ class KernelRegressor:
         n = self._n - 1
         k_col = _gaussian(self._scaled[:n], self._scaled[n:n + 1],
                           self.lengthscale)[:, 0]
-        l_row = self._lower(k_col)
+        l_row = self._triangular(k_col, 0)
         pivot_sq = 1.0 + self.ridge - float(l_row @ l_row)
         if pivot_sq <= 0:  # cannot happen for ridge > 0 barring round-off
             raise ConfigurationError("kernel system lost positive definiteness")
@@ -222,23 +227,18 @@ class KernelRegressor:
         grown[n, n] = np.sqrt(pivot_sq)
         self._factor = grown
 
-    def _lower(self, rhs: np.ndarray) -> np.ndarray:
-        """L^{-1} rhs, the first triangular solve."""
-        half, info = _trtrs(self._factor, rhs, lower=1, trans=0)
-        if info != 0:
-            raise ConfigurationError(f"triangular solve failed (info={info})")
-        return half
-
-    def _upper(self, half: np.ndarray) -> np.ndarray:
-        """L^{-T} half, the second triangular solve."""
-        out, info = _trtrs(self._factor, half, lower=1, trans=1)
+    def _triangular(self, rhs: np.ndarray, trans: int) -> np.ndarray:
+        """L^{-1} rhs (trans=0) or L^{-T} rhs (trans=1), L the factor."""
+        out, info = _trtrs(self._factor, rhs, lower=1, trans=trans)
         if info != 0:
             raise ConfigurationError(f"triangular solve failed (info={info})")
         return out
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(K_mat + ridge I)^{-1} rhs via the two triangular solves."""
-        return self._upper(self._lower(rhs))
+    def _check_mu(self, mu) -> np.ndarray:
+        mu = np.asarray(mu, dtype=float)
+        if mu.shape != (self.box.dim,):
+            raise DomainError(f"expected {self.box.dim} values, got {mu.shape}")
+        return mu
 
     def _kernel_half(self, mu) -> np.ndarray:
         """L^{-1} k(mu), factoring the kernel system first if it is stale."""
@@ -247,8 +247,8 @@ class KernelRegressor:
                 f"{self._n} training pairs, need at least {self.n_min}")
         if self._factor is None:
             self._factor = fit(self.inputs, self.lengthscale, self.ridge)
-        x = np.atleast_2d(self.box.scale01(mu))
-        return self._lower(_gaussian(self.inputs, x, self.lengthscale)[:, 0])
+        x = self.box.scale01(self._check_mu(mu))[None]
+        return self._triangular(_gaussian(self.inputs, x, self.lengthscale)[:, 0], 0)
 
     def power(self, mu) -> float:
         """Power function P(mu) = sqrt(1 - k^T (K_mat + ridge I)^{-1} k).
@@ -275,7 +275,7 @@ class KernelRegressor:
                 # the triangular solve
                 raise NotReadyError(f"power function {power:.3g} exceeds "
                                     f"{max_power:g}")
-        c = self._upper(half)
+        c = self._triangular(half, 1)
         flat = self._targets_t[:, :self._n] @ c.astype(np.float32, copy=False)
         return flat.astype(float)
 

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.spatial.distance
 
-from mfhier import (ConfigurationError, FullOrderLevel, KernelRegressor,
-                    ModelHierarchy, NotReadyError, ParameterBox, SplitMix64,
-                    error_estimate, harness, predict_trajectory, rebase,
-                    solve_fom, solve_rb)
+from mfhier import (ConfigurationError, DomainError, FullOrderLevel,
+                    KernelRegressor, ModelHierarchy, NotReadyError,
+                    ParameterBox, SplitMix64, error_estimate, harness,
+                    predict_trajectory, rebase, solve_fom, solve_rb)
 from mfhier import mlsurrogate
 from mfhier.mlsurrogate import MLCoefficientLevel
 from mfhier.rb import ReducedBasisLevel, ReducedTrajectory
@@ -84,13 +86,41 @@ def test_invalid_hyperparameters_rejected(diffusivity_box):
             KernelRegressor(diffusivity_box, **kw)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_gaussian_matches_cdist_bitwise(dim):
+    # the optdemo stream follows the kernel's round-off, so the squared
+    # distances keep cdist's sequential component sum; at dim 8 a pairwise
+    # sum (numpy's reduction over the last axis) differs
+    rng = np.random.default_rng(dim)
+    a, b = rng.random((60, dim)), rng.random((45, dim))
+    sq = scipy.spatial.distance.cdist(a, b, "sqeuclidean")
+    expected = np.exp(-sq / (2.0 * 0.12**2))
+    assert np.array_equal(mlsurrogate._gaussian(a, b, 0.12), expected)
+    assert np.array_equal(mlsurrogate._gaussian(a, b[:1], 0.12),
+                          expected[:, :1])
+
+
+@pytest.mark.parametrize("mu", [[5.0], [5.0, 5.0, 5.0]])
+def test_regressor_rejects_wrong_length_parameters(diffusivity_box, mu):
+    # a length-1 mu must not broadcast to (5, 5) in a 2-D box
+    regressor = KernelRegressor(diffusivity_box, lengthscale=0.3, n_min=2)
+    with pytest.raises(DomainError):
+        regressor.add(mu, np.zeros(3))
+    assert regressor.n_train == 0
+    for x in seeded_mus(3):
+        regressor.add(x, np.ones(3))
+    with pytest.raises(DomainError):
+        regressor.predict(mu)
+
+
 def test_zero_outputs_give_zero_predictions(diffusivity_box):
     regressor = KernelRegressor(diffusivity_box, lengthscale=0.3)
     for mu in seeded_mus(12):
         regressor.add(mu, np.zeros(8))
     pred = regressor.predict([3.0, 3.0])
     assert np.max(np.abs(pred)) <= 1e-12
-    weights = regressor._solve(np.ascontiguousarray(regressor.targets))
+    weights = scipy.linalg.cho_solve((regressor._factor, True),
+                                     regressor.targets)
     assert np.max(np.abs(weights)) <= 1e-12
 
 
@@ -98,7 +128,8 @@ def test_weights_satisfy_ridge_system(rb_level, diffusivity_box):
     regressor = regressor_from_rb(rb_level, diffusivity_box, seeded_mus(15),
                                   lengthscale=0.3, ridge=1e-8)
     regressor.predict([1.0, 1.0])  # factors the kernel system
-    weights = regressor._solve(np.ascontiguousarray(regressor.targets))
+    weights = scipy.linalg.cho_solve((regressor._factor, True),
+                                     regressor.targets)
     gram = mlsurrogate._gaussian(regressor.inputs, regressor.inputs,
                                  regressor.lengthscale)
     gram[np.diag_indices_from(gram)] += regressor.ridge

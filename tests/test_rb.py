@@ -85,6 +85,21 @@ def test_n_max_cap(small_system):
     assert reduced.N <= 8
 
 
+def test_x_orthonormalize_drops_dependent_columns(small_system):
+    # the second column lies in span(V, first column), the fourth is zero
+    system = small_system
+    V = grow_basis(system, [[1.0, 1.0]]).V
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2, system.n_h))
+    W = np.column_stack([a, 2.0 * a - V @ np.arange(V.shape[1]), b,
+                         np.zeros(system.n_h)])
+    kept = _x_orthonormalize(system, V, W)
+    assert kept.shape == (system.n_h, 2)
+    basis = np.hstack([V, kept])
+    gram = basis.T @ (system.X @ basis)
+    assert np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-13
+
+
 def test_orthonormality_after_extensions(small_system):
     rng = SplitMix64(11)
     box = ParameterBox([[0.1, 10.0]] * 2)
@@ -216,6 +231,14 @@ def test_solve_rb_rejects_nonpositive(small_system):
     reduced = grow_basis(small_system, [[1.0, 1.0]])
     with pytest.raises(DomainError):
         solve_rb(reduced, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("mu", [[5.0], [5.0, 5.0, 5.0]])
+def test_solve_rb_rejects_wrong_length(small_system, mu):
+    # a length-1 mu must not broadcast to (5, 5) on a Q=2 system
+    reduced = grow_basis(small_system, [[1.0, 1.0]])
+    with pytest.raises(DomainError):
+        solve_rb(reduced, mu)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -516,8 +539,9 @@ def test_rb_level_zero_mode_absorb_keeps_generation(small_system):
     assert level.reduced_system.generation == 1
 
 
-def test_rb_level_at_cap_logs_no_event(small_system):
-    # at the n_max cap a full-order solve changes no basis and is no event
+def test_rb_level_at_cap_logs_no_event(small_system, monkeypatch):
+    # at the n_max cap a full-order solve changes no basis and is no event,
+    # and extend_basis returns before the POD of the projection error
     level = ReducedBasisLevel(small_system, n_max=2)
     hierarchy = ModelHierarchy([level, FullOrderLevel(small_system)],
                                tolerance=0.0,
@@ -526,6 +550,11 @@ def test_rb_level_at_cap_logs_no_event(small_system):
     assert answer.is_reference and events == [(2, 1)]
     capped = level.reduced_system
     assert capped.N == 2 and capped.generation == 1
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("POD computed at the n_max cap")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     answer, events = hierarchy.handle_request([0.1, 10.0])
     assert answer.is_reference and events == []
     assert level.reduced_system is capped
