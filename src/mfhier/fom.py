@@ -26,6 +26,7 @@ from .hierarchy import ModelOutput
 _dsbmv = scipy.linalg.blas.dsbmv
 _pttrf = scipy.linalg.lapack.dpttrf
 _pttrs = scipy.linalg.lapack.dpttrs
+_tbtrs = scipy.linalg.lapack.dtbtrs
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +118,7 @@ class AffineSystem:
     def x_half_solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve U^T w = rhs (n_h x m) for X = U^T U, so that
         w^T w = rhs^T X^{-1} rhs."""
-        w, info = scipy.linalg.lapack.dtbtrs(self._x_chol[0], rhs, trans="T")
+        w, info = _tbtrs(self._x_chol[0], rhs, trans="T")
         if info != 0:
             raise np.linalg.LinAlgError(f"banded triangular solve failed (info={info})")
         return w
@@ -220,12 +221,14 @@ def assemble(n_h: int, K: int, T: float, Q: int,
     )
 
 
-def _check_mu(system: AffineSystem, mu) -> np.ndarray:
+def check_diffusivity(mu, Q: int) -> np.ndarray:
+    """The one diffusivity check: mu as a float array if it is Q finite,
+    strictly positive values (a coercive a(., .; mu)), else DomainError.
+    A scalar loop tests Q values faster than numpy; NaN fails it too."""
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != (system.Q,):
-        raise DomainError(f"expected {system.Q} diffusivity values, got {mu.shape}")
-    if not np.all((mu > 0) & (mu < np.inf)):  # also rejects NaN
-        raise DomainError("diffusivity must be finite and positive (coercivity)")
+    if mu.shape != (Q,) or not all(0.0 < v < math.inf for v in mu.tolist()):
+        raise DomainError(f"diffusivity {mu.tolist()} is not one finite, "
+                          "strictly positive value per subdomain")
     return mu
 
 
@@ -237,7 +240,7 @@ def solve_fom(system: AffineSystem, mu) -> Trajectory:
     each step is one banded matvec (``dsbmv``) for the right-hand side and
     one ``dpttrs`` solve.
     """
-    mu = _check_mu(system, mu)
+    mu = check_diffusivity(mu, system.Q)
     dt, M = system.dt, system.M
     diag = M.diag + dt * (mu @ np.array([A_q.diag for A_q in system.A]))
     off = M.off + dt * (mu @ np.array([A_q.off for A_q in system.A]))

@@ -68,9 +68,9 @@ _DUMP_KINDS = {"parabolic": ("trajectory", "basis", "training"),
               "optdemo": ("training",)}
 
 #: ``ml.enabled`` of a config that leaves it out.  The learned coefficient
-#: stage about breaks even on the Q=2 streams and costs the Q=8 ones more
-#: than it saves (README, "Which stages pay"), so it is opt-in there; the
-#: optimization surrogate saves oracle calls.
+#: stage costs more than it saves on both parabolic streams, 1.7x the wall
+#: of RB + FOM at Q=2 and 2.8x at Q=8 (README, "Which stages pay"), so it
+#: is opt-in there; the optimization surrogate saves oracle calls.
 _ML_DEFAULTS = {"parabolic": False, "optdemo": True}
 
 #: Config fields that count something and must be integers (not bools).

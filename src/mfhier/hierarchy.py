@@ -27,8 +27,9 @@ from .errors import (ConfigurationError, DomainError, NotReadyError,
                      StreamAborted)
 
 #: Failures of a surrogate level that send the query on to the next level,
-#: recorded as an attempt with an infinite estimate.  Raised by the last
-#: level, they propagate; so does every other error.
+#: recorded as an attempt with an infinite estimate: the level declines, or
+#: a factorization or triangular solve inside it fails.  Raised by the last
+#: level, they propagate; so does every other error (bad input or settings).
 SURROGATE_FAILURES = (NotReadyError, np.linalg.LinAlgError)
 
 

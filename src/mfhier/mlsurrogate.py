@@ -178,9 +178,9 @@ class KernelRegressor:
         """Store one training pair; the only way the pairs change.
 
         A duplicate input replaces its stored target.  A new, distinct
-        input is bordered onto a current factor by :meth:`append`; when
-        there is no current factor, or the bordering fails, the factor
-        stays stale until the next :meth:`predict`.
+        input is bordered onto a current factor by :meth:`append`; without
+        one, or if round-off fails the bordering (``LinAlgError``), the
+        factor stays stale until the next :meth:`predict` refits it.
         """
         mu = self._check_mu(mu)
         y = np.asarray(y, dtype=float).ravel()
@@ -205,7 +205,7 @@ class KernelRegressor:
         if self._factor is not None:
             try:
                 self.append()
-            except ConfigurationError:
+            except np.linalg.LinAlgError:
                 self._factor = None  # round-off broke the incremental factor
 
     def append(self) -> None:
@@ -220,7 +220,7 @@ class KernelRegressor:
         l_row = self._triangular(k_col, 0)
         pivot_sq = 1.0 + self.ridge - float(l_row @ l_row)
         if pivot_sq <= 0:  # cannot happen for ridge > 0 barring round-off
-            raise ConfigurationError("kernel system lost positive definiteness")
+            raise np.linalg.LinAlgError("kernel system lost positive definiteness")
         grown = np.zeros((n + 1, n + 1), order="F")
         grown[:n, :n] = self._factor
         grown[n, :n] = l_row
@@ -231,7 +231,7 @@ class KernelRegressor:
         """L^{-1} rhs (trans=0) or L^{-T} rhs (trans=1), L the factor."""
         out, info = _trtrs(self._factor, rhs, lower=1, trans=trans)
         if info != 0:
-            raise ConfigurationError(f"triangular solve failed (info={info})")
+            raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
         return out
 
     def _check_mu(self, mu) -> np.ndarray:

@@ -33,9 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError
-from .fom import AffineSystem, ParabolicResult, Trajectory
+from .fom import AffineSystem, ParabolicResult, Trajectory, check_diffusivity
 from .hierarchy import ModelLevel, ModelOutput
+
+_potrf = scipy.linalg.lapack.dpotrf
+_potrs = scipy.linalg.lapack.dpotrs
 
 #: A basis extension stops adding modes once the trajectory's uncaptured
 #: X-energy fraction is below POD_TOL, after at most N_ADD_MAX new modes,
@@ -188,10 +190,7 @@ def extend_basis(reduced_system: ReducedSystem, system: AffineSystem,
 
 def coercivity_lower_bound(mu) -> float:
     """min-theta bound; exact here since a(v,v;mu) >= min_q mu_q * v^T X v."""
-    mu = np.asarray(mu, dtype=float)
-    if not np.all((mu > 0) & (mu < np.inf)):  # also rejects NaN
-        raise DomainError("coercivity lost: diffusivity not finite and positive")
-    return float(mu.min())
+    return min(check_diffusivity(mu, np.size(mu)).tolist())
 
 
 def solve_rb(reduced_system: ReducedSystem, mu) -> ReducedTrajectory:
@@ -207,15 +206,12 @@ def solve_rb(reduced_system: ReducedSystem, mu) -> ReducedTrajectory:
     6 squarings of the (N + 1)^2 propagator instead of 100 vector-matrix
     products.  The result is the step-by-step solve up to round-off, and
     the estimator certifies whatever coefficients it gets.
-    Raises :class:`DomainError` for a mu that is not Q finite, positive
-    values or a B that is not positive definite.
+    Raises :class:`DomainError` for a mu :func:`check_diffusivity` rejects,
+    and ``LinAlgError`` if round-off makes B fail its Cholesky factorization:
+    a hierarchy then answers the query at its next stage.
     """
     rs = reduced_system
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (rs.Q,):
-        raise DomainError(f"expected {rs.Q} diffusivity values, got {mu.shape}")
-    if not np.all((mu > 0) & (mu < np.inf)):  # also rejects NaN
-        raise DomainError("diffusivity must be finite and strictly positive")
+    mu = check_diffusivity(mu, rs.Q)
     N = rs.N
     rows = np.zeros((rs.K + 1, N + 1))
     if N:
@@ -223,11 +219,10 @@ def solve_rb(reduced_system: ReducedSystem, mu) -> ReducedTrajectory:
         # arithmetic as a running sum of the mu_q A_q
         B = np.asfortranarray(
             rs.M_N + rs.dt * (mu[:, None, None] * rs.A_N).sum(axis=0))
-        potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (B,))
-        factor, info = potrf(B, lower=1, overwrite_a=1)
+        factor, info = _potrf(B, lower=1, overwrite_a=1)
         if info != 0:
-            raise DomainError(f"reduced system not positive definite (info={info})")
-        T_c, _ = potrs(factor, np.column_stack([rs.M_N, rs.dt * rs.F_N]), lower=1)
+            raise np.linalg.LinAlgError(f"reduced Cholesky failed (info={info})")
+        T_c, _ = _potrs(factor, np.column_stack([rs.M_N, rs.dt * rs.F_N]), lower=1)
         P = np.zeros((N + 1, N + 1))
         P[:, :N] = T_c.T
         P[N, N] = 1.0

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from mfhier import cli, fom, harness, optdemo, rb
+from mfhier import cli, fom, harness, mlsurrogate, optdemo, rb
 from mfhier.cli import main as cli_main
 from mfhier.errors import ConfigurationError
 
@@ -283,6 +283,65 @@ def test_learned_stage_only_replaces_rb_answers():
     for answer_off, answer_on in both:
         assert answer_off.estimate == answer_on.estimate
         assert answer_off.payload.qoi == answer_on.payload.qoi
+
+
+def fail_once_inside(monkeypatch, module, lapack, owner, method, n, **match):
+    """Let the n-th call of ``module.<lapack>`` made inside
+    ``owner.<method>`` with the keyword values ``match`` report info=1."""
+    inside, calls = [False], [0]
+    method_fn, lapack_fn = getattr(owner, method), getattr(module, lapack)
+
+    def flagged(self, *args, **kwargs):
+        inside[0] = True
+        try:
+            return method_fn(self, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def failing(*args, **kwargs):
+        out = lapack_fn(*args, **kwargs)
+        if inside[0] and all(kwargs.get(k) == v for k, v in match.items()):
+            calls[0] += 1
+            if calls[0] == n:
+                return (*out[:-1], 1)
+        return out
+
+    monkeypatch.setattr(owner, method, flagged)
+    monkeypatch.setattr(module, lapack, failing)
+    return calls
+
+
+@pytest.mark.parametrize("ml, stage, module, lapack, owner, method, match", [
+    (False, 1, rb, "_potrf", rb.ReducedBasisLevel, "evaluate", {}),
+    (True, 2, rb, "_potrf", rb.ReducedBasisLevel, "evaluate", {}),
+    (True, 1, mlsurrogate, "_trtrs", mlsurrogate.KernelRegressor, "predict",
+     {"trans": 0}),
+    (True, 1, mlsurrogate, "_trtrs", mlsurrogate.KernelRegressor, "predict",
+     {"trans": 1}),
+], ids=["rb-potrf", "ml-rb-potrf", "ml-kernel-solve", "ml-weights-solve"])
+def test_numerical_failure_in_a_surrogate_falls_through(
+        monkeypatch, ml, stage, module, lapack, owner, method, match):
+    # a failed factorization or triangular solve inside a surrogate is an
+    # attempt with an infinite estimate; the next stage answers the query
+    # and the stream goes on
+    config = harness.default_config("parabolic", n_queries=100, seed=42,
+                                    ml={"enabled": ml})
+    config.output.results_path = ""
+    clean = harness.run(config).records
+    calls = fail_once_inside(monkeypatch, module, lapack, owner, method, 20,
+                             **match)
+    patched = harness.run(config).records
+    assert calls[0] >= 20
+    assert len(patched) == len(clean) == 100
+
+    def attempts(record):
+        return [(a.stage, a.estimate) for a in record.answer.attempts]
+
+    hit = next(i for i, (a, b) in enumerate(zip(clean, patched))
+               if attempts(a) != attempts(b))
+    assert math.isfinite(dict(attempts(clean[hit]))[stage])
+    assert (stage, math.inf) in attempts(patched[hit])
+    assert patched[hit].answer.stage == stage + 1
 
 
 # ---------------------------------------------------------------- baseline

@@ -188,6 +188,23 @@ def test_replaced_target_refits_bitwise(rb_level, diffusivity_box):
                           fresh_copy(regressor).predict(probe))
 
 
+def test_failed_bordering_leaves_the_factor_stale(rb_level, diffusivity_box,
+                                                  monkeypatch):
+    # a LAPACK failure inside append keeps the pair and drops the factor;
+    # the next predict refactors it from scratch
+    mus = seeded_mus(14)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, mus[:13],
+                                  lengthscale=0.3)
+    probe = np.array([2.2, 7.3])
+    regressor.predict(probe)
+    monkeypatch.setattr(mlsurrogate, "_trtrs", lambda a, b, **kw: (b, 1))
+    regressor.add(mus[13], solve_rb(rb_level.reduced_system, mus[13]).coefficients)
+    monkeypatch.undo()
+    assert regressor.n_train == 14 and regressor._factor is None
+    assert np.array_equal(regressor.predict(probe),
+                          fresh_copy(regressor).predict(probe))
+
+
 def test_rebase_refits_bitwise(small_system, diffusivity_box):
     rb = ReducedBasisLevel(small_system)
     rb.absorb(solve_fom(small_system, [1.0, 4.0]))
