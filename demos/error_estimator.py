@@ -35,8 +35,7 @@ for trial in range(60):
     mu = box.sample(rng)
     trajectory = solve_rb(reduced, mu)
     if trial % 2:  # perturb: same certificate machinery, worse trajectory
-        noise = np.array([[rng.uniform(-0.02, 0.02) for _ in range(reduced.N)]
-                          for _ in range(system.K + 1)])
+        noise = rng.uniform_array(-0.02, 0.02, (system.K + 1, reduced.N))
         trajectory = ReducedTrajectory(trajectory.coefficients + noise,
                                        mu, reduced, "ml")
     delta = error_estimate(trajectory)
@@ -97,8 +96,7 @@ errors = []
 for _ in range(30):
     reduced = _random_reduced_system(system, rng, 4)
     mu = box.sample(rng)
-    coeffs = np.array([[rng.uniform(-1, 1) for _ in range(reduced.N)]
-                       for _ in range(system.K + 1)])
+    coeffs = rng.uniform_array(-1.0, 1.0, (system.K + 1, reduced.N))
     online = residual_dual_norms(ReducedTrajectory(coeffs, mu, reduced, "rb"))
     reference = reference_norms(reduced.V, mu, coeffs)
     errors.append(float(np.max(np.abs(online - reference)) / np.max(reference)))

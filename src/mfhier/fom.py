@@ -223,10 +223,12 @@ def assemble(n_h: int, K: int, T: float, Q: int,
 
 def check_diffusivity(mu, Q: int) -> np.ndarray:
     """The one diffusivity check: mu as a float array if it is Q finite,
-    strictly positive values (a coercive a(., .; mu)), else DomainError.
-    A scalar loop tests Q values faster than numpy; NaN fails it too."""
+    strictly positive values (a coercive a(., .; mu)), else DomainError;
+    an empty mu is none.  A scalar loop tests Q values faster than numpy;
+    NaN fails it too."""
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != (Q,) or not all(0.0 < v < math.inf for v in mu.tolist()):
+    if (mu.shape != (Q,) or not Q
+            or not all(0.0 < v < math.inf for v in mu.tolist())):
         raise DomainError(f"diffusivity {mu.tolist()} is not one finite, "
                           "strictly positive value per subdomain")
     return mu

@@ -260,10 +260,9 @@ def build_scenario(config: RunConfig, adaptation_enabled: bool = True) -> Scenar
 
 def draw_parameters(config: RunConfig) -> np.ndarray:
     """The seeded query stream: component-ordered SplitMix64 draws."""
-    rng = SplitMix64(config.seed)
     box = config.box
-    return np.array([box.sample(rng) for _ in range(config.n_queries)]
-                    ).reshape(config.n_queries, box.dim)
+    return SplitMix64(config.seed).uniform_array(
+        box.lows, box.highs, (config.n_queries, box.dim))
 
 
 # ----------------------------------------------------------------------
@@ -710,8 +709,7 @@ def verify(config: RunConfig) -> VerifyReport:
 
 
 def _random_reduced_system(system, rng, n_vectors: int) -> rb.ReducedSystem:
-    W = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n_vectors)]
-                  for _ in range(system.n_h)])
+    W = rng.uniform_array(-1.0, 1.0, (system.n_h, n_vectors))
     V = rb._x_orthonormalize(system, np.zeros((system.n_h, 0)), W)
     return rb.build_reduced_system(system, V, generation=1)
 
@@ -722,9 +720,8 @@ def _offline_online_discrepancy(system, box, config, trials: int) -> float:
     for _ in range(trials):
         reduced_system = _random_reduced_system(system, rng, 4)
         mu = box.sample(rng)
-        coeffs = np.array([[rng.uniform(-1.0, 1.0)
-                            for _ in range(reduced_system.N)]
-                           for _ in range(system.K + 1)])
+        coeffs = rng.uniform_array(-1.0, 1.0,
+                                   (system.K + 1, reduced_system.N))
         trajectory = rb.ReducedTrajectory(coefficients=coeffs, mu=mu,
                                           reduced_system=reduced_system,
                                           producer="rb")
@@ -765,9 +762,8 @@ def _rigor_margin(system, box, config, reduced_system, trials: int) -> float:
         if trial % 2 == 0:
             trajectory = rb.solve_rb(reduced_system, mu)
         else:
-            coeffs = np.array([[rng.uniform(-0.5, 0.5)
-                                for _ in range(reduced_system.N)]
-                               for _ in range(system.K + 1)])
+            coeffs = rng.uniform_array(-0.5, 0.5,
+                                       (system.K + 1, reduced_system.N))
             trajectory = rb.ReducedTrajectory(
                 coefficients=coeffs, mu=mu, reduced_system=reduced_system,
                 producer="ml")

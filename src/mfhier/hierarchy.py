@@ -79,7 +79,7 @@ class ParameterBox:
         return np.clip(np.asarray(x, dtype=float), self.lows, self.highs)
 
     def sample(self, rng) -> np.ndarray:
-        return np.array(rng.uniform_vector(self.lows, self.highs))
+        return rng.uniform_array(self.lows, self.highs, (self.dim,))
 
 
 @dataclass
@@ -136,7 +136,9 @@ class ModelLevel(abc.ABC):
     level.  ``absorb`` returns True when taking the payload changed the
     level's state and False when the payload does not apply or changed
     nothing; only a True is logged as an adaptation event.  It must never
-    invalidate answers already emitted.  Payloads are offered costliest
+    invalidate answers already emitted.  It may fail with one of
+    :data:`SURROGATE_FAILURES` only if it leaves the level consistent; the
+    failure is logged as nothing taken.  Payloads are offered costliest
     level first, so a level sees the data a costlier level has absorbed
     before it.
 
@@ -218,11 +220,17 @@ class ModelHierarchy:
 
     def _adapt(self, source_index: int, output: ModelOutput, events) -> None:
         """Offer ``output.adaptation`` to every cheaper level, costliest
-        first, and log (source, target) stages for each level that took it."""
+        first, and log (source, target) stages for each level that took it.
+        A level whose ``absorb`` fails with one of :data:`SURROGATE_FAILURES`
+        took nothing: no event is logged and the query goes on."""
         if not self.adaptation_enabled or output.adaptation is None:
             return
         for j in range(source_index - 1, -1, -1):
-            if self.levels[j].absorb(output.adaptation):
+            try:
+                taken = self.levels[j].absorb(output.adaptation)
+            except SURROGATE_FAILURES:
+                continue
+            if taken:
                 events.append((source_index + 1, j + 1))
 
     # ------------------------------------------------------------------

@@ -78,12 +78,16 @@ class LogScaledBox(ParameterBox):
 def _gaussian(a: np.ndarray, b: np.ndarray, lengthscale: float) -> np.ndarray:
     """Kernel of every row pair.  Squared differences are summed one
     component at a time, the round-off of a sequential sum at any dimension
-    (a reduction over the last axis sums eight or more pairwise)."""
-    sq = np.zeros((len(a), len(b)))
-    for k in range(a.shape[1]):
+    (a reduction over the last axis sums eight or more pairwise).  The sum
+    starts at the first square (0 + d^2 is d^2 exactly) and runs in place;
+    sq / (-2 l^2) is -sq / (2 l^2) exactly."""
+    sq = np.subtract.outer(a[:, 0], b[:, 0])
+    sq *= sq
+    for k in range(1, a.shape[1]):
         diff = np.subtract.outer(a[:, k], b[:, k])
-        sq += diff * diff
-    return np.exp(-sq / (2.0 * lengthscale**2))
+        diff *= diff
+        sq += diff
+    return np.exp(sq / (-2.0 * lengthscale**2))
 
 
 def fit(inputs: np.ndarray, lengthscale: float, ridge: float) -> np.ndarray:
@@ -290,11 +294,12 @@ def predict_trajectory(regressor: KernelRegressor,
                        max_power: float = math.inf) -> ReducedTrajectory:
     """Predict and unflatten coefficients a^0..a^K for one parameter, in
     ``reduced_system``, the system the regressor's targets are in."""
-    mu = np.asarray(mu, dtype=float)
-    coefficients = regressor.predict(mu, max_power).reshape(
-        reduced_system.K + 1, -1)
-    return ReducedTrajectory(coefficients=coefficients, mu=mu,
-                             reduced_system=reduced_system, producer="ml")
+    # made first: it checks mu before the regressor sees it
+    trajectory = ReducedTrajectory(coefficients=np.empty((0, 0)), mu=mu,
+                                   reduced_system=reduced_system, producer="ml")
+    trajectory.coefficients = regressor.predict(
+        trajectory.mu, max_power).reshape(reduced_system.K + 1, -1)
+    return trajectory
 
 
 def rebase(regressor: KernelRegressor, reduced_system: ReducedSystem) -> None:
@@ -347,10 +352,13 @@ class MLCoefficientLevel(ModelLevel):
         return error_estimate(output.adaptation)
 
     def absorb(self, payload) -> bool:
-        rebased = self.reduced_system is not self.rb_level.reduced_system
+        current = self.rb_level.reduced_system
+        rebased = self.reduced_system is not current
         if rebased:
-            self.reduced_system = self.rb_level.reduced_system
-            rebase(self.regressor, self.reduced_system)
+            # swapped in only once the targets are in it: a failed rebase
+            # leaves them marked stale, and the next absorb tries again
+            rebase(self.regressor, current)
+            self.reduced_system = current
         if isinstance(payload, ReducedTrajectory) and payload.producer == "rb":
             self.regressor.add(payload.mu, payload.coefficients)
             return True

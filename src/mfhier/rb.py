@@ -29,6 +29,7 @@ targets are in, so no notification is sent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -77,19 +78,54 @@ class ReducedSystem:
     def N(self) -> int:
         return self.V.shape[1]
 
+    # The online stage's query-independent blocks, derived from the fields
+    # on first use and kept with the generation.  They are never fields, so
+    # ``dataclasses.replace`` derives them anew from the replaced factor.
+
+    @cached_property
+    def march_rhs(self) -> np.ndarray:
+        """[M_N, dt F_N], Fortran-ordered for the Cholesky solve."""
+        return np.asfortranarray(np.column_stack([self.M_N,
+                                                  self.dt * self.F_N]))
+
+    @cached_property
+    def load_row(self) -> np.ndarray:
+        """R's load column, contiguous, broadcast over the time steps."""
+        return self.residual_factor[:, 0].copy()
+
+    @cached_property
+    def mass_block_t(self) -> np.ndarray:
+        """The transpose of R's M V block, contiguous in Fortran order, the
+        layout the product had as a view of R (BLAS rounds a product of the
+        other layout differently).  The block's rows below N are zero (R is
+        upper triangular), so it keeps only the first N + 1."""
+        return np.asfortranarray(
+            self.residual_factor[:self.N + 1, 1:1 + self.N].T)
+
+    @cached_property
+    def a_blocks(self) -> np.ndarray:
+        """R's A_q V blocks as a (rows, Q, N) view of R."""
+        R = self.residual_factor
+        return R[:, 1 + self.N:].reshape(len(R), self.Q, self.N)
+
 
 @dataclass
 class ReducedTrajectory:
     """Coefficient vectors a^0..a^K in the basis of ``reduced_system``.
 
     The shared currency between the reduced-basis and the learned stage;
-    it is estimated and lifted in the system it carries.
+    it is estimated and lifted in the system it carries.  Its mu is
+    checked here, the one place for every producer, so the estimator
+    reads it unchecked.
     """
 
     coefficients: np.ndarray  # (K+1, N)
     mu: np.ndarray
     reduced_system: ReducedSystem
     producer: str  # "rb" | "ml"
+
+    def __post_init__(self):
+        self.mu = check_diffusivity(self.mu, self.reduced_system.Q)
 
 
 def build_reduced_system(system: AffineSystem, V: np.ndarray,
@@ -211,21 +247,27 @@ def solve_rb(reduced_system: ReducedSystem, mu) -> ReducedTrajectory:
     a hierarchy then answers the query at its next stage.
     """
     rs = reduced_system
-    mu = check_diffusivity(mu, rs.Q)
     N = rs.N
-    rows = np.zeros((rs.K + 1, N + 1))
+    # made first: it checks mu before B is formed from it
+    trajectory = ReducedTrajectory(coefficients=np.empty((rs.K + 1, N)),
+                                   mu=mu, reduced_system=rs, producer="rb")
     if N:
-        # one broadcast product, summed over q in order: the same
-        # arithmetic as a running sum of the mu_q A_q
-        B = np.asfortranarray(
-            rs.M_N + rs.dt * (mu[:, None, None] * rs.A_N).sum(axis=0))
-        factor, info = _potrf(B, lower=1, overwrite_a=1)
+        # B = M_N + dt sum_q mu_q A_q in place, summed over q in order.  It
+        # is exactly symmetric, so its transpose is B in Fortran order.
+        mu = trajectory.mu.tolist()
+        B = rs.A_N[0] * mu[0]
+        for mu_q, A_q in zip(mu[1:], rs.A_N[1:]):
+            B += mu_q * A_q
+        B *= rs.dt
+        B += rs.M_N
+        factor, info = _potrf(B.T, lower=1, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"reduced Cholesky failed (info={info})")
-        T_c, _ = _potrs(factor, np.column_stack([rs.M_N, rs.dt * rs.F_N]), lower=1)
+        T_c, _ = _potrs(factor, rs.march_rhs, lower=1)
         P = np.zeros((N + 1, N + 1))
         P[:, :N] = T_c.T
         P[N, N] = 1.0
+        rows = np.empty((rs.K + 1, N + 1))
         rows[0, :N] = rs.a0
         rows[0, N] = 1.0
         m = 1  # rows[:m] are done; P holds P^m
@@ -235,9 +277,9 @@ def solve_rb(reduced_system: ReducedSystem, mu) -> ReducedTrajectory:
             m += k
             if m <= rs.K:
                 P = P @ P
-    # an owned array: a view would keep the (K+1, N+1) work array alive
-    return ReducedTrajectory(coefficients=rows[:, :N].copy(), mu=mu,
-                             reduced_system=rs, producer="rb")
+        # owned coefficients: a view would keep the work array alive
+        trajectory.coefficients[:] = rows[:, :N]
+    return trajectory
 
 
 def _residuals(trajectory: ReducedTrajectory) -> np.ndarray:
@@ -249,17 +291,18 @@ def _residuals(trajectory: ReducedTrajectory) -> np.ndarray:
     meet only its first N + 1 rows: the products cost K N (N + 1) plus
     K N rows(R) multiply-adds.  The difference term is subtracted from
     the load column before the A-term, the order of the full product, so
-    the residuals are those of R theta^k to the bit.
+    the residuals are those of R theta^k to the bit.  R's blocks are the
+    reduced system's, derived once per generation.
     """
     rs = trajectory.reduced_system
     a = trajectory.coefficients
-    R = rs.residual_factor
     N = rs.N
-    mu = np.asarray(trajectory.mu, dtype=float)
-    R_mu = mu @ R[:, 1 + N:].reshape(len(R), rs.Q, N)
+    R_mu = trajectory.mu @ rs.a_blocks
     d = (a[1:] - a[:-1]) / rs.dt
-    residuals = np.tile(R[:, 0], (len(d), 1))
-    residuals[:, :N + 1] -= d @ R[:N + 1, 1:1 + N].T
+    residuals = np.empty((len(d), len(rs.load_row)))
+    np.subtract(rs.load_row[:N + 1], d @ rs.mass_block_t,
+                out=residuals[:, :N + 1])
+    residuals[:, N + 1:] = rs.load_row[N + 1:]
     residuals -= a[1:] @ R_mu.T
     return residuals
 
@@ -276,7 +319,8 @@ def error_estimate(trajectory: ReducedTrajectory) -> float:
     a = trajectory.coefficients
     e0 = rs.initial_error_factor @ np.concatenate([[1.0], -a[0]])
     residuals = _residuals(trajectory)
-    alpha = coercivity_lower_bound(trajectory.mu)
+    # coercivity_lower_bound of the mu the trajectory checked when made
+    alpha = min(trajectory.mu.tolist())
     return float(np.sqrt(e0 @ e0 + rs.dt / alpha
                          * np.einsum("ij,ij->", residuals, residuals)))
 

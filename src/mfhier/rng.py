@@ -5,13 +5,24 @@ so that a given 64-bit seed reproduces the same parameter sequence on any
 platform and in any implementation of the same scheme.  The generator is
 the standard SplitMix64 mix function (Steele, Lea, Flood 2014) applied to
 a counter advanced by the golden-gamma constant; uniform doubles take the
-53 high bits of each output.
+53 high bits of each output.  The mix runs on uint64 arrays, a block of
+outputs per call, and wraps modulo 2^64 as the scheme does; a single draw
+is a block of one.
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+#: (shift, multiplier) of the two mixing rounds, and the final shift
+_ROUNDS = tuple((np.uint64(shift), np.uint64(multiplier)) for shift, multiplier
+                in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)))
+_LAST_SHIFT = np.uint64(31)
+_MANTISSA_SHIFT = np.uint64(11)
 
 
 class SplitMix64:
@@ -20,20 +31,37 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK
 
+    def next_block(self, n: int) -> np.ndarray:
+        """The next n outputs, in stream order, as a uint64 array.
+
+        Array arithmetic on uint64 wraps without a warning (a numpy scalar
+        would warn), so the counters and the mix stay in arrays.
+        """
+        z = (np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+             + np.uint64(self._state))
+        self._state = (self._state + n * _GAMMA) & _MASK
+        for shift, multiplier in _ROUNDS:
+            z = (z ^ (z >> shift)) * multiplier
+        return z ^ (z >> _LAST_SHIFT)
+
     def next_uint64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        return int(self.next_block(1)[0])
+
+    def uniform_array(self, lows, highs, shape) -> np.ndarray:
+        """Uniform doubles in [lo, hi), drawn in C order over ``shape``;
+        ``lows`` and ``highs`` broadcast against it (one interval per
+        component along the last axis)."""
+        u = (self.next_block(math.prod(shape)) >> _MANTISSA_SHIFT) * 2.0**-53
+        lows = np.asarray(lows, dtype=float)
+        return lows + (np.asarray(highs, dtype=float) - lows) * u.reshape(shape)
 
     def random(self) -> float:
         """Uniform double in [0, 1) using the 53 high bits."""
-        return (self.next_uint64() >> 11) * 2.0**-53
+        return float(self.uniform_array(0.0, 1.0, (1,))[0])
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
 
     def uniform_vector(self, lows, highs) -> list[float]:
         """One draw per component, in component order."""
-        return [self.uniform(lo, hi) for lo, hi in zip(lows, highs)]
+        return self.uniform_array(lows, highs, (len(lows),)).tolist()

@@ -23,8 +23,7 @@ def diffusivity_box():
 
 def random_coefficients(rng: SplitMix64, n_rows: int, n_cols: int,
                         scale: float = 1.0) -> np.ndarray:
-    return np.array([[rng.uniform(-scale, scale) for _ in range(n_cols)]
-                     for _ in range(n_rows)])
+    return rng.uniform_array(-scale, scale, (n_rows, n_cols))
 
 
 def strip_duration_columns(path) -> list:

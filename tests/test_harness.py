@@ -344,6 +344,40 @@ def test_numerical_failure_in_a_surrogate_falls_through(
     assert patched[hit].answer.stage == stage + 1
 
 
+def test_failed_rebase_takes_nothing_and_a_later_absorb_rebases(monkeypatch):
+    # the third reduced Cholesky inside a rebase of the learned stage's
+    # targets fails: that absorb takes nothing and logs no 3>1, the stream
+    # answers every query, and a later absorb rebases the targets
+    config = harness.default_config("parabolic", n_queries=200, seed=42,
+                                    ml={"enabled": True})
+    config.output.results_path = ""
+    clean = harness.run(config).records
+    calls = fail_once_inside(monkeypatch, rb, "_potrf", mlsurrogate,
+                             "rebase", 3)
+    flagged, completed = mlsurrogate.rebase, []
+
+    def counted(regressor, reduced_system):
+        flagged(regressor, reduced_system)
+        completed.append(calls[0])
+
+    monkeypatch.setattr(mlsurrogate, "rebase", counted)
+    result = harness.run(config)
+    patched = result.records
+    assert calls[0] >= 3
+    assert len(patched) == len(clean) == 200
+    hit = next(i for i, (a, b) in enumerate(zip(clean, patched))
+               if a.adaptation_events != b.adaptation_events)
+    assert (3, 1) in clean[hit].adaptation_events
+    assert (3, 1) not in patched[hit].adaptation_events
+    assert (3, 2) in patched[hit].adaptation_events
+    assert patched[hit].answer.stage == clean[hit].answer.stage == 3
+    assert any(n >= 3 for n in completed)  # a rebase after the failed one
+    ml_level = result.scenario.ml_level
+    assert ml_level.reduced_system is result.scenario.rb_level.reduced_system
+    assert ml_level.regressor.targets.shape[1] == (
+        (config.fom.K + 1) * ml_level.reduced_system.N)
+
+
 # ---------------------------------------------------------------- baseline
 
 

@@ -58,7 +58,8 @@ class Reference:
 
 
 class FailingLevel(StubLevel):
-    """Stub level whose ``evaluate`` or ``estimate_error`` raises ``error``."""
+    """Stub level whose ``evaluate``, ``estimate_error`` or ``absorb``
+    raises ``error``."""
 
     def __init__(self, name, error, method="evaluate", **kw):
         super().__init__(name, **kw)
@@ -74,6 +75,11 @@ class FailingLevel(StubLevel):
         if self.method == "estimate_error":
             raise self.error
         return super().estimate_error(output)
+
+    def absorb(self, payload):
+        if self.method == "absorb":
+            raise self.error
+        return super().absorb(payload)
 
 
 SURROGATE_ERRORS = [NotReadyError("declined"),
@@ -193,6 +199,21 @@ def test_surrogate_failure_falls_through(unit_box, error, method):
         failed = answer.attempts[0]
         assert failed.estimate == math.inf and failed.duration_s >= 0.0
     assert lvl3.n_evals == 0
+
+
+@pytest.mark.parametrize("error", SURROGATE_ERRORS, ids=lambda e: type(e).__name__)
+def test_failed_absorb_takes_nothing(unit_box, error):
+    # a level that fails to take the reference's data logs no event; the
+    # answer stands and the cheaper level is still offered the data
+    calls = []
+    lvl1 = StubLevel("m1", estimate=0.9, accepts=("d3",), calls=calls)
+    lvl2 = FailingLevel("m2", error, "absorb", estimate=0.9, calls=calls)
+    hierarchy = ModelHierarchy([lvl1, lvl2, Reference("m3", emits="d3")],
+                               tolerance=1e-3, box=unit_box)
+    records = hierarchy.run_query_stream([[0.2], [0.7]])
+    assert [r.answer.stage for r in records] == [3, 3]
+    assert [r.adaptation_events for r in records] == [[(3, 1)], [(3, 1)]]
+    assert calls == ["m1"] * 2 and lvl1.absorbed == ["d3"] * 2
 
 
 # the reference has no estimate, so only its evaluate can fail

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mfhier import (DomainError, FullOrderLevel, ModelHierarchy, ParameterBox,
                     SplitMix64, assemble, build_reduced_system,
                     coercivity_lower_bound, error_estimate, extend_basis,
                     harness, reconstruct_final, residual_dual_norms,
                     solve_fom, solve_rb)
+from mfhier.mlsurrogate import KernelRegressor, LogScaledBox, predict_trajectory
 from mfhier.rb import ReducedBasisLevel, ReducedTrajectory, _x_orthonormalize
 
 from conftest import random_coefficients
@@ -269,6 +271,8 @@ def test_coercivity_examples():
     assert coercivity_lower_bound([2.0, 3.0]) == 2.0
     with pytest.raises(DomainError):
         coercivity_lower_bound([1.0, -2.0])
+    with pytest.raises(DomainError):  # an empty mu bounds nothing
+        coercivity_lower_bound([])
 
 
 def test_coercivity_is_exact_for_x_norm(small_system):
@@ -445,6 +449,128 @@ def test_stale_generation_rejected(small_system):
         reconstruct_final(stale)
 
 
+# ------------------------------------- online stage against its former form
+#
+# The online stage keeps its query-independent blocks with the generation.
+# These are the per-call forms it replaced; it must match them to the bit.
+
+
+def former_solve_rb(rs, mu):
+    """B summed by one broadcast product, [M_N, dt F_N] stacked per call."""
+    N = rs.N
+    rows = np.zeros((rs.K + 1, N + 1))
+    if N:
+        B = np.asfortranarray(
+            rs.M_N + rs.dt * (mu[:, None, None] * rs.A_N).sum(axis=0))
+        factor, info = scipy.linalg.lapack.dpotrf(B, lower=1, overwrite_a=1)
+        assert info == 0
+        T_c, _ = scipy.linalg.lapack.dpotrs(
+            factor, np.column_stack([rs.M_N, rs.dt * rs.F_N]), lower=1)
+        P = np.zeros((N + 1, N + 1))
+        P[:, :N] = T_c.T
+        P[N, N] = 1.0
+        rows[0, :N] = rs.a0
+        rows[0, N] = 1.0
+        m = 1
+        while m <= rs.K:
+            k = min(m, rs.K + 1 - m)
+            np.dot(rows[:k], P, out=rows[m:m + k])
+            m += k
+            if m <= rs.K:
+                P = P @ P
+    return rows[:, :N].copy()
+
+
+def former_residuals(rs, a, mu):
+    """R's load column tiled, its blocks sliced from R per call."""
+    R, N = rs.residual_factor, rs.N
+    R_mu = mu @ R[:, 1 + N:].reshape(len(R), rs.Q, N)
+    d = (a[1:] - a[:-1]) / rs.dt
+    residuals = np.tile(R[:, 0], (len(d), 1))
+    residuals[:, :N + 1] -= d @ R[:N + 1, 1:1 + N].T
+    residuals -= a[1:] @ R_mu.T
+    return residuals
+
+
+def former_error_estimate(rs, a, mu):
+    e0 = rs.initial_error_factor @ np.concatenate([[1.0], -a[0]])
+    residuals = former_residuals(rs, a, mu)
+    alpha = coercivity_lower_bound(mu)
+    return float(np.sqrt(e0 @ e0 + rs.dt / alpha
+                         * np.einsum("ij,ij->", residuals, residuals)))
+
+
+@pytest.fixture(scope="module", params=[2, 8], ids=["Q2", "Q8"])
+def grown(request):
+    """A default-size system of Q subdomains, its grown basis and a box."""
+    Q = request.param
+    system = assemble(n_h=200, K=100, T=1.0, Q=Q)
+    box = ParameterBox([[0.1, 10.0]] * Q)
+    rng = SplitMix64(50 + Q)
+    reduced = grow_basis(system, [box.sample(rng) for _ in range(Q + 2)])
+    assert reduced.N >= 12 * (1 + Q // 4)
+    return system, reduced, box
+
+
+def test_online_stage_equals_its_former_form_bitwise(grown):
+    system, reduced, box = grown
+    rng = SplitMix64(61)
+    corners = [np.full(reduced.Q, 0.1), np.full(reduced.Q, 10.0)]
+    for mu in [box.sample(rng) for _ in range(20)] + corners:
+        trajectory = solve_rb(reduced, mu)
+        former = former_solve_rb(reduced, mu)
+        assert np.array_equal(trajectory.coefficients, former)
+        assert error_estimate(trajectory) == former_error_estimate(
+            reduced, former, mu)
+        # a learned trajectory: coefficients the march did not make
+        coeffs = random_coefficients(rng, reduced.K + 1, reduced.N, 0.5)
+        learned = ReducedTrajectory(coefficients=coeffs, mu=mu,
+                                    reduced_system=reduced, producer="ml")
+        assert error_estimate(learned) == former_error_estimate(
+            reduced, coeffs, mu)
+
+
+def test_replaced_factor_derives_its_own_blocks(grown):
+    # the online blocks are derived from the fields, never passed in: a
+    # replaced residual factor (or operator) brings its own blocks
+    _, reduced, _ = grown
+    N, R = reduced.N, reduced.residual_factor
+    _ = reduced.load_row, reduced.mass_block_t, reduced.a_blocks  # cached
+    F = -R
+    replaced = dataclasses.replace(reduced, residual_factor=F)
+    assert np.array_equal(replaced.load_row, F[:, 0])
+    assert np.array_equal(replaced.mass_block_t, F[:N + 1, 1:1 + N].T)
+    assert np.shares_memory(replaced.a_blocks, F)
+    assert np.array_equal(replaced.a_blocks,
+                          F[:, 1 + N:].reshape(len(F), reduced.Q, N))
+    assert not np.array_equal(reduced.load_row, replaced.load_row)
+    scaled = dataclasses.replace(reduced, F_N=2.0 * reduced.F_N)
+    assert np.array_equal(scaled.march_rhs[:, N], 2.0 * reduced.dt
+                          * reduced.F_N)
+    assert scaled.march_rhs.flags.f_contiguous
+
+
+def test_trajectory_mu_is_checked_where_the_trajectory_is_made(
+        small_system, diffusivity_box):
+    # the estimator reads mu unchecked: a trajectory of any producer gets
+    # its DomainError when it is made, before a regressor or B sees mu
+    reduced = grow_basis(small_system, [[1.0, 1.0]])
+    coeffs = solve_rb(reduced, [1.0, 1.0]).coefficients
+    regressor = KernelRegressor(LogScaledBox(diffusivity_box), n_min=1)
+    regressor.add([1.0, 1.0], coeffs)
+    learned = predict_trajectory(regressor, reduced, [2.0, 2.0])
+    for bad in ([0.0, 1.0], [-1.0, 1.0], [math.nan, 1.0], [1.0], []):
+        with pytest.raises(DomainError):
+            ReducedTrajectory(coefficients=coeffs, mu=bad,
+                              reduced_system=reduced, producer="rb")
+        with pytest.raises(DomainError):
+            dataclasses.replace(learned, mu=bad)
+        with pytest.raises(DomainError):
+            predict_trajectory(regressor, reduced, bad)
+        with pytest.raises(DomainError):
+            solve_rb(reduced, bad)
+
+
 #: Both parabolic hierarchies: RB+FOM (the default) and ML+RB+FOM.
 HIERARCHIES = pytest.mark.parametrize("ml", [False, True],
                                       ids=["rb-fom", "ml-rb-fom"])
@@ -563,6 +689,26 @@ def test_rb_level_at_cap_logs_no_event(small_system, monkeypatch):
     answer, events = hierarchy.handle_request([0.1, 10.0])
     assert answer.is_reference and events == []
     assert level.reduced_system is capped
+
+
+def test_rb_level_keeps_its_system_when_extension_fails(small_system,
+                                                       monkeypatch):
+    # a failed POD eigensolve inside absorb changes nothing: the query is
+    # answered, no event is logged and the level keeps its generation
+    level = ReducedBasisLevel(small_system)
+    level.absorb(solve_fom(small_system, [1.0, 1.0]))
+    before = level.reduced_system
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    hierarchy = ModelHierarchy([level, FullOrderLevel(small_system)],
+                               tolerance=0.0,
+                               box=ParameterBox([[0.1, 10.0]] * 2))
+    answer, events = hierarchy.handle_request([0.2, 8.0])
+    assert answer.stage == 2 and events == []
+    assert level.reduced_system is before
 
 
 def test_summary_counts_reference_answers_at_the_cap(small_system):

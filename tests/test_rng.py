@@ -1,6 +1,11 @@
-import numpy as np
+import importlib.util
+import pathlib
+import warnings
 
-from mfhier import SplitMix64
+import numpy as np
+import pytest
+
+from mfhier import SplitMix64, harness
 
 
 def test_determinism():
@@ -10,11 +15,13 @@ def test_determinism():
 
 
 def test_known_first_outputs():
-    # frozen reference values of the SplitMix64 stream for seed 0
+    # published reference values of the SplitMix64 stream, seeds 0 and
+    # 1234567
     rng = SplitMix64(0)
     assert rng.next_uint64() == 0xE220A8397B1DCDAF
     assert rng.next_uint64() == 0x6E789E6AA1B965F4
     assert rng.next_uint64() == 0x06C45D188009454F
+    assert SplitMix64(1234567).next_uint64() == 6457827717110365317
 
 
 def test_uniform_range_and_mean():
@@ -33,3 +40,41 @@ def test_uniform_vector_component_order():
 
 def test_seeds_differ():
     assert SplitMix64(1).next_uint64() != SplitMix64(2).next_uint64()
+
+
+@pytest.mark.parametrize("seed", [0, 42, 1234567, 2**64 - 1])
+def test_block_draw_is_the_scalar_draw(seed):
+    # a block of n outputs is n scalar draws, and the stream goes on
+    # where the block ended; the mix wraps without an overflow warning
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outputs = block.next_block(37)
+        assert outputs.dtype == np.uint64
+        assert outputs.tolist() == [scalar.next_uint64() for _ in range(37)]
+        assert block.next_uint64() == scalar.next_uint64()
+
+
+def test_uniform_array_matches_the_reference_stream():
+    # the query stream bench/reference.py draws with its own SplitMix64
+    spec = importlib.util.spec_from_file_location(
+        "bench_reference",
+        pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference.py")
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    lows, highs = [0.1, -5.0, 2.0], [10.0, 5.0, 2.5]
+    drawn = SplitMix64(42).uniform_array(lows, highs, (500, 3))
+    assert np.array_equal(
+        drawn, reference.splitmix64_stream(42, 500, lows, highs))
+    rng = SplitMix64(42)
+    assert np.array_equal(drawn[:2], [rng.uniform_vector(lows, highs),
+                                      rng.uniform_vector(lows, highs)])
+
+
+def test_draw_parameters_is_one_block():
+    config = harness.default_config("parabolic", n_queries=300, seed=7)
+    rng = SplitMix64(7)
+    one_by_one = [config.box.sample(rng) for _ in range(300)]
+    assert np.array_equal(harness.draw_parameters(config), one_by_one)
+    assert harness.draw_parameters(
+        harness.default_config("parabolic", n_queries=0)).shape == (0, 2)
