@@ -37,7 +37,7 @@ for trial in range(60):
     if trial % 2:  # perturb: same certificate machinery, worse trajectory
         noise = rng.uniform_array(-0.02, 0.02, (system.K + 1, reduced.N))
         trajectory = ReducedTrajectory(trajectory.coefficients + noise,
-                                       mu, reduced, "ml")
+                                       mu, reduced)
     delta = error_estimate(trajectory)
     truth = solve_fom(system, mu).states[-1]
     true_error = system.m_norm(truth - reconstruct_final(trajectory))
@@ -97,7 +97,7 @@ for _ in range(30):
     reduced = _random_reduced_system(system, rng, 4)
     mu = box.sample(rng)
     coeffs = rng.uniform_array(-1.0, 1.0, (system.K + 1, reduced.N))
-    online = residual_dual_norms(ReducedTrajectory(coeffs, mu, reduced, "rb"))
+    online = residual_dual_norms(ReducedTrajectory(coeffs, mu, reduced))
     reference = reference_norms(reduced.V, mu, coeffs)
     errors.append(float(np.max(np.abs(online - reference)) / np.max(reference)))
 print("  max_k |online - reference| / max_k reference: "

@@ -137,7 +137,6 @@ class ParabolicResult:
     reads; the evaluation's trajectory is its ``ModelOutput.adaptation``."""
 
     qoi: float
-    producer: str            # "fom" | "rb" | "ml"
     u_final: np.ndarray      # full-space final state (reconstructed for surrogates)
 
 
@@ -293,6 +292,6 @@ class FullOrderLevel:
     def evaluate(self, mu) -> ModelOutput:
         trajectory = solve_fom(self.system, mu)
         payload = ParabolicResult(
-            qoi=compute_qoi(self.system, trajectory), producer="fom",
+            qoi=compute_qoi(self.system, trajectory),
             u_final=trajectory.states[-1].copy())
         return ModelOutput(payload=payload, adaptation=trajectory)

@@ -3,9 +3,8 @@
 This is the multi-query driver around the hierarchy: it draws seeded
 parameter streams, runs them through a scenario ("parabolic" or
 "optdemo"), writes one CSV row per query, and aggregates summaries.  The
-`baseline` entry point answers the same stream with the reference model
-alone (adaptation disabled, so the cheap stages never become ready), which
-is the speedup reference.
+`baseline` entry point answers the same stream with a one-level hierarchy
+of the scenario's reference model, which is the speedup reference.
 """
 
 from __future__ import annotations
@@ -231,7 +230,7 @@ class Scenario:
         return level.regressor.n_train if level is not None else 0
 
 
-def build_scenario(config: RunConfig, adaptation_enabled: bool = True) -> Scenario:
+def build_scenario(config: RunConfig) -> Scenario:
     """The scenario's levels, cheapest first; the learned stage is among
     them only with ``ml.enabled``.  Stages are numbered by position."""
     box = config.box
@@ -251,10 +250,7 @@ def build_scenario(config: RunConfig, adaptation_enabled: bool = True) -> Scenar
         if config.ml.enabled:
             scenario.opt_surrogate = optdemo.SurrogateObjectiveLevel(oracle, box)
             levels.insert(0, scenario.opt_surrogate)
-    scenario.hierarchy = ModelHierarchy(levels,
-                                        tolerance=config.hierarchy_tolerance,
-                                        box=box,
-                                        adaptation_enabled=adaptation_enabled)
+    scenario.hierarchy = ModelHierarchy(levels, config.hierarchy_tolerance, box)
     return scenario
 
 
@@ -554,8 +550,7 @@ class RunResult:
     scenario: Scenario
 
 
-def _execute(config: RunConfig, adaptation_enabled: bool) -> RunResult:
-    scenario = build_scenario(config, adaptation_enabled=adaptation_enabled)
+def _execute(config: RunConfig, scenario: Scenario) -> RunResult:
     parameters = draw_parameters(config)
     n_stages = scenario.levels_total
     rows = []
@@ -604,16 +599,21 @@ def _write_dumps(config: RunConfig, scenario: Scenario, records) -> None:
 
 def run(config: RunConfig) -> RunResult:
     """Full adaptive hierarchy over the seeded stream."""
-    return _execute(config, adaptation_enabled=True)
+    return _execute(config, build_scenario(config))
 
 
 def baseline(config: RunConfig) -> RunResult:
     """Reference-model-only answers for the identical stream.
 
-    Adaptation is disabled, so the surrogate stages never become ready and
-    every query falls through to the top stage; same CSV schema.
+    The hierarchy is one level, the scenario's last, so every query is
+    answered at stage 1 by the reference and the CSV has one ``dur_s``
+    column.  The scenario keeps its other levels, which nothing evaluates.
     """
-    return _execute(config, adaptation_enabled=False)
+    scenario = build_scenario(config)
+    hierarchy = scenario.hierarchy
+    scenario.hierarchy = ModelHierarchy(hierarchy.levels[-1:],
+                                        hierarchy.tolerance, hierarchy.box)
+    return _execute(config, scenario)
 
 
 # ----------------------------------------------------------------------
@@ -723,8 +723,7 @@ def _offline_online_discrepancy(system, box, config, trials: int) -> float:
         coeffs = rng.uniform_array(-1.0, 1.0,
                                    (system.K + 1, reduced_system.N))
         trajectory = rb.ReducedTrajectory(coefficients=coeffs, mu=mu,
-                                          reduced_system=reduced_system,
-                                          producer="rb")
+                                          reduced_system=reduced_system)
         online = rb.residual_dual_norms(trajectory)
         direct = _direct_residual_norms(system, reduced_system.V, mu, coeffs)
         scale = max(float(np.max(direct)), 1e-30)
@@ -765,8 +764,7 @@ def _rigor_margin(system, box, config, reduced_system, trials: int) -> float:
             coeffs = rng.uniform_array(-0.5, 0.5,
                                        (system.K + 1, reduced_system.N))
             trajectory = rb.ReducedTrajectory(
-                coefficients=coeffs, mu=mu, reduced_system=reduced_system,
-                producer="ml")
+                coefficients=coeffs, mu=mu, reduced_system=reduced_system)
         delta = rb.error_estimate(trajectory)
         u_true = fom.solve_fom(system, mu).states[-1]
         u_red = rb.reconstruct_final(trajectory)

@@ -1,10 +1,11 @@
 """Generic adaptive model hierarchy.
 
 An ordered list of models of increasing cost and accuracy answers requests
-from an outer loop.  Each request is evaluated by the cheapest ready model
-first; a result is accepted once its error estimate meets the tolerance,
-otherwise, or when the model fails, the request falls through to the next
-model.  Whenever a model is evaluated, its evaluation data is offered to
+from an outer loop.  Each request is evaluated by the cheapest model first;
+a result is accepted once its error estimate meets the tolerance,
+otherwise, or when the model declines or fails, the request falls through
+to the next model.  Every evaluation, a declined one too, is recorded as an
+attempt.  Whenever a model is evaluated, its evaluation data is offered to
 every cheaper model, costliest first; each one takes it or not, and each
 take is logged as a (source, target) adaptation event.  Over a stream of
 requests this shifts the load towards the cheap end of the hierarchy.
@@ -127,15 +128,18 @@ class QueryRecord:
 class ModelLevel(abc.ABC):
     """Contract of a surrogate stage, i.e. of every level but the last.
 
-    ``evaluate`` may assume ``is_ready()`` returned True immediately before.
-    Its output's ``adaptation`` is the evaluation's data: ``estimate_error``
-    reads it, the hierarchy offers it to the cheaper levels, and it is
-    dropped when the query ends; the answer keeps only ``payload``.
-    ``evaluate`` and ``estimate_error`` may decline a request by raising one
-    of :data:`SURROGATE_FAILURES`; the request then goes on to the next
-    level.  ``absorb`` returns True when taking the payload changed the
-    level's state and False when the payload does not apply or changed
-    nothing; only a True is logged as an adaptation event.  It must never
+    Three methods: ``evaluate``, ``estimate_error`` and ``absorb``.  The
+    ``adaptation`` of ``evaluate``'s output is the evaluation's data:
+    ``estimate_error`` reads it, the hierarchy offers it to the cheaper
+    levels, and it is dropped when the query ends; the answer keeps only
+    ``payload``.  A level declines a request in one way only: ``evaluate``
+    or ``estimate_error`` raises one of :data:`SURROGATE_FAILURES`.  A level
+    that cannot answer yet (an empty basis, too few training pairs) raises
+    :class:`NotReadyError`.  The attempt is recorded with an infinite
+    estimate, never accepted, and the request goes on to the next level.
+    ``absorb`` returns True when taking the payload changed the level's
+    state and False when the payload does not apply or changed nothing;
+    only a True is logged as an adaptation event.  It must never
     invalidate answers already emitted.  It may fail with one of
     :data:`SURROGATE_FAILURES` only if it leaves the level consistent; the
     failure is logged as nothing taken.  Payloads are offered costliest
@@ -159,9 +163,6 @@ class ModelLevel(abc.ABC):
     def absorb(self, payload) -> bool:
         """Consume adaptation data; True only if it changed the level."""
 
-    @abc.abstractmethod
-    def is_ready(self) -> bool: ...
-
 
 class ModelHierarchy:
     """Tolerance-gated fallback over an ordered list of models.
@@ -174,7 +175,7 @@ class ModelHierarchy:
     """
 
     def __init__(self, levels: Sequence, tolerance: float,
-                 box: ParameterBox, adaptation_enabled: bool = True):
+                 box: ParameterBox):
         if not levels:
             raise ConfigurationError("hierarchy needs at least one level")
         if not tolerance >= 0:
@@ -182,7 +183,6 @@ class ModelHierarchy:
         self.levels = list(levels)
         self.tolerance = float(tolerance)
         self.box = box
-        self.adaptation_enabled = adaptation_enabled
 
     # ------------------------------------------------------------------
 
@@ -192,8 +192,6 @@ class ModelHierarchy:
         attempts: list[Attempt] = []
         events: list[tuple[int, int]] = []
         for i, level in enumerate(self.levels[:-1]):
-            if not level.is_ready():
-                continue  # skipped silently, not recorded as an attempt
             t0 = time.perf_counter()
             try:
                 output = level.evaluate(mu)
@@ -207,7 +205,8 @@ class ModelHierarchy:
             except SURROGATE_FAILURES:
                 estimate = math.inf
             attempts.append(Attempt(i + 1, duration_s, estimate))
-            if estimate <= self.tolerance:
+            # a decline (inf) is not accepted, even at an infinite tolerance
+            if estimate <= self.tolerance and estimate < math.inf:
                 return (CertifiedAnswer(output.payload, i + 1, estimate,
                                         self.tolerance, attempts), events)
         stage = len(self.levels)
@@ -223,7 +222,7 @@ class ModelHierarchy:
         first, and log (source, target) stages for each level that took it.
         A level whose ``absorb`` fails with one of :data:`SURROGATE_FAILURES`
         took nothing: no event is logged and the query goes on."""
-        if not self.adaptation_enabled or output.adaptation is None:
+        if output.adaptation is None:
             return
         for j in range(source_index - 1, -1, -1):
             try:

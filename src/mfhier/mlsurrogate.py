@@ -296,7 +296,7 @@ def predict_trajectory(regressor: KernelRegressor,
     ``reduced_system``, the system the regressor's targets are in."""
     # made first: it checks mu before the regressor sees it
     trajectory = ReducedTrajectory(coefficients=np.empty((0, 0)), mu=mu,
-                                   reduced_system=reduced_system, producer="ml")
+                                   reduced_system=reduced_system)
     trajectory.coefficients = regressor.predict(
         trajectory.mu, max_power).reshape(reduced_system.K + 1, -1)
     return trajectory
@@ -330,7 +330,10 @@ class MLCoefficientLevel(ModelLevel):
     ``rb_level`` has swapped in another since, then takes reduced-basis
     solutions as training pairs (the regressor learns only from the reduced
     model).  The error estimate is the residual bound of the prediction's
-    own reduced system, the space it is predicted and lifted in.  The
+    own reduced system, the space it is predicted and lifted in; after a
+    failed rebase that is the older system the targets are still in.  The
+    stage declines (:class:`NotReadyError`) with fewer than ``n_min`` pairs
+    and where the power function exceeds :data:`POWER_GATE`.  The
     regressor reads the parameters of the positive ``box`` on a log scale
     (:class:`LogScaledBox`).
     """
@@ -359,11 +362,7 @@ class MLCoefficientLevel(ModelLevel):
             # leaves them marked stale, and the next absorb tries again
             rebase(self.regressor, current)
             self.reduced_system = current
-        if isinstance(payload, ReducedTrajectory) and payload.producer == "rb":
+        if isinstance(payload, ReducedTrajectory):
             self.regressor.add(payload.mu, payload.coefficients)
             return True
         return rebased
-
-    def is_ready(self) -> bool:
-        return (self.regressor.ready
-                and self.reduced_system is self.rb_level.reduced_system)

@@ -167,7 +167,10 @@ class SurrogateObjectiveLevel(ModelLevel):
     near-coincident points (closer than :data:`OPT_MIN_SEPARATION` in scaled
     coordinates) are skipped to keep the kernel system well conditioned.
     The error estimate is ||grad J(x*)|| computed on the true objective
-    with 2*dim calls, plus one call to report the true J(x*).
+    with 2*dim calls, plus one call to report the true J(x*).  With fewer
+    than ``n_min`` training pairs the regressor raises
+    :class:`NotReadyError` at the descent's first point, so a declined
+    attempt calls no oracle.
     """
 
     #: true-objective calls charged per attempt: 2*dim for the gradient
@@ -215,6 +218,3 @@ class SurrogateObjectiveLevel(ModelLevel):
             regressor.add(x, [j])
             added = True
         return added
-
-    def is_ready(self) -> bool:
-        return self.regressor.ready

@@ -34,6 +34,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
+from .errors import NotReadyError
 from .fom import AffineSystem, ParabolicResult, Trajectory, check_diffusivity
 from .hierarchy import ModelLevel, ModelOutput
 
@@ -115,14 +116,13 @@ class ReducedTrajectory:
 
     The shared currency between the reduced-basis and the learned stage;
     it is estimated and lifted in the system it carries.  Its mu is
-    checked here, the one place for every producer, so the estimator
-    reads it unchecked.
+    checked here, the one place for both stages and for library callers,
+    so the estimator reads it unchecked.
     """
 
     coefficients: np.ndarray  # (K+1, N)
     mu: np.ndarray
     reduced_system: ReducedSystem
-    producer: str  # "rb" | "ml"
 
     def __post_init__(self):
         self.mu = check_diffusivity(self.mu, self.reduced_system.Q)
@@ -250,7 +250,7 @@ def solve_rb(reduced_system: ReducedSystem, mu) -> ReducedTrajectory:
     N = rs.N
     # made first: it checks mu before B is formed from it
     trajectory = ReducedTrajectory(coefficients=np.empty((rs.K + 1, N)),
-                                   mu=mu, reduced_system=rs, producer="rb")
+                                   mu=mu, reduced_system=rs)
     if N:
         # B = M_N + dt sum_q mu_q A_q in place, summed over q in order.  It
         # is exactly symmetric, so its transpose is B in Fortran order.
@@ -357,11 +357,16 @@ class ReducedBasisLevel(ModelLevel):
         """The answer for reduced coefficients: the final state in full
         space, in the trajectory's own basis, and its QoI."""
         u_final = reconstruct_final(trajectory)
-        return ParabolicResult(
-            qoi=float(self.system.qoi_vector @ u_final),
-            producer=trajectory.producer, u_final=u_final)
+        return ParabolicResult(qoi=float(self.system.qoi_vector @ u_final),
+                               u_final=u_final)
 
     def evaluate(self, mu) -> ModelOutput:
+        """Raises :class:`NotReadyError` on an empty basis.  An N = 0
+        answer would be certified at any TOL above its bound (at least 0.09
+        on the default box and source), and a run at such a TOL would then
+        never reach the full-order model whose trajectories grow the basis."""
+        if not self.reduced_system.N:
+            raise NotReadyError("the basis is empty")
         trajectory = solve_rb(self.reduced_system, mu)
         return ModelOutput(payload=self.lift(trajectory),
                            adaptation=trajectory)
@@ -380,6 +385,3 @@ class ReducedBasisLevel(ModelLevel):
             before, self.system, payload, pod_tol=self.pod_tol,
             n_add_max=self.n_add_max, n_max=self.n_max)
         return self.reduced_system is not before
-
-    def is_ready(self) -> bool:
-        return self.reduced_system.N >= 1

@@ -6,8 +6,7 @@ platform and in any implementation of the same scheme.  The generator is
 the standard SplitMix64 mix function (Steele, Lea, Flood 2014) applied to
 a counter advanced by the golden-gamma constant; uniform doubles take the
 53 high bits of each output.  The mix runs on uint64 arrays, a block of
-outputs per call, and wraps modulo 2^64 as the scheme does; a single draw
-is a block of one.
+outputs per call, and wraps modulo 2^64 as the scheme does.
 """
 
 from __future__ import annotations
@@ -44,9 +43,6 @@ class SplitMix64:
             z = (z ^ (z >> shift)) * multiplier
         return z ^ (z >> _LAST_SHIFT)
 
-    def next_uint64(self) -> int:
-        return int(self.next_block(1)[0])
-
     def uniform_array(self, lows, highs, shape) -> np.ndarray:
         """Uniform doubles in [lo, hi), drawn in C order over ``shape``;
         ``lows`` and ``highs`` broadcast against it (one interval per
@@ -54,14 +50,3 @@ class SplitMix64:
         u = (self.next_block(math.prod(shape)) >> _MANTISSA_SHIFT) * 2.0**-53
         lows = np.asarray(lows, dtype=float)
         return lows + (np.asarray(highs, dtype=float) - lows) * u.reshape(shape)
-
-    def random(self) -> float:
-        """Uniform double in [0, 1) using the 53 high bits."""
-        return float(self.uniform_array(0.0, 1.0, (1,))[0])
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
-    def uniform_vector(self, lows, highs) -> list[float]:
-        """One draw per component, in component order."""
-        return self.uniform_array(lows, highs, (len(lows),)).tolist()

@@ -89,8 +89,7 @@ def test_criterion_2_estimator_rigor_isolated(default_system):
         else:
             coeffs = random_coefficients(rng, system.K + 1, reduced.N, 0.5)
             trajectory = ReducedTrajectory(coefficients=coeffs, mu=mu,
-                                           reduced_system=reduced,
-                                           producer="ml")
+                                           reduced_system=reduced)
         delta = error_estimate(trajectory)
         true_error = system.m_norm(solve_fom(system, mu).states[-1]
                                    - reconstruct_final(trajectory))
@@ -102,7 +101,7 @@ def test_criterion_2_estimator_rigor_isolated(default_system):
         mu = box.sample(rng)
         coeffs = random_coefficients(rng, system.K + 1, reduced.N)
         trajectory = ReducedTrajectory(coefficients=coeffs, mu=mu,
-                                       reduced_system=reduced, producer="rb")
+                                       reduced_system=reduced)
         online = residual_dual_norms(trajectory)
         direct = harness._direct_residual_norms(system, reduced.V, mu, coeffs)
         worst_rel = max(worst_rel, float(np.max(np.abs(online - direct)))

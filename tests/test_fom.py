@@ -261,7 +261,7 @@ def test_tridiagonal_march_matches_splu_march(Q, u0):
     rng = SplitMix64(1000 + Q)
     eps = np.finfo(float).eps
     for _ in range(10):
-        mu = 10.0 ** np.array([rng.uniform(-1.0, 1.0) for _ in range(Q)])
+        mu = 10.0 ** rng.uniform_array(-1.0, 1.0, (Q,))
         states = solve_fom(system, mu).states
         reference = splu_march(system, mu)
         cond = 3.0 + 12.0 * system.dt * mu.max() / system.h**2

@@ -32,7 +32,7 @@ def test_config_defaults_validate():
     opt = harness.default_config("optdemo")
     assert opt.parameter_box == [[-5.0, 5.0], [-5.0, 5.0]]
     assert opt.hierarchy_tolerance == opt.opt.TOL_grad
-    # an infinite tolerance is valid: every ready surrogate is accepted
+    # an infinite tolerance is valid: every answer not declined is accepted
     assert harness.default_config("parabolic", tolerance=math.inf).tolerance == math.inf
 
 
@@ -261,6 +261,26 @@ def test_same_mu_twice_stage_does_not_increase(tmp_path):
     assert records[1].answer.stage <= records[0].answer.stage
 
 
+def test_first_query_is_declined_at_stage_1():
+    # nothing is learned before the first query: on the default seed-42
+    # stream the empty basis declines query 0, one attempt with an infinite
+    # estimate, and the full-order model answers
+    config = harness.default_config("parabolic", n_queries=2)
+    config.output.results_path = ""
+    first = harness.run(config).records[0].answer
+    assert [(a.stage, a.estimate) for a in first.attempts] == [(1, math.inf),
+                                                               (2, None)]
+    # the optdemo surrogate declines its first start before any oracle call
+    config = harness.default_config("optdemo", n_queries=1)
+    config.opt.delay_s = 0.0
+    config.output.results_path = ""
+    result = harness.run(config)
+    first = result.records[0].answer
+    assert [(a.stage, a.estimate) for a in first.attempts] == [(1, math.inf),
+                                                               (2, None)]
+    assert result.scenario.oracle.eval_counter == first.payload.descent_calls
+
+
 def test_learned_stage_only_replaces_rb_answers():
     # the learned stage answers in place of the reduced basis and changes
     # nothing the reduced basis or the full-order model do
@@ -275,8 +295,7 @@ def test_learned_stage_only_replaces_rb_answers():
     assert ([r.query_id for r in off.records if r.answer.is_reference]
             == [r.query_id for r in on.records if r.answer.is_reference])
     assert [row.basis_n for row in off.rows] == [row.basis_n for row in on.rows]
-    rb_on = {r.query_id: r.answer for r in on.records
-             if r.answer.payload.producer == "rb"}
+    rb_on = {r.query_id: r.answer for r in on.records if r.answer.stage == 2}
     both = [(r.answer, rb_on[r.query_id]) for r in off.records
             if r.query_id in rb_on]
     assert len(both) == len(rb_on) > 0
@@ -382,17 +401,23 @@ def test_failed_rebase_takes_nothing_and_a_later_absorb_rebases(monkeypatch):
 
 
 def test_baseline_matches_zero_tolerance_run(tmp_path):
+    # the baseline is a one-stage hierarchy of the reference: every answer
+    # is stage 1 with estimate "ref", and the CSV has one duration column
     config = small_parabolic(tmp_path, n_queries=12)
     config.output.results_path = str(tmp_path / "base.csv")
     base = harness.baseline(config)
     config_zero = small_parabolic(tmp_path, n_queries=12)
     config_zero.tolerance = 0.0
     config_zero.output.results_path = str(tmp_path / "zero.csv")
-    zero = harness.run(config_zero)
-    base_rows, n_stages = harness.read_results(str(tmp_path / "base.csv"))
-    zero_rows = harness.read_results(str(tmp_path / "zero.csv"))[0]
+    harness.run(config_zero)
+    base_rows, n_base = harness.read_results(str(tmp_path / "base.csv"))
+    zero_rows, n_zero = harness.read_results(str(tmp_path / "zero.csv"))
+    assert base.scenario.levels_total == n_base == 1 and n_zero == 2
+    header = (tmp_path / "base.csv").read_text().splitlines()[0].split(",")
+    assert [cell for cell in header if cell.startswith("dur_s")] == ["dur_s1"]
+    assert len(base_rows) == len(zero_rows) == 12
     for row_b, row_z in zip(base_rows, zero_rows):
-        assert row_b.stage == row_z.stage == n_stages  # always the top
+        assert row_b.stage == n_base and row_z.stage == n_zero  # the top
         assert row_b.qoi == row_z.qoi           # QoIs agree bitwise
     assert all(r.estimate is None for r in base_rows)  # estimate column is "ref"
 

@@ -11,11 +11,10 @@ from mfhier import (ConfigurationError, DomainError, ModelHierarchy,
 class StubLevel(ModelLevel):
     """Scriptable surrogate: fixed estimate, optional emission and absorption."""
 
-    def __init__(self, name, estimate=0.5, ready=True, emits=None,
-                 accepts=(), calls=None):
+    def __init__(self, name, estimate=0.5, emits=None, accepts=(),
+                 calls=None):
         self.name = name
         self.estimate = estimate
-        self.ready = ready
         self.emits = emits          # adaptation payload attached to outputs
         self.accepts = accepts      # payload values this level absorbs
         self.calls = calls          # shared log of absorb calls, by name
@@ -37,8 +36,15 @@ class StubLevel(ModelLevel):
             return True
         return False
 
-    def is_ready(self):
-        return self.ready
+
+class ColdLevel(StubLevel):
+    """Stub level that declines until it has absorbed a payload, the way
+    the adaptive stages decline on an empty basis or training set."""
+
+    def evaluate(self, mu):
+        if not self.absorbed:
+            raise NotReadyError("nothing absorbed yet")
+        return super().evaluate(mu)
 
 
 class Reference:
@@ -101,8 +107,8 @@ def test_single_reference_level(unit_box):
 
 
 def test_last_level_is_reference_by_position(unit_box):
-    # the last level needs only ``evaluate``: it is never asked whether it
-    # is ready, for an estimate or to absorb the data it emits itself
+    # the last level needs only ``evaluate``: it is never asked for an
+    # estimate or to absorb the data it emits itself
     lvl1 = StubLevel("m1", estimate=0.9, accepts=("d2",))
     top = Reference("m2", emits="d2")
     hierarchy = ModelHierarchy([lvl1, top], tolerance=1e-3, box=unit_box)
@@ -146,24 +152,32 @@ def test_first_accept_rule(unit_box):
     assert answer.attempts[1].estimate <= answer.tolerance
 
 
-def test_not_ready_levels_skipped_silently(unit_box):
-    lvl1 = StubLevel("m1", ready=False)
-    lvl2 = StubLevel("m2", estimate=1e-9)
+def test_declining_level_is_one_attempt(unit_box):
+    # a level that cannot answer yet is recorded as one attempt with an
+    # infinite estimate, the next level answers, and the declining level is
+    # offered that level's data like any other
+    lvl1 = ColdLevel("m1", estimate=1e-9, accepts=("d2",))
+    lvl2 = StubLevel("m2", estimate=1e-6, emits="d2")
     lvl3 = Reference("m3")
     hierarchy = ModelHierarchy([lvl1, lvl2, lvl3], tolerance=1e-3, box=unit_box)
+    answer, events = hierarchy.handle_request([0.3])
+    assert answer.stage == 2 and answer.payload[0] == "m2"
+    assert [(a.stage, a.estimate) for a in answer.attempts] == [(1, math.inf),
+                                                                (2, 1e-6)]
+    assert answer.attempts[0].duration_s >= 0.0
+    assert lvl1.n_evals == 0 and events == [(2, 1)]
     answer, _ = hierarchy.handle_request([0.3])
-    assert answer.stage == 2
-    assert [a.stage for a in answer.attempts] == [2]
-    assert lvl1.n_evals == 0
+    assert answer.stage == 1
+    assert [(a.stage, a.estimate) for a in answer.attempts] == [(1, 1e-9)]
 
 
 def test_adaptation_offered_costliest_first(unit_box):
-    # every cheaper level is offered the payload, costliest first, ready or
-    # not; only the levels whose absorb returns True are logged as events
+    # every cheaper level is offered the payload, costliest first; only the
+    # levels whose absorb returns True are logged as events
     calls = []
-    lvl1 = StubLevel("m1", ready=False, accepts=("d4",), calls=calls)
-    lvl2 = StubLevel("m2", ready=False, calls=calls)
-    lvl3 = StubLevel("m3", ready=False, accepts=("d4",), calls=calls)
+    lvl1 = StubLevel("m1", accepts=("d4",), calls=calls)
+    lvl2 = StubLevel("m2", calls=calls)
+    lvl3 = StubLevel("m3", accepts=("d4",), calls=calls)
     top = Reference("m4", emits="d4")
     hierarchy = ModelHierarchy([lvl1, lvl2, lvl3, top], tolerance=1e-3,
                                box=unit_box)
@@ -171,17 +185,6 @@ def test_adaptation_offered_costliest_first(unit_box):
     assert calls == ["m3", "m2", "m1"]
     assert events == [(4, 3), (4, 1)]
     assert lvl1.absorbed == lvl3.absorbed == ["d4"] and lvl2.absorbed == []
-
-
-def test_adaptation_disabled_suppresses_events(unit_box):
-    lvl1 = StubLevel("m1", estimate=0.9, accepts=("d2",))
-    lvl2 = StubLevel("m2", estimate=0.9, emits="d2", accepts=("d3",))
-    lvl3 = Reference("m3", emits="d3")
-    hierarchy = ModelHierarchy([lvl1, lvl2, lvl3], tolerance=0.0, box=unit_box,
-                               adaptation_enabled=False)
-    _, events = hierarchy.handle_request([0.5])
-    assert events == []
-    assert lvl1.absorbed == [] and lvl2.absorbed == []
 
 
 @pytest.mark.parametrize("method", ["evaluate", "estimate_error"])
@@ -199,6 +202,17 @@ def test_surrogate_failure_falls_through(unit_box, error, method):
         failed = answer.attempts[0]
         assert failed.estimate == math.inf and failed.duration_s >= 0.0
     assert lvl3.n_evals == 0
+
+
+@pytest.mark.parametrize("method", ["evaluate", "estimate_error"])
+def test_decline_never_accepted_at_infinite_tolerance(unit_box, method):
+    # TOL = inf accepts any bound, but a declined attempt bounds nothing
+    lvl1 = FailingLevel("m1", NotReadyError("declined"), method)
+    hierarchy = ModelHierarchy([lvl1, Reference("m2")], tolerance=math.inf,
+                               box=unit_box)
+    answer, _ = hierarchy.handle_request([0.5])
+    assert answer.stage == 2 and answer.is_reference
+    assert answer.attempts[0].estimate == math.inf
 
 
 @pytest.mark.parametrize("error", SURROGATE_ERRORS, ids=lambda e: type(e).__name__)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -330,21 +329,21 @@ def make_ml(small_system, diffusivity_box, n_absorb=0):
 
 def test_ml_level_not_ready_without_data(small_system, diffusivity_box):
     _, ml = make_ml(small_system, diffusivity_box, n_absorb=0)
-    assert not ml.is_ready()
+    with pytest.raises(NotReadyError):
+        ml.evaluate(np.array([2.0, 3.0]))
 
 
 def test_ml_level_ready_after_n_min(small_system, diffusivity_box):
-    _, ml = make_ml(small_system, diffusivity_box, n_absorb=9)
-    assert not ml.is_ready()
-    rb, ml = make_ml(small_system, diffusivity_box, n_absorb=10)
-    assert ml.is_ready()
     mu = np.array([2.0, 3.0])
+    _, ml = make_ml(small_system, diffusivity_box, n_absorb=9)
+    with pytest.raises(NotReadyError):
+        ml.evaluate(mu)
+    rb, ml = make_ml(small_system, diffusivity_box, n_absorb=10)
     output = ml.evaluate(mu)
     delta = ml.estimate_error(output)
     assert np.isfinite(delta) and delta >= 0.0
-    assert output.payload.producer == "ml"
     assert isinstance(output.adaptation, ReducedTrajectory)
-    assert output.adaptation.producer == "ml"
+    assert output.adaptation.reduced_system is rb.reduced_system
 
 
 def test_ml_level_ignores_fom_trajectories(small_system, diffusivity_box):
@@ -362,25 +361,22 @@ def test_ml_level_takes_rb_trajectories_only(small_system, diffusivity_box):
     trajectory = solve_rb(rb.reduced_system, mu)
     assert ml.absorb(trajectory) is True
     assert ml.regressor.n_train == 1
-    predicted = dataclasses.replace(trajectory, mu=np.array([3.0, 2.0]),
-                                    producer="ml")
-    assert ml.absorb(predicted) is False
+    # a hierarchy offers a level only the outputs of costlier levels, so the
+    # reduced trajectories offered here are the RB stage's
     assert ml.absorb({"not": "a trajectory"}) is False
     assert ml.regressor.n_train == 1
 
 
 def test_ml_level_rebases_on_basis_change(small_system, diffusivity_box):
     rb, ml = make_ml(small_system, diffusivity_box, n_absorb=12)
-    assert ml.is_ready()
     old_width = ml.regressor.targets.shape[1]
     # the full-order trajectory is offered to the basis first, then here
     trajectory = solve_fom(small_system, [9.0, 0.15])
     assert rb.absorb(trajectory) is True
     assert rb.reduced_system.generation == 2
-    assert ml.reduced_system is not rb.reduced_system
-    assert not ml.is_ready()  # regressor is stale now
+    assert ml.reduced_system is not rb.reduced_system  # targets are stale
     assert ml.absorb(trajectory) is True  # the rebase counts as taking it
-    assert ml.is_ready() and ml.reduced_system is rb.reduced_system
+    assert ml.reduced_system is rb.reduced_system
     assert ml.regressor.targets.shape[1] > old_width
     assert ml.regressor.n_train == 12  # inputs never shrink
 
@@ -398,25 +394,38 @@ def test_ml_level_rebases_only_when_stale(small_system, diffusivity_box,
     assert ml.regressor.n_train == 4
 
 
-def test_ml_level_stale_generation_guard(small_system, diffusivity_box):
-    # a basis bump without a rebase leaves the learned stage behind: the
-    # hierarchy skips it, and a prediction made anyway stays in the older
-    # system its targets are in
+def test_ml_level_left_behind_answers_in_its_older_system(
+        small_system, diffusivity_box, monkeypatch):
+    # a failed rebase leaves the learned stage behind the basis; it still
+    # answers, predicted, certified and lifted in the older system its
+    # targets are in, and that system's bound holds
     rb, ml = make_ml(small_system, diffusivity_box, n_absorb=12)
     behind = ml.reduced_system
-    # the basis grows; the learned stage is not offered the trajectory
-    assert rb.absorb(solve_fom(small_system, [9.0, 0.15])) is True
-    assert not ml.is_ready()
-    hierarchy = ModelHierarchy([ml, rb, FullOrderLevel(small_system)],
-                               tolerance=1.0, box=diffusivity_box,
-                               adaptation_enabled=False)
-    answer, _ = hierarchy.handle_request([1.0, 1.0])
-    assert answer.stage == 2
-    assert [attempt.stage for attempt in answer.attempts] == [2]
-    output = ml.evaluate(np.array([1.0, 1.0]))
+
+    def failing_rebase(*args):
+        raise np.linalg.LinAlgError("rebase failed")
+
+    monkeypatch.setattr(mlsurrogate, "rebase", failing_rebase)
+    levels = [ml, rb, FullOrderLevel(small_system)]
+    answer, events = ModelHierarchy(levels, tolerance=0.0,
+                                    box=diffusivity_box).handle_request(
+                                        [9.0, 0.15])
+    assert answer.stage == 3 and (3, 2) in events and (3, 1) not in events
+    assert rb.reduced_system.N > behind.N and ml.reduced_system is behind
+
+    mu = ml.regressor.raw_inputs[0]
+    answer, events = ModelHierarchy(levels, tolerance=1.0,
+                                    box=diffusivity_box).handle_request(mu)
+    assert answer.stage == 1 and events == []
+    assert [attempt.stage for attempt in answer.attempts] == [1]
+    output = ml.evaluate(mu)
     assert output.adaptation.reduced_system is behind
-    assert (output.adaptation.coefficients.shape[1] == behind.N
-            < rb.reduced_system.N)
+    assert output.adaptation.coefficients.shape[1] == behind.N
+    assert ml.estimate_error(output) == answer.estimate
+    assert np.array_equal(output.payload.u_final, answer.payload.u_final)
+    true_error = small_system.m_norm(solve_fom(small_system, mu).states[-1]
+                                     - answer.payload.u_final)
+    assert true_error <= answer.estimate
 
 
 def test_ml_estimate_uses_its_own_reduced_system(small_system, diffusivity_box):

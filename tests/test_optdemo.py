@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from mfhier import (ConfigurationError, ModelHierarchy, ObjectiveOracle,
-                    ParameterBox, descend, fd_gradient, himmelblau)
+from mfhier import (ConfigurationError, ModelHierarchy, NotReadyError,
+                    ObjectiveOracle, ParameterBox, descend, fd_gradient,
+                    himmelblau)
 from mfhier.optdemo import (DescentSamples, FullObjectiveLevel,
                             SurrogateObjectiveLevel)
 
@@ -123,10 +126,15 @@ def build_hierarchy(opt_box, tol=1e-3, n_min=10):
 
 def test_first_request_goes_to_full_and_trains_surrogate(opt_box):
     hierarchy, oracle, surrogate, _ = build_hierarchy(opt_box)
-    assert not surrogate.is_ready()
+    with pytest.raises(NotReadyError):
+        surrogate.evaluate([3.5, 2.0])
+    assert oracle.eval_counter == 0  # declined before any oracle call
     answer, events = hierarchy.handle_request([3.5, 2.0])
     assert answer.stage == 2
     assert answer.estimate is None and answer.is_reference
+    assert [(a.stage, a.estimate) for a in answer.attempts] == [(1, math.inf),
+                                                                (2, None)]
+    assert oracle.eval_counter == answer.payload.descent_calls
     assert surrogate.regressor.n_train >= 1
     assert (2, 1) in events
 
@@ -134,8 +142,9 @@ def test_first_request_goes_to_full_and_trains_surrogate(opt_box):
 def test_infinite_tolerance_accepts_any_ready_candidate(opt_box):
     hierarchy, oracle, surrogate, _ = build_hierarchy(opt_box,
                                                       tol=float("inf"))
-    hierarchy.handle_request([3.5, 2.0])   # trains the surrogate
-    assert surrogate.is_ready()
+    first, _ = hierarchy.handle_request([3.5, 2.0])   # trains the surrogate
+    assert first.stage == 2  # a decline is never accepted, whatever the TOL
+    assert surrogate.regressor.n_train >= surrogate.regressor.n_min
     answer, _ = hierarchy.handle_request([-2.0, 3.0])
     assert answer.stage == 1
     assert answer.estimate <= float("inf")
@@ -194,31 +203,32 @@ def test_near_duplicate_samples_thinned(opt_box):
     assert surrogate.regressor.targets[0, 0] == 3.0
 
 
-def test_disabled_surrogate_equals_plain_multistart(opt_box):
-    # with adaptation off the surrogate never becomes ready, so the
-    # hierarchy must reproduce plain multistart descent bit for bit
+def test_reference_only_hierarchy_equals_plain_multistart(opt_box):
+    # the hierarchy of the reference alone, as the baseline runs it, must
+    # reproduce plain multistart descent bit for bit, call for call
     oracle = ObjectiveOracle(delay_s=0.0)
-    full = FullObjectiveLevel(oracle, opt_box)
-    surrogate = SurrogateObjectiveLevel(oracle, opt_box)
-    hierarchy = ModelHierarchy([surrogate, full], tolerance=1e-3, box=opt_box,
-                               adaptation_enabled=False)
+    hierarchy = ModelHierarchy([FullObjectiveLevel(oracle, opt_box)],
+                               tolerance=1e-3, box=opt_box)
     starts = [[3.5, 2.0], [-3.0, 3.0], [1.0, -1.0], [0.1, 4.2]]
     records = hierarchy.run_query_stream(starts)
     reference_oracle = ObjectiveOracle(delay_s=0.0)
     for start, record in zip(starts, records):
-        assert record.answer.stage == 2
+        assert record.answer.stage == 1 and record.answer.is_reference
         result = descend(reference_oracle, start, opt_box)
         assert np.array_equal(result.x, record.answer.payload.x)
         assert result.j == record.answer.payload.j
+    assert oracle.eval_counter == reference_oracle.eval_counter
 
 
 def test_oracle_accounting_no_hidden_evaluations(opt_box):
     hierarchy, oracle, surrogate, _ = build_hierarchy(opt_box, n_min=5)
     starts = [[3.5, 2.0], [-3.0, 3.0], [1.0, 1.0], [-3.5, -3.0], [0.5, -2.0]]
     records = hierarchy.run_query_stream(starts)
+    assert records[0].answer.attempts[0].estimate == math.inf
     stage2_calls = sum(r.answer.payload.descent_calls for r in records
                        if r.answer.stage == 2)
-    stage1_attempts = sum(1 for r in records
-                          for a in r.answer.attempts if a.stage == 1)
+    # a declined attempt (infinite estimate) calls no oracle
+    stage1_attempts = sum(1 for r in records for a in r.answer.attempts
+                          if a.stage == 1 and math.isfinite(a.estimate))
     expected = stage2_calls + SurrogateObjectiveLevel.CRITERION_CALLS * stage1_attempts
     assert oracle.eval_counter == expected

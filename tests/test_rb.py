@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mfhier import (DomainError, FullOrderLevel, ModelHierarchy, ParameterBox,
-                    SplitMix64, assemble, build_reduced_system,
+from mfhier import (DomainError, FullOrderLevel, ModelHierarchy, NotReadyError,
+                    ParameterBox, SplitMix64, assemble, build_reduced_system,
                     coercivity_lower_bound, error_estimate, extend_basis,
                     harness, reconstruct_final, residual_dual_norms,
                     solve_fom, solve_rb)
@@ -279,8 +279,8 @@ def test_coercivity_is_exact_for_x_norm(small_system):
     # a(v,v;mu) >= alpha_LB ||v||_X^2 holds with equality for the minimizer
     rng = SplitMix64(3)
     for _ in range(20):
-        mu = np.array([rng.uniform(0.1, 10.0) for _ in range(2)])
-        v = np.array([rng.uniform(-1, 1) for _ in range(small_system.n_h)])
+        mu = rng.uniform_array(0.1, 10.0, (2,))
+        v = rng.uniform_array(-1.0, 1.0, (small_system.n_h,))
         a_vv = sum(m_q * (v @ (A_q @ v)) for m_q, A_q in zip(mu, small_system.A))
         assert a_vv >= coercivity_lower_bound(mu) * (v @ (small_system.X @ v)) - 1e-10
 
@@ -312,7 +312,7 @@ def test_residual_norms_zero_for_reproduced_trajectory():
     reduced = build_reduced_system(system, V, 1)
     coeffs = (V.T @ (system.X @ full.states.T)).T
     trajectory = ReducedTrajectory(coefficients=coeffs, mu=np.asarray(mu),
-                                   reduced_system=reduced, producer="rb")
+                                   reduced_system=reduced)
     norms = residual_dual_norms(trajectory)
     assert np.max(norms) <= 1e-8
 
@@ -335,7 +335,7 @@ def test_online_residuals_match_full_space_oracle(small_system):
         mu = box.sample(rng)
         coeffs = random_coefficients(rng, small_system.K + 1, reduced.N)
         trajectory = ReducedTrajectory(coefficients=coeffs, mu=mu,
-                                       reduced_system=reduced, producer="rb")
+                                       reduced_system=reduced)
         online = residual_dual_norms(trajectory)
         direct = harness._direct_residual_norms(small_system, reduced.V, mu,
                                                 coeffs)
@@ -378,8 +378,7 @@ def test_estimator_rigor_random_sample(small_system):
         else:
             coeffs = random_coefficients(rng, small_system.K + 1, reduced.N, 0.5)
             trajectory = ReducedTrajectory(coefficients=coeffs, mu=mu,
-                                           reduced_system=reduced,
-                                           producer="ml")
+                                           reduced_system=reduced)
         delta = error_estimate(trajectory)
         true = small_system.m_norm(solve_fom(small_system, mu).states[-1]
                                    - reconstruct_final(trajectory))
@@ -393,14 +392,14 @@ def test_estimator_rigor_random_sample(small_system):
 
 
 def test_estimate_identical_for_both_producers(small_system):
+    # the estimate reads the coefficients, mu and the system alone: the
+    # learned stage's trajectory of the RB stage's coefficients gets the
+    # RB stage's estimate, bit for bit
     reduced = grow_basis(small_system, [[1.0, 2.0]])
-    rng = SplitMix64(31)
-    coeffs = random_coefficients(rng, small_system.K + 1, reduced.N)
     mu = [3.0, 0.2]
-    as_rb = ReducedTrajectory(coefficients=coeffs, mu=np.asarray(mu),
-                              reduced_system=reduced, producer="rb")
-    as_ml = ReducedTrajectory(coefficients=coeffs.copy(), mu=np.asarray(mu),
-                              reduced_system=reduced, producer="ml")
+    as_rb = solve_rb(reduced, mu)
+    as_ml = ReducedTrajectory(coefficients=as_rb.coefficients.copy(),
+                              mu=np.asarray(mu), reduced_system=reduced)
     assert error_estimate(as_rb) == error_estimate(as_ml)
 
 
@@ -439,8 +438,7 @@ def test_stale_generation_rejected(small_system):
     assert newer.generation > older.generation and newer.N > older.N
     trajectory = solve_rb(older, [1.0, 1.0])
     stale = ReducedTrajectory(coefficients=trajectory.coefficients,
-                              mu=trajectory.mu, reduced_system=newer,
-                              producer="rb")
+                              mu=trajectory.mu, reduced_system=newer)
     with pytest.raises(ValueError):
         error_estimate(stale)
     with pytest.raises(ValueError):
@@ -525,7 +523,7 @@ def test_online_stage_equals_its_former_form_bitwise(grown):
         # a learned trajectory: coefficients the march did not make
         coeffs = random_coefficients(rng, reduced.K + 1, reduced.N, 0.5)
         learned = ReducedTrajectory(coefficients=coeffs, mu=mu,
-                                    reduced_system=reduced, producer="ml")
+                                    reduced_system=reduced)
         assert error_estimate(learned) == former_error_estimate(
             reduced, coeffs, mu)
 
@@ -552,7 +550,7 @@ def test_replaced_factor_derives_its_own_blocks(grown):
 
 def test_trajectory_mu_is_checked_where_the_trajectory_is_made(
         small_system, diffusivity_box):
-    # the estimator reads mu unchecked: a trajectory of any producer gets
+    # the estimator reads mu unchecked: a trajectory of either stage gets
     # its DomainError when it is made, before a regressor or B sees mu
     reduced = grow_basis(small_system, [[1.0, 1.0]])
     coeffs = solve_rb(reduced, [1.0, 1.0]).coefficients
@@ -562,7 +560,7 @@ def test_trajectory_mu_is_checked_where_the_trajectory_is_made(
     for bad in ([0.0, 1.0], [-1.0, 1.0], [math.nan, 1.0], [1.0], []):
         with pytest.raises(DomainError):
             ReducedTrajectory(coefficients=coeffs, mu=bad,
-                              reduced_system=reduced, producer="rb")
+                              reduced_system=reduced)
         with pytest.raises(DomainError):
             dataclasses.replace(learned, mu=bad)
         with pytest.raises(DomainError):
@@ -619,7 +617,7 @@ def test_stream_certificates_hold_without_slack(ml, tmp_path):
 def test_projection_round_trip(small_system):
     reduced = grow_basis(small_system, [[0.5, 2.0]])
     rng = SplitMix64(37)
-    a = np.array([rng.uniform(-1, 1) for _ in range(reduced.N)])
+    a = rng.uniform_array(-1.0, 1.0, (reduced.N,))
     u = reduced.V @ a
     back = reduced.V.T @ (small_system.X @ u)
     np.testing.assert_allclose(back, a, atol=1e-10)
@@ -629,10 +627,14 @@ def test_projection_round_trip(small_system):
 
 
 def test_rb_level_not_ready_until_first_trajectory(small_system):
+    # an empty basis declines; an N = 0 answer would be certified at any
+    # TOL above its bound, and the basis would never grow
     level = ReducedBasisLevel(small_system)
-    assert not level.is_ready()
+    with pytest.raises(NotReadyError):
+        level.evaluate([1.0, 1.0])
     assert level.absorb(solve_fom(small_system, [1.0, 1.0])) is True
-    assert level.is_ready() and level.reduced_system.generation == 1
+    assert level.reduced_system.generation == 1
+    assert level.evaluate([1.0, 1.0]).adaptation.reduced_system.N >= 1
 
 
 def test_rb_level_requery_accepts(small_system):

@@ -11,22 +11,19 @@ from mfhier import SplitMix64, harness
 def test_determinism():
     a = SplitMix64(42)
     b = SplitMix64(42)
-    assert [a.next_uint64() for _ in range(20)] == [b.next_uint64() for _ in range(20)]
+    assert a.next_block(20).tolist() == b.next_block(20).tolist()
 
 
 def test_known_first_outputs():
     # published reference values of the SplitMix64 stream, seeds 0 and
     # 1234567
-    rng = SplitMix64(0)
-    assert rng.next_uint64() == 0xE220A8397B1DCDAF
-    assert rng.next_uint64() == 0x6E789E6AA1B965F4
-    assert rng.next_uint64() == 0x06C45D188009454F
-    assert SplitMix64(1234567).next_uint64() == 6457827717110365317
+    assert SplitMix64(0).next_block(3).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert SplitMix64(1234567).next_block(1).tolist() == [6457827717110365317]
 
 
 def test_uniform_range_and_mean():
-    rng = SplitMix64(7)
-    draws = np.array([rng.uniform(2.0, 3.0) for _ in range(4000)])
+    draws = SplitMix64(7).uniform_array(2.0, 3.0, (4000,))
     assert np.all((draws >= 2.0) & (draws < 3.0))
     assert abs(draws.mean() - 2.5) < 0.02
 
@@ -34,25 +31,27 @@ def test_uniform_range_and_mean():
 def test_uniform_vector_component_order():
     # drawing a vector equals drawing the components one by one
     a, b = SplitMix64(99), SplitMix64(99)
-    vec = a.uniform_vector([0.0, 10.0], [1.0, 20.0])
-    assert vec == [b.uniform(0.0, 1.0), b.uniform(10.0, 20.0)]
+    vec = a.uniform_array([0.0, 10.0], [1.0, 20.0], (2,))
+    assert vec.tolist() == [b.uniform_array(0.0, 1.0, (1,))[0],
+                            b.uniform_array(10.0, 20.0, (1,))[0]]
 
 
 def test_seeds_differ():
-    assert SplitMix64(1).next_uint64() != SplitMix64(2).next_uint64()
+    assert SplitMix64(1).next_block(1) != SplitMix64(2).next_block(1)
 
 
 @pytest.mark.parametrize("seed", [0, 42, 1234567, 2**64 - 1])
 def test_block_draw_is_the_scalar_draw(seed):
-    # a block of n outputs is n scalar draws, and the stream goes on
+    # a block of n outputs is n blocks of one, and the stream goes on
     # where the block ended; the mix wraps without an overflow warning
     block, scalar = SplitMix64(seed), SplitMix64(seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         outputs = block.next_block(37)
         assert outputs.dtype == np.uint64
-        assert outputs.tolist() == [scalar.next_uint64() for _ in range(37)]
-        assert block.next_uint64() == scalar.next_uint64()
+        assert outputs.tolist() == [int(scalar.next_block(1)[0])
+                                    for _ in range(37)]
+        assert block.next_block(5).tolist() == scalar.next_block(5).tolist()
 
 
 def test_uniform_array_matches_the_reference_stream():
@@ -67,8 +66,8 @@ def test_uniform_array_matches_the_reference_stream():
     assert np.array_equal(
         drawn, reference.splitmix64_stream(42, 500, lows, highs))
     rng = SplitMix64(42)
-    assert np.array_equal(drawn[:2], [rng.uniform_vector(lows, highs),
-                                      rng.uniform_vector(lows, highs)])
+    assert np.array_equal(drawn[:2], [rng.uniform_array(lows, highs, (3,)),
+                                      rng.uniform_array(lows, highs, (3,))])
 
 
 def test_draw_parameters_is_one_block():
