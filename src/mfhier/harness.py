@@ -580,8 +580,7 @@ def _write_dumps(config: RunConfig, scenario: Scenario, records) -> None:
     """Write the dumps ``RunConfig`` validated for the scenario."""
     dumps = config.output.dumps
     if "basis" in dumps:
-        rb.dump_basis(scenario.rb_level.reduced_system,
-                      scenario.rb_level.pod_tol, dumps["basis"])
+        rb.dump_basis(scenario.rb_level.reduced_system, dumps["basis"])
     if "training" in dumps:
         level = scenario.ml_level or scenario.opt_surrogate
         mlsurrogate.dump_training(level.regressor, dumps["training"])

@@ -109,7 +109,6 @@ class CertifiedAnswer:
     payload: Any
     stage: int
     estimate: float | None  # None for the reference's answer
-    tolerance: float
     attempts: list[Attempt]
 
     @property
@@ -208,14 +207,13 @@ class ModelHierarchy:
             # a decline (inf) is not accepted, even at an infinite tolerance
             if estimate <= self.tolerance and estimate < math.inf:
                 return (CertifiedAnswer(output.payload, i + 1, estimate,
-                                        self.tolerance, attempts), events)
+                                        attempts), events)
         stage = len(self.levels)
         t0 = time.perf_counter()
         output = self.levels[-1].evaluate(mu)
         attempts.append(Attempt(stage, time.perf_counter() - t0, None))
         self._adapt(stage - 1, output, events)
-        return (CertifiedAnswer(output.payload, stage, None, self.tolerance,
-                                attempts), events)
+        return (CertifiedAnswer(output.payload, stage, None, attempts), events)
 
     def _adapt(self, source_index: int, output: ModelOutput, events) -> None:
         """Offer ``output.adaptation`` to every cheaper level, costliest

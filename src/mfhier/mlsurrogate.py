@@ -108,23 +108,19 @@ class KernelRegressor:
     the training dump), their ``box.scale01`` images, float32 targets, the
     index that makes a duplicate input replace its target, and the lower
     Cholesky factor of (K_mat + ridge I).  Nothing is allocated before the
-    first pair arrives.  Predictions need at least ``n_min`` pairs.  The
-    targets are kept (m, capacity) C-order float32: the prediction matvec
-    streams the same warm, cache-sized buffer, and the induced ~1e-7
-    relative noise is far below the regression error this surrogate can
-    reach.
+    first pair arrives.  The kernel lengthscale is :data:`LENGTHSCALE` and
+    predictions need at least :data:`N_MIN` pairs, both read at the call;
+    ``ridge`` is the one setting.  The targets are kept (m, capacity)
+    C-order float32: the prediction matvec streams the same warm,
+    cache-sized buffer, and the induced ~1e-7 relative noise is far below
+    the regression error this surrogate can reach.
     """
 
-    def __init__(self, box: ParameterBox, lengthscale: float = LENGTHSCALE,
-                 ridge: float = RIDGE, n_min: int = N_MIN):
-        if not (ridge > 0 and lengthscale > 0):
-            raise ConfigurationError("ridge and lengthscale must be positive")
-        if n_min < 1:
-            raise ConfigurationError("n_min must be at least 1")
+    def __init__(self, box: ParameterBox, ridge: float):
+        if not ridge > 0:
+            raise ConfigurationError("ridge must be positive")
         self.box = box
-        self.lengthscale = float(lengthscale)
         self.ridge = float(ridge)
-        self.n_min = n_min
         self._n = 0
         self._index: dict = {}
         self._raw = self._scaled = self._targets_t = None
@@ -133,10 +129,6 @@ class KernelRegressor:
     @property
     def n_train(self) -> int:
         return self._n
-
-    @property
-    def ready(self) -> bool:
-        return self._n >= self.n_min
 
     @property
     def raw_inputs(self) -> np.ndarray:
@@ -220,7 +212,7 @@ class KernelRegressor:
         """
         n = self._n - 1
         k_col = _gaussian(self._scaled[:n], self._scaled[n:n + 1],
-                          self.lengthscale)[:, 0]
+                          LENGTHSCALE)[:, 0]
         l_row = self._triangular(k_col, 0)
         pivot_sq = 1.0 + self.ridge - float(l_row @ l_row)
         if pivot_sq <= 0:  # cannot happen for ridge > 0 barring round-off
@@ -246,13 +238,13 @@ class KernelRegressor:
 
     def _kernel_half(self, mu) -> np.ndarray:
         """L^{-1} k(mu), factoring the kernel system first if it is stale."""
-        if not self.ready:
+        if self._n < N_MIN:
             raise NotReadyError(
-                f"{self._n} training pairs, need at least {self.n_min}")
+                f"{self._n} training pairs, need at least {N_MIN}")
         if self._factor is None:
-            self._factor = fit(self.inputs, self.lengthscale, self.ridge)
+            self._factor = fit(self.inputs, LENGTHSCALE, self.ridge)
         x = self.box.scale01(self._check_mu(mu))[None]
-        return self._triangular(_gaussian(self.inputs, x, self.lengthscale)[:, 0], 0)
+        return self._triangular(_gaussian(self.inputs, x, LENGTHSCALE)[:, 0], 0)
 
     def power(self, mu) -> float:
         """Power function P(mu) = sqrt(1 - k^T (K_mat + ridge I)^{-1} k).
@@ -290,15 +282,16 @@ def _power(half: np.ndarray) -> float:
 
 
 def predict_trajectory(regressor: KernelRegressor,
-                       reduced_system: ReducedSystem, mu,
-                       max_power: float = math.inf) -> ReducedTrajectory:
+                       reduced_system: ReducedSystem, mu) -> ReducedTrajectory:
     """Predict and unflatten coefficients a^0..a^K for one parameter, in
-    ``reduced_system``, the system the regressor's targets are in."""
+    ``reduced_system``, the system the regressor's targets are in.  Declines
+    (:class:`NotReadyError`) where the power function exceeds
+    :data:`POWER_GATE`."""
     # made first: it checks mu before the regressor sees it
     trajectory = ReducedTrajectory(coefficients=np.empty((0, 0)), mu=mu,
                                    reduced_system=reduced_system)
     trajectory.coefficients = regressor.predict(
-        trajectory.mu, max_power).reshape(reduced_system.K + 1, -1)
+        trajectory.mu, POWER_GATE).reshape(reduced_system.K + 1, -1)
     return trajectory
 
 
@@ -332,22 +325,20 @@ class MLCoefficientLevel(ModelLevel):
     model).  The error estimate is the residual bound of the prediction's
     own reduced system, the space it is predicted and lifted in; after a
     failed rebase that is the older system the targets are still in.  The
-    stage declines (:class:`NotReadyError`) with fewer than ``n_min`` pairs
-    and where the power function exceeds :data:`POWER_GATE`.  The
-    regressor reads the parameters of the positive ``box`` on a log scale
-    (:class:`LogScaledBox`).
+    stage declines (:class:`NotReadyError`) with fewer than :data:`N_MIN`
+    pairs and where the power function exceeds :data:`POWER_GATE`.  The
+    regressor, at ridge :data:`RIDGE`, reads the parameters of the positive
+    ``box`` on a log scale (:class:`LogScaledBox`).
     """
 
-    def __init__(self, box: ParameterBox, rb_level, n_min: int = N_MIN,
-                 lengthscale: float = LENGTHSCALE):
+    def __init__(self, box: ParameterBox, rb_level):
         self.rb_level = rb_level
         self.reduced_system = rb_level.reduced_system
-        self.regressor = KernelRegressor(LogScaledBox(box), lengthscale,
-                                         RIDGE, n_min)
+        self.regressor = KernelRegressor(LogScaledBox(box), RIDGE)
 
     def evaluate(self, mu) -> ModelOutput:
         trajectory = predict_trajectory(self.regressor, self.reduced_system,
-                                        mu, POWER_GATE)
+                                        mu)
         return ModelOutput(payload=self.rb_level.lift(trajectory),
                            adaptation=trajectory)
 

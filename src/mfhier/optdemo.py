@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .hierarchy import ModelLevel, ModelOutput, ParameterBox
-from .mlsurrogate import LENGTHSCALE, N_MIN, KernelRegressor
+from .mlsurrogate import KernelRegressor
 
-OPT_RIDGE_DEFAULT = 1e-12  # interpolation sharpness the gradient check needs
+OPT_RIDGE = 1e-12  # interpolation sharpness the gradient check needs
 OPT_MIN_SEPARATION = 1e-5
 MAX_ITERS = 500    # descent iterations per start
 H_FD = 1e-5        # finite-difference step of fd_gradient
@@ -167,8 +167,9 @@ class SurrogateObjectiveLevel(ModelLevel):
     near-coincident points (closer than :data:`OPT_MIN_SEPARATION` in scaled
     coordinates) are skipped to keep the kernel system well conditioned.
     The error estimate is ||grad J(x*)|| computed on the true objective
-    with 2*dim calls, plus one call to report the true J(x*).  With fewer
-    than ``n_min`` training pairs the regressor raises
+    with 2*dim calls, plus one call to report the true J(x*).  The
+    regressor has ridge :data:`OPT_RIDGE`; with fewer than
+    :data:`mlsurrogate.N_MIN` training pairs it raises
     :class:`NotReadyError` at the descent's first point, so a declined
     attempt calls no oracle.
     """
@@ -177,12 +178,10 @@ class SurrogateObjectiveLevel(ModelLevel):
     #: certificate plus one for the reported value.
     CRITERION_CALLS = 5
 
-    def __init__(self, oracle: ObjectiveOracle, box: ParameterBox,
-                 n_min: int = N_MIN):
+    def __init__(self, oracle: ObjectiveOracle, box: ParameterBox):
         self.oracle = oracle
         self.box = box
-        self.regressor = KernelRegressor(box, LENGTHSCALE, OPT_RIDGE_DEFAULT,
-                                         n_min)
+        self.regressor = KernelRegressor(box, OPT_RIDGE)
 
     def evaluate(self, x0) -> ModelOutput:
         regressor = self.regressor

@@ -168,22 +168,21 @@ def _x_orthonormalize(system: AffineSystem, V: np.ndarray,
 
 
 def extend_basis(reduced_system: ReducedSystem, system: AffineSystem,
-                 trajectory: Trajectory, pod_tol: float = POD_TOL,
-                 n_add_max: int = N_ADD_MAX,
-                 n_max: int = N_MAX) -> ReducedSystem:
+                 trajectory: Trajectory) -> ReducedSystem:
     """POD-Greedy step: append leading POD modes of the projection error.
 
     Subtracts the X-orthogonal projection onto the current span from every
     snapshot, takes the POD of the residual snapshots in the X inner
     product (eigendecomposition of the (K+1)x(K+1) Gramian) and appends
     modes until the trajectory's uncaptured X-energy fraction drops below
-    ``pod_tol``, capped at ``n_add_max`` new modes and ``n_max`` total.
+    :data:`POD_TOL`, capped at :data:`N_ADD_MAX` new modes and
+    :data:`N_MAX` total, each read at the call.
 
     Returns the next generation's reduced system, or ``reduced_system``
     itself when no mode is added.
     """
     V = reduced_system.V
-    room = min(n_add_max, n_max - V.shape[1])
+    room = min(N_ADD_MAX, N_MAX - V.shape[1])
     if room <= 0:
         return reduced_system
     S = trajectory.states.T  # (n_h, K+1)
@@ -201,7 +200,7 @@ def extend_basis(reduced_system: ReducedSystem, system: AffineSystem,
     evals = np.clip(evals, 0.0, None)
     total_residual = float(evals.sum())
 
-    target = pod_tol * traj_energy
+    target = POD_TOL * traj_energy
     if total_residual <= target:
         return reduced_system
 
@@ -329,27 +328,25 @@ def reconstruct_final(trajectory: ReducedTrajectory) -> np.ndarray:
     return trajectory.reduced_system.V @ trajectory.coefficients[-1]
 
 
-def dump_basis(reduced_system: ReducedSystem, pod_tol: float, path) -> None:
+def dump_basis(reduced_system: ReducedSystem, path) -> None:
     """CSV dump (n_h rows x N columns) plus a sidecar metadata line."""
     rs = reduced_system
     np.savetxt(path, rs.V, delimiter=",", fmt="%.17g")
     with open(f"{path}.meta", "w", encoding="utf-8") as fh:
-        fh.write(f"generation={rs.generation},N={rs.N},pod_tol={pod_tol:g}\n")
+        fh.write(f"generation={rs.generation},N={rs.N},pod_tol={POD_TOL:g}\n")
 
 
 class ReducedBasisLevel(ModelLevel):
     """Middle stage: certified Galerkin surrogate on an adaptive basis.
 
-    Absorbs full-order trajectories into the basis; whenever modes are
-    added, ``reduced_system`` is replaced by the next generation's.
+    Absorbs full-order trajectories into the basis by :func:`extend_basis`,
+    under the module's :data:`POD_TOL`, :data:`N_ADD_MAX` and :data:`N_MAX`;
+    whenever modes are added, ``reduced_system`` is replaced by the next
+    generation's.
     """
 
-    def __init__(self, system: AffineSystem, pod_tol: float = POD_TOL,
-                 n_add_max: int = N_ADD_MAX, n_max: int = N_MAX):
+    def __init__(self, system: AffineSystem):
         self.system = system
-        self.pod_tol = pod_tol
-        self.n_add_max = n_add_max
-        self.n_max = n_max
         self.reduced_system = build_reduced_system(
             system, np.zeros((system.n_h, 0)), generation=0)
 
@@ -377,11 +374,9 @@ class ReducedBasisLevel(ModelLevel):
     def absorb(self, payload) -> bool:
         """Extend the basis by a full-order trajectory; True only if modes
         were added.  A trajectory the basis already captures, or one offered
-        at the ``n_max`` cap, changes nothing and returns False."""
+        at the :data:`N_MAX` cap, changes nothing and returns False."""
         if not isinstance(payload, Trajectory):
             return False
         before = self.reduced_system
-        self.reduced_system = extend_basis(
-            before, self.system, payload, pod_tol=self.pod_tol,
-            n_add_max=self.n_add_max, n_max=self.n_max)
+        self.reduced_system = extend_basis(before, self.system, payload)
         return self.reduced_system is not before

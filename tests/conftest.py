@@ -21,6 +21,20 @@ def diffusivity_box():
     return ParameterBox([[0.1, 10.0], [0.1, 10.0]])
 
 
+@pytest.fixture
+def set_constant(monkeypatch):
+    """``set_constant(module, "NAME", value)`` sets an algorithm constant
+    for one test, before the test builds what reads it.  A name the module
+    does not define is refused, so a misspelt one cannot leave the test
+    running at the default."""
+    def setter(module, name, value):
+        if not (name.isupper() and name in vars(module)):
+            raise AttributeError(
+                f"{module.__name__} defines no constant {name}")
+        monkeypatch.setattr(module, name, value)
+    return setter
+
+
 def random_coefficients(rng: SplitMix64, n_rows: int, n_cols: int,
                         scale: float = 1.0) -> np.ndarray:
     return rng.uniform_array(-scale, scale, (n_rows, n_cols))

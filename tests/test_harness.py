@@ -77,7 +77,7 @@ RANGE_REFUSALS = [
 
 
 # the entries that name rb, ml.n_min, ml.lengthscale, ml.ridge or
-# opt.max_iters are refused as unknown keys: those are level defaults, not
+# opt.max_iters are refused as unknown keys: those are module constants, not
 # config fields
 @pytest.mark.parametrize("bad", [
     {"scenario": "nope"},
@@ -160,7 +160,7 @@ def test_scenario_defaults_resolved_per_field():
 
     opt = harness.default_config("optdemo")
     assert opt.ml.enabled is True
-    assert ridge(opt) == optdemo.OPT_RIDGE_DEFAULT == 1e-12
+    assert ridge(opt) == optdemo.OPT_RIDGE == 1e-12
     assert ridge(harness.default_config("optdemo", ml={"enabled": True})) == 1e-12
     assert harness.default_config("parabolic").ml.enabled is False
     assert ridge(harness.default_config("parabolic", ml={"enabled": True})) == 1e-8
@@ -768,7 +768,7 @@ def test_cli_verify_and_sabotage(tmp_path, monkeypatch):
 
 
 def test_cli_removed_config_keys_refused(tmp_path, capsys):
-    # algorithm settings are level defaults: naming one is an error, never
+    # algorithm settings are module constants: naming one is an error, never
     # silently ignored
     out = tmp_path / "x.csv"
     for removed in ({"fom": {"source": "one"}}, {"fom": {"u0": "zero"}},

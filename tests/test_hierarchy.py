@@ -148,8 +148,8 @@ def test_first_accept_rule(unit_box):
     assert lvl3.n_evals == 0
     stages = [a.stage for a in answer.attempts]
     assert stages == [1, 2]
-    assert answer.attempts[0].estimate > answer.tolerance
-    assert answer.attempts[1].estimate <= answer.tolerance
+    assert answer.attempts[0].estimate > hierarchy.tolerance
+    assert answer.attempts[1].estimate <= hierarchy.tolerance
 
 
 def test_declining_level_is_one_attempt(unit_box):

@@ -22,8 +22,8 @@ def rb_level(small_system, diffusivity_box):
     return level
 
 
-def regressor_from_rb(rb_level, box, mus, **kw):
-    regressor = KernelRegressor(box, **kw)
+def regressor_from_rb(rb_level, box, mus, ridge=mlsurrogate.RIDGE):
+    regressor = KernelRegressor(box, ridge)
     for mu in mus:
         regressor.add(mu, solve_rb(rb_level.reduced_system, mu).coefficients)
     return regressor
@@ -31,8 +31,7 @@ def regressor_from_rb(rb_level, box, mus, **kw):
 
 def fresh_copy(regressor):
     """A new regressor holding the same pairs, factored from scratch."""
-    fresh = KernelRegressor(regressor.box, regressor.lengthscale,
-                            regressor.ridge, regressor.n_min)
+    fresh = KernelRegressor(regressor.box, regressor.ridge)
     for mu, y in zip(regressor.raw_inputs, regressor.targets):
         fresh.add(mu, y)
     return fresh
@@ -48,7 +47,7 @@ def seeded_mus(n, seed=1234):
 
 
 def test_duplicate_input_replaces_output(diffusivity_box):
-    regressor = KernelRegressor(diffusivity_box)
+    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE)
     regressor.add([1.0, 2.0], [1.0, 1.0])
     regressor.add([1.0, 2.0], [5.0, 5.0])
     assert regressor.n_train == 1
@@ -56,33 +55,34 @@ def test_duplicate_input_replaces_output(diffusivity_box):
 
 
 def test_construction_allocates_no_buffer(diffusivity_box):
-    regressor = KernelRegressor(diffusivity_box)
+    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE)
     assert regressor._raw is None and regressor._targets_t is None
-    assert regressor.n_train == 0 and not regressor.ready
+    assert regressor.n_train == 0
 
 
-def test_fit_requires_n_min(rb_level, diffusivity_box):
+def test_fit_requires_n_min(rb_level, diffusivity_box, set_constant):
     mus = seeded_mus(3)
-    regressor = regressor_from_rb(rb_level, diffusivity_box, mus, n_min=10)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, mus)
     with pytest.raises(NotReadyError):
         regressor.predict(mus[0])
-    lowered = regressor_from_rb(rb_level, diffusivity_box, mus, n_min=3)
-    lowered.predict(mus[0])  # enough once the bar is lowered
+    set_constant(mlsurrogate, "N_MIN", 3)
+    regressor.predict(mus[0])  # enough once the bar is lowered
 
 
-def test_first_factor_is_factored_whole(rb_level, diffusivity_box):
-    regressor = regressor_from_rb(rb_level, diffusivity_box, seeded_mus(12),
-                                  lengthscale=0.3)
-    assert regressor._factor is None  # reaching n_min leaves it stale
+def test_first_factor_is_factored_whole(rb_level, diffusivity_box,
+                                        set_constant):
+    set_constant(mlsurrogate, "LENGTHSCALE", 0.3)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, seeded_mus(12))
+    assert regressor._factor is None  # reaching N_MIN leaves it stale
     regressor.predict([1.0, 1.0])
     assert np.array_equal(regressor._factor, mlsurrogate.fit(
-        regressor.inputs, regressor.lengthscale, regressor.ridge))
+        regressor.inputs, 0.3, regressor.ridge))
 
 
 def test_invalid_hyperparameters_rejected(diffusivity_box):
-    for kw in ({"lengthscale": 0.0}, {"ridge": -1.0}, {"n_min": 0}):
+    for ridge in (0.0, -1.0, math.nan):
         with pytest.raises(ConfigurationError):
-            KernelRegressor(diffusivity_box, **kw)
+            KernelRegressor(diffusivity_box, ridge)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
@@ -100,9 +100,12 @@ def test_gaussian_matches_cdist_bitwise(dim):
 
 
 @pytest.mark.parametrize("mu", [[5.0], [5.0, 5.0, 5.0]])
-def test_regressor_rejects_wrong_length_parameters(diffusivity_box, mu):
+def test_regressor_rejects_wrong_length_parameters(diffusivity_box, mu,
+                                                  set_constant):
     # a length-1 mu must not broadcast to (5, 5) in a 2-D box
-    regressor = KernelRegressor(diffusivity_box, lengthscale=0.3, n_min=2)
+    set_constant(mlsurrogate, "LENGTHSCALE", 0.3)
+    set_constant(mlsurrogate, "N_MIN", 2)
+    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE)
     with pytest.raises(DomainError):
         regressor.add(mu, np.zeros(3))
     assert regressor.n_train == 0
@@ -112,8 +115,9 @@ def test_regressor_rejects_wrong_length_parameters(diffusivity_box, mu):
         regressor.predict(mu)
 
 
-def test_zero_outputs_give_zero_predictions(diffusivity_box):
-    regressor = KernelRegressor(diffusivity_box, lengthscale=0.3)
+def test_zero_outputs_give_zero_predictions(diffusivity_box, set_constant):
+    set_constant(mlsurrogate, "LENGTHSCALE", 0.3)
+    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE)
     for mu in seeded_mus(12):
         regressor.add(mu, np.zeros(8))
     pred = regressor.predict([3.0, 3.0])
@@ -123,24 +127,25 @@ def test_zero_outputs_give_zero_predictions(diffusivity_box):
     assert np.max(np.abs(weights)) <= 1e-12
 
 
-def test_weights_satisfy_ridge_system(rb_level, diffusivity_box):
-    regressor = regressor_from_rb(rb_level, diffusivity_box, seeded_mus(15),
-                                  lengthscale=0.3, ridge=1e-8)
+def test_weights_satisfy_ridge_system(rb_level, diffusivity_box,
+                                      set_constant):
+    set_constant(mlsurrogate, "LENGTHSCALE", 0.3)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, seeded_mus(15))
     regressor.predict([1.0, 1.0])  # factors the kernel system
     weights = scipy.linalg.cho_solve((regressor._factor, True),
                                      regressor.targets)
-    gram = mlsurrogate._gaussian(regressor.inputs, regressor.inputs,
-                                 regressor.lengthscale)
+    gram = mlsurrogate._gaussian(regressor.inputs, regressor.inputs, 0.3)
     gram[np.diag_indices_from(gram)] += regressor.ridge
     residual = gram @ weights - regressor.targets
     rel = np.linalg.norm(residual) / np.linalg.norm(regressor.targets)
     assert rel <= 1e-8
 
 
-def test_near_interpolation_at_training_point(rb_level, diffusivity_box):
+def test_near_interpolation_at_training_point(rb_level, diffusivity_box,
+                                             set_constant):
+    set_constant(mlsurrogate, "LENGTHSCALE", 0.3)
     mus = seeded_mus(15)
-    regressor = regressor_from_rb(rb_level, diffusivity_box, mus,
-                                  lengthscale=0.3, ridge=1e-8)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, mus)
     for idx in (0, 7, 14):
         pred = regressor.predict(mus[idx])
         stored = regressor.targets[idx]
@@ -148,37 +153,41 @@ def test_near_interpolation_at_training_point(rb_level, diffusivity_box):
         assert rel <= 1e-4
 
 
-def test_far_query_prediction_decays(diffusivity_box):
+def test_far_query_prediction_decays(diffusivity_box, set_constant):
     # single pair: prediction at distance >> lengthscale is near zero
-    regressor = KernelRegressor(diffusivity_box, lengthscale=0.05,
-                                ridge=1e-8, n_min=1)
+    set_constant(mlsurrogate, "LENGTHSCALE", 0.05)
+    set_constant(mlsurrogate, "N_MIN", 1)
+    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE)
     regressor.add([0.2, 0.2], np.full(5, 3.0))
     far = regressor.predict([9.0, 9.0])
     assert np.linalg.norm(far) <= 1e-6 * np.linalg.norm(regressor.targets[0])
 
 
 def test_incremental_append_matches_full_fit(rb_level, diffusivity_box,
-                                             monkeypatch):
+                                             monkeypatch, set_constant):
+    set_constant(mlsurrogate, "LENGTHSCALE", 0.3)
     mus = seeded_mus(20)
     incremental = regressor_from_rb(rb_level, diffusivity_box, mus[:12],
-                                    lengthscale=0.3, ridge=1e-10)
+                                    ridge=1e-10)
     probe = np.array([4.4, 6.1])
     incremental.predict(probe)  # first factor, from scratch
-    monkeypatch.setattr(mlsurrogate, "fit", lambda *a: pytest.fail("refit"))
-    for mu in mus[12:]:
-        incremental.add(mu, solve_rb(rb_level.reduced_system, mu).coefficients)
-    assert incremental._factor.shape == (20, 20)  # bordered, never refit
-    pred = incremental.predict(probe)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(mlsurrogate, "fit", lambda *a: pytest.fail("refit"))
+        for mu in mus[12:]:
+            incremental.add(mu,
+                            solve_rb(rb_level.reduced_system, mu).coefficients)
+        assert incremental._factor.shape == (20, 20)  # bordered, never refit
+        pred = incremental.predict(probe)
     reference = fresh_copy(incremental)
     np.testing.assert_allclose(pred, reference.predict(probe),
                                rtol=1e-6, atol=1e-12)
 
 
-def test_replaced_target_refits_bitwise(rb_level, diffusivity_box):
+def test_replaced_target_refits_bitwise(rb_level, diffusivity_box,
+                                        set_constant):
+    set_constant(mlsurrogate, "LENGTHSCALE", 0.3)
     mus = seeded_mus(14)
-    regressor = regressor_from_rb(rb_level, diffusivity_box, mus,
-                                  lengthscale=0.3)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, mus)
     probe = np.array([2.2, 7.3])
     regressor.predict(probe)
     regressor.add(mus[5], 2.0 * regressor.targets[5])
@@ -188,27 +197,28 @@ def test_replaced_target_refits_bitwise(rb_level, diffusivity_box):
 
 
 def test_failed_bordering_leaves_the_factor_stale(rb_level, diffusivity_box,
-                                                  monkeypatch):
+                                                  monkeypatch, set_constant):
     # a LAPACK failure inside append keeps the pair and drops the factor;
     # the next predict refactors it from scratch
+    set_constant(mlsurrogate, "LENGTHSCALE", 0.3)
     mus = seeded_mus(14)
-    regressor = regressor_from_rb(rb_level, diffusivity_box, mus[:13],
-                                  lengthscale=0.3)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, mus[:13])
     probe = np.array([2.2, 7.3])
     regressor.predict(probe)
-    monkeypatch.setattr(mlsurrogate, "_trtrs", lambda a, b, **kw: (b, 1))
-    regressor.add(mus[13], solve_rb(rb_level.reduced_system, mus[13]).coefficients)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(mlsurrogate, "_trtrs", lambda a, b, **kw: (b, 1))
+        regressor.add(mus[13],
+                      solve_rb(rb_level.reduced_system, mus[13]).coefficients)
     assert regressor.n_train == 14 and regressor._factor is None
     assert np.array_equal(regressor.predict(probe),
                           fresh_copy(regressor).predict(probe))
 
 
-def test_rebase_refits_bitwise(small_system, diffusivity_box):
+def test_rebase_refits_bitwise(small_system, diffusivity_box, set_constant):
+    set_constant(mlsurrogate, "LENGTHSCALE", 0.3)
     rb = ReducedBasisLevel(small_system)
     rb.absorb(solve_fom(small_system, [1.0, 4.0]))
-    regressor = regressor_from_rb(rb, diffusivity_box, seeded_mus(12),
-                                  lengthscale=0.3)
+    regressor = regressor_from_rb(rb, diffusivity_box, seeded_mus(12))
     probe = np.array([3.3, 0.4])
     regressor.predict(probe)
     rb.absorb(solve_fom(small_system, [8.0, 0.2]))
@@ -218,9 +228,10 @@ def test_rebase_refits_bitwise(small_system, diffusivity_box):
                           fresh_copy(regressor).predict(probe))
 
 
-def test_prediction_feeds_estimator(rb_level, diffusivity_box, small_system):
-    regressor = regressor_from_rb(rb_level, diffusivity_box, seeded_mus(12),
-                                  lengthscale=0.3)
+def test_prediction_feeds_estimator(rb_level, diffusivity_box, small_system,
+                                    set_constant):
+    set_constant(mlsurrogate, "LENGTHSCALE", 0.3)
+    regressor = regressor_from_rb(rb_level, diffusivity_box, seeded_mus(12))
     mu = np.array([2.5, 2.5])
     trajectory = predict_trajectory(regressor, rb_level.reduced_system, mu)
     assert trajectory.reduced_system is rb_level.reduced_system
@@ -237,12 +248,12 @@ def test_power_function_matches_dense_solve(rb_level, diffusivity_box):
     mus = seeded_mus(40)
     regressor = regressor_from_rb(rb_level, diffusivity_box, mus)
     gram = mlsurrogate._gaussian(regressor.inputs, regressor.inputs,
-                                 regressor.lengthscale)
+                                 mlsurrogate.LENGTHSCALE)
     gram[np.diag_indices_from(gram)] += regressor.ridge
     for mu in seeded_mus(20, seed=99):
         k = mlsurrogate._gaussian(regressor.inputs,
                                   np.atleast_2d(diffusivity_box.scale01(mu)),
-                                  regressor.lengthscale)[:, 0]
+                                  mlsurrogate.LENGTHSCALE)[:, 0]
         expected = math.sqrt(1.0 - k @ np.linalg.solve(gram, k))
         assert abs(regressor.power(mu) - expected) <= 1e-10
     assert max(regressor.power(mu) for mu in mus) < 1e-3
@@ -258,10 +269,10 @@ def test_power_gate_declines_before_predicting(rb_level, diffusivity_box):
                           regressor.predict(near))
 
 
-def gated_and_ungated_runs(tmp_path, monkeypatch, Q, n_queries):
+def gated_and_ungated_runs(tmp_path, set_constant, Q, n_queries):
     results = []
     for gate in (mlsurrogate.POWER_GATE, math.inf):
-        monkeypatch.setattr(mlsurrogate, "POWER_GATE", gate)
+        set_constant(mlsurrogate, "POWER_GATE", gate)
         config = harness.config_from_dict({
             "fom": {"Q": Q}, "parameter_box": [[0.1, 10.0]] * Q,
             "n_queries": n_queries, "seed": 42, "ml": {"enabled": True},
@@ -277,8 +288,9 @@ def answer_key(record):
 
 
 @pytest.mark.parametrize("Q,n_queries", [(2, 500), (8, 200)])
-def test_power_gate_keeps_every_answer(tmp_path, monkeypatch, Q, n_queries):
-    gated, ungated = gated_and_ungated_runs(tmp_path, monkeypatch, Q, n_queries)
+def test_power_gate_keeps_every_answer(tmp_path, set_constant, Q, n_queries):
+    gated, ungated = gated_and_ungated_runs(tmp_path, set_constant, Q,
+                                            n_queries)
     assert ([answer_key(r) for r in gated.records]
             == [answer_key(r) for r in ungated.records])
     stage1 = [a for r in gated.records for a in r.answer.attempts if a.stage == 1]
@@ -294,18 +306,19 @@ def test_power_gate_keeps_every_answer(tmp_path, monkeypatch, Q, n_queries):
 
 
 def test_rebase_empty_set_stays_empty(rb_level, diffusivity_box):
-    regressor = KernelRegressor(diffusivity_box)
+    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE)
     rebase(regressor, rb_level.reduced_system)
     assert regressor.n_train == 0
     assert regressor.targets.shape == (0, 0)
 
 
-def test_rebase_restores_interpolation(small_system, diffusivity_box):
+def test_rebase_restores_interpolation(small_system, diffusivity_box,
+                                       set_constant):
+    set_constant(mlsurrogate, "LENGTHSCALE", 0.3)
     rb = ReducedBasisLevel(small_system)
     rb.absorb(solve_fom(small_system, [1.0, 4.0]))
     mus = seeded_mus(12)
-    regressor = regressor_from_rb(rb, diffusivity_box, mus, lengthscale=0.3,
-                                  ridge=1e-8)
+    regressor = regressor_from_rb(rb, diffusivity_box, mus)
     # basis grows: stored targets are now in the previous basis
     rb.absorb(solve_fom(small_system, [8.0, 0.2]))
     rebase(regressor, rb.reduced_system)
@@ -317,28 +330,35 @@ def test_rebase_restores_interpolation(small_system, diffusivity_box):
 # ---------------------------------------------------------------- level
 
 
-def make_ml(small_system, diffusivity_box, n_absorb=0):
-    rb = ReducedBasisLevel(small_system)
-    rb.absorb(solve_fom(small_system, [1.0, 4.0]))
-    ml = MLCoefficientLevel(diffusivity_box, rb, n_min=10, lengthscale=0.3)
-    for mu in seeded_mus(n_absorb):
-        trajectory = solve_rb(rb.reduced_system, mu)
-        ml.absorb(trajectory)
-    return rb, ml
+@pytest.fixture
+def make_ml(small_system, diffusivity_box, set_constant):
+    """``make_ml(n_absorb)``: a one-trajectory RB level and a learned level
+    at lengthscale 0.3 that has absorbed ``n_absorb`` RB solutions."""
+    set_constant(mlsurrogate, "LENGTHSCALE", 0.3)
+
+    def make(n_absorb=0):
+        rb = ReducedBasisLevel(small_system)
+        rb.absorb(solve_fom(small_system, [1.0, 4.0]))
+        ml = MLCoefficientLevel(diffusivity_box, rb)
+        for mu in seeded_mus(n_absorb):
+            ml.absorb(solve_rb(rb.reduced_system, mu))
+        return rb, ml
+
+    return make
 
 
-def test_ml_level_not_ready_without_data(small_system, diffusivity_box):
-    _, ml = make_ml(small_system, diffusivity_box, n_absorb=0)
+def test_ml_level_not_ready_without_data(make_ml):
+    _, ml = make_ml(n_absorb=0)
     with pytest.raises(NotReadyError):
         ml.evaluate(np.array([2.0, 3.0]))
 
 
-def test_ml_level_ready_after_n_min(small_system, diffusivity_box):
+def test_ml_level_ready_after_n_min(make_ml):
     mu = np.array([2.0, 3.0])
-    _, ml = make_ml(small_system, diffusivity_box, n_absorb=9)
+    _, ml = make_ml(n_absorb=9)
     with pytest.raises(NotReadyError):
         ml.evaluate(mu)
-    rb, ml = make_ml(small_system, diffusivity_box, n_absorb=10)
+    rb, ml = make_ml(n_absorb=10)
     output = ml.evaluate(mu)
     delta = ml.estimate_error(output)
     assert np.isfinite(delta) and delta >= 0.0
@@ -346,17 +366,17 @@ def test_ml_level_ready_after_n_min(small_system, diffusivity_box):
     assert output.adaptation.reduced_system is rb.reduced_system
 
 
-def test_ml_level_ignores_fom_trajectories(small_system, diffusivity_box):
+def test_ml_level_ignores_fom_trajectories(small_system, make_ml):
     # a full-order trajectory the basis did not take changes nothing here
-    rb, ml = make_ml(small_system, diffusivity_box, n_absorb=3)
+    rb, ml = make_ml(n_absorb=3)
     before = ml.regressor.targets
     assert ml.absorb(solve_fom(small_system, [1.0, 1.0])) is False
     assert ml.regressor.n_train == 3
     np.testing.assert_array_equal(ml.regressor.targets, before)
 
 
-def test_ml_level_takes_rb_trajectories_only(small_system, diffusivity_box):
-    rb, ml = make_ml(small_system, diffusivity_box, n_absorb=0)
+def test_ml_level_takes_rb_trajectories_only(make_ml):
+    rb, ml = make_ml(n_absorb=0)
     mu = np.array([2.0, 3.0])
     trajectory = solve_rb(rb.reduced_system, mu)
     assert ml.absorb(trajectory) is True
@@ -367,8 +387,8 @@ def test_ml_level_takes_rb_trajectories_only(small_system, diffusivity_box):
     assert ml.regressor.n_train == 1
 
 
-def test_ml_level_rebases_on_basis_change(small_system, diffusivity_box):
-    rb, ml = make_ml(small_system, diffusivity_box, n_absorb=12)
+def test_ml_level_rebases_on_basis_change(small_system, make_ml):
+    rb, ml = make_ml(n_absorb=12)
     old_width = ml.regressor.targets.shape[1]
     # the full-order trajectory is offered to the basis first, then here
     trajectory = solve_fom(small_system, [9.0, 0.15])
@@ -381,9 +401,8 @@ def test_ml_level_rebases_on_basis_change(small_system, diffusivity_box):
     assert ml.regressor.n_train == 12  # inputs never shrink
 
 
-def test_ml_level_rebases_only_when_stale(small_system, diffusivity_box,
-                                          monkeypatch):
-    rb, ml = make_ml(small_system, diffusivity_box, n_absorb=3)
+def test_ml_level_rebases_only_when_stale(small_system, make_ml, monkeypatch):
+    rb, ml = make_ml(n_absorb=3)
 
     def no_rebase(*args):
         pytest.fail("rebase of a current regressor")
@@ -395,11 +414,11 @@ def test_ml_level_rebases_only_when_stale(small_system, diffusivity_box,
 
 
 def test_ml_level_left_behind_answers_in_its_older_system(
-        small_system, diffusivity_box, monkeypatch):
+        small_system, diffusivity_box, make_ml, monkeypatch):
     # a failed rebase leaves the learned stage behind the basis; it still
     # answers, predicted, certified and lifted in the older system its
     # targets are in, and that system's bound holds
-    rb, ml = make_ml(small_system, diffusivity_box, n_absorb=12)
+    rb, ml = make_ml(n_absorb=12)
     behind = ml.reduced_system
 
     def failing_rebase(*args):
@@ -428,16 +447,16 @@ def test_ml_level_left_behind_answers_in_its_older_system(
     assert true_error <= answer.estimate
 
 
-def test_ml_estimate_uses_its_own_reduced_system(small_system, diffusivity_box):
-    rb, ml = make_ml(small_system, diffusivity_box, n_absorb=10)
+def test_ml_estimate_uses_its_own_reduced_system(make_ml):
+    rb, ml = make_ml(n_absorb=10)
     mu = np.array([2.0, 2.0])
     output = ml.evaluate(mu)
     assert output.adaptation.reduced_system is ml.reduced_system
     assert ml.estimate_error(output) == error_estimate(output.adaptation)
 
 
-def test_ml_training_set_monotone(small_system, diffusivity_box):
-    rb, ml = make_ml(small_system, diffusivity_box, n_absorb=0)
+def test_ml_training_set_monotone(make_ml):
+    rb, ml = make_ml(n_absorb=0)
     sizes = []
     for mu in seeded_mus(15):
         assert ml.absorb(solve_rb(rb.reduced_system, np.asarray(mu))) is True
@@ -448,8 +467,8 @@ def test_ml_training_set_monotone(small_system, diffusivity_box):
 # ---------------------------------------------------------------- input map
 
 
-def test_learned_stage_reads_log_scaled_inputs(small_system, diffusivity_box):
-    _, ml = make_ml(small_system, diffusivity_box, n_absorb=12)
+def test_learned_stage_reads_log_scaled_inputs(diffusivity_box, make_ml):
+    _, ml = make_ml(n_absorb=12)
     mus = ml.regressor.raw_inputs
     lo, hi = diffusivity_box.lows, diffusivity_box.highs
     expected = (np.log(mus) - np.log(lo)) / (np.log(hi) - np.log(lo))

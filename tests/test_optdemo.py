@@ -5,7 +5,7 @@ import pytest
 
 from mfhier import (ConfigurationError, ModelHierarchy, NotReadyError,
                     ObjectiveOracle, ParameterBox, descend, fd_gradient,
-                    himmelblau)
+                    himmelblau, mlsurrogate)
 from mfhier.optdemo import (DescentSamples, FullObjectiveLevel,
                             SurrogateObjectiveLevel)
 
@@ -116,10 +116,10 @@ def test_oracle_rejects_invalid_delay(delay_s):
 # ---------------------------------------------------------------- levels
 
 
-def build_hierarchy(opt_box, tol=1e-3, n_min=10):
+def build_hierarchy(opt_box, tol=1e-3):
     oracle = ObjectiveOracle(delay_s=0.0)
     full = FullObjectiveLevel(oracle, opt_box)
-    surrogate = SurrogateObjectiveLevel(oracle, opt_box, n_min=n_min)
+    surrogate = SurrogateObjectiveLevel(oracle, opt_box)
     hierarchy = ModelHierarchy([surrogate, full], tolerance=tol, box=opt_box)
     return hierarchy, oracle, surrogate, full
 
@@ -144,7 +144,7 @@ def test_infinite_tolerance_accepts_any_ready_candidate(opt_box):
                                                       tol=float("inf"))
     first, _ = hierarchy.handle_request([3.5, 2.0])   # trains the surrogate
     assert first.stage == 2  # a decline is never accepted, whatever the TOL
-    assert surrogate.regressor.n_train >= surrogate.regressor.n_min
+    assert surrogate.regressor.n_train >= mlsurrogate.N_MIN
     answer, _ = hierarchy.handle_request([-2.0, 3.0])
     assert answer.stage == 1
     assert answer.estimate <= float("inf")
@@ -220,8 +220,9 @@ def test_reference_only_hierarchy_equals_plain_multistart(opt_box):
     assert oracle.eval_counter == reference_oracle.eval_counter
 
 
-def test_oracle_accounting_no_hidden_evaluations(opt_box):
-    hierarchy, oracle, surrogate, _ = build_hierarchy(opt_box, n_min=5)
+def test_oracle_accounting_no_hidden_evaluations(opt_box, set_constant):
+    set_constant(mlsurrogate, "N_MIN", 5)
+    hierarchy, oracle, surrogate, _ = build_hierarchy(opt_box)
     starts = [[3.5, 2.0], [-3.0, 3.0], [1.0, 1.0], [-3.5, -3.0], [0.5, -2.0]]
     records = hierarchy.run_query_stream(starts)
     assert records[0].answer.attempts[0].estimate == math.inf

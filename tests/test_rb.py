@@ -9,8 +9,8 @@ import scipy.linalg
 from mfhier import (DomainError, FullOrderLevel, ModelHierarchy, NotReadyError,
                     ParameterBox, SplitMix64, assemble, build_reduced_system,
                     coercivity_lower_bound, error_estimate, extend_basis,
-                    harness, reconstruct_final, residual_dual_norms,
-                    solve_fom, solve_rb)
+                    harness, mlsurrogate, rb, reconstruct_final,
+                    residual_dual_norms, solve_fom, solve_rb)
 from mfhier.mlsurrogate import KernelRegressor, LogScaledBox, predict_trajectory
 from mfhier.rb import ReducedBasisLevel, ReducedTrajectory, _x_orthonormalize
 
@@ -21,20 +21,20 @@ def empty_reduced_system(system):
     return build_reduced_system(system, np.zeros((system.n_h, 0)), 0)
 
 
-def grow_basis(system, mus, **settings):
+def grow_basis(system, mus):
     reduced = empty_reduced_system(system)
     for mu in mus:
-        reduced = extend_basis(reduced, system, solve_fom(system, mu),
-                               **settings)
+        reduced = extend_basis(reduced, system, solve_fom(system, mu))
     return reduced
 
 
 # ---------------------------------------------------------------- extension
 
 
-def test_first_extension_captures_trajectory(small_system):
+def test_first_extension_captures_trajectory(small_system, set_constant):
+    set_constant(rb, "POD_TOL", 1e-10)
     trajectory = solve_fom(small_system, [1.0, 4.0])
-    reduced = grow_basis(small_system, [[1.0, 4.0]], pod_tol=1e-10)
+    reduced = grow_basis(small_system, [[1.0, 4.0]])
     assert reduced.N >= 1
     assert reduced.generation == 1
     S = trajectory.states.T
@@ -47,27 +47,29 @@ def test_first_extension_captures_trajectory(small_system):
 def test_extension_idempotent(small_system):
     trajectory = solve_fom(small_system, [2.0, 0.5])
     reduced = grow_basis(small_system, [[2.0, 0.5]])
-    reduced2 = extend_basis(reduced, small_system, trajectory, 1e-13, 12, 60)
+    reduced2 = extend_basis(reduced, small_system, trajectory)
     assert reduced2 is reduced
 
 
-def test_extend_basis_returns_same_model_when_nothing_added(small_system):
-    # a full basis has no room: the model is returned as it is
+def test_extend_basis_returns_same_model_when_nothing_added(small_system,
+                                                           set_constant):
     reduced = grow_basis(small_system, [[2.0, 0.5]])
     other = solve_fom(small_system, [0.1, 10.0])
-    full = extend_basis(reduced, small_system, other, n_max=reduced.N)
-    assert full is reduced
     grown = extend_basis(reduced, small_system, other)
     assert grown.generation == reduced.generation + 1
     assert grown.N > reduced.N
     assert np.array_equal(grown.V[:, :reduced.N], reduced.V)
+    # a full basis has no room: the model is returned as it is
+    set_constant(rb, "N_MAX", reduced.N)
+    assert extend_basis(reduced, small_system, other) is reduced
 
 
-def test_single_mode_trajectory_adds_one_vector():
+def test_single_mode_trajectory_adds_one_vector(set_constant):
+    set_constant(rb, "POD_TOL", 1e-7)
+    set_constant(rb, "N_ADD_MAX", 5)
     system = assemble(80, 40, 0.1, 1, source="zero", u0="sine")
     trajectory = solve_fom(system, [1.0])
-    reduced = extend_basis(empty_reduced_system(system), system, trajectory,
-                           pod_tol=1e-7, n_add_max=5, n_max=60)
+    reduced = extend_basis(empty_reduced_system(system), system, trajectory)
     assert reduced.N == 1
     assert reduced.generation == 1
 
@@ -76,15 +78,24 @@ def test_zero_trajectory_adds_nothing(small_system):
     system = assemble(20, 5, 1.0, 1, source="zero", u0="zero")
     trajectory = solve_fom(system, [1.0])
     reduced = empty_reduced_system(system)
-    assert extend_basis(reduced, system, trajectory, 1e-7, 5, 60) is reduced
+    assert extend_basis(reduced, system, trajectory) is reduced
 
 
-def test_n_max_cap(small_system):
+def test_n_max_cap(small_system, set_constant):
+    set_constant(rb, "N_MAX", 8)
     rng = SplitMix64(5)
     box = ParameterBox([[0.1, 10.0]] * 2)
-    reduced = grow_basis(small_system,
-                         [box.sample(rng) for _ in range(12)], n_max=8)
+    reduced = grow_basis(small_system, [box.sample(rng) for _ in range(12)])
     assert reduced.N <= 8
+
+
+def test_set_constant_refuses_a_name_the_module_does_not_define(set_constant):
+    # a misspelt or misplaced constant is an error, not a test at the default
+    for module, name in ((rb, "N_MAXX"), (rb, "solve_rb"),
+                         (mlsurrogate, "POD_TOL")):
+        with pytest.raises(AttributeError):
+            set_constant(module, name, 8)
+    assert rb.N_MAX == 60 and not hasattr(mlsurrogate, "POD_TOL")
 
 
 def test_x_orthonormalize_drops_dependent_columns(small_system):
@@ -211,11 +222,13 @@ def test_solve_rb_rejects_indefinite_reduced_system(small_system):
         solve_rb(broken, [1.0, 1.0])
 
 
-def test_galerkin_reproduction_in_span(small_system):
+def test_galerkin_reproduction_in_span(small_system, set_constant):
     # basis captures the trajectory at mu*: the reduced solve reproduces the
     # full solution at mu* almost exactly
+    set_constant(rb, "POD_TOL", 1e-15)
+    set_constant(rb, "N_ADD_MAX", 40)
     mu = [1.5, 6.0]
-    reduced = grow_basis(small_system, [mu], pod_tol=1e-15, n_add_max=40)
+    reduced = grow_basis(small_system, [mu])
     full = solve_fom(small_system, mu)
     lifted = solve_rb(reduced, mu).coefficients @ reduced.V.T
     assert np.max(np.abs(lifted - full.states)) <= 1e-8
@@ -347,9 +360,11 @@ def test_online_residuals_match_full_space_oracle(small_system):
 # ---------------------------------------------------------------- estimator
 
 
-def test_estimate_tiny_for_reproduced_trajectory(small_system):
+def test_estimate_tiny_for_reproduced_trajectory(small_system, set_constant):
+    set_constant(rb, "POD_TOL", 1e-15)
+    set_constant(rb, "N_ADD_MAX", 40)
     mu = [1.2, 0.4]
-    reduced = grow_basis(small_system, [mu], pod_tol=1e-15, n_add_max=40)
+    reduced = grow_basis(small_system, [mu])
     delta = error_estimate(solve_rb(reduced, mu))
     assert delta <= 1e-7
 
@@ -433,8 +448,7 @@ def test_stale_generation_rejected(small_system):
     # normed or lifted
     older = grow_basis(small_system, [[1.0, 1.0]])
     newer = extend_basis(older, small_system,
-                         solve_fom(small_system, [0.2, 8.0]),
-                         1e-13, 12, 60)
+                         solve_fom(small_system, [0.2, 8.0]))
     assert newer.generation > older.generation and newer.N > older.N
     trajectory = solve_rb(older, [1.0, 1.0])
     stale = ReducedTrajectory(coefficients=trajectory.coefficients,
@@ -549,12 +563,16 @@ def test_replaced_factor_derives_its_own_blocks(grown):
 
 
 def test_trajectory_mu_is_checked_where_the_trajectory_is_made(
-        small_system, diffusivity_box):
+        small_system, diffusivity_box, set_constant):
     # the estimator reads mu unchecked: a trajectory of either stage gets
     # its DomainError when it is made, before a regressor or B sees mu
+    # one pair, and no gate: the learned trajectory is made anywhere
+    set_constant(mlsurrogate, "N_MIN", 1)
+    set_constant(mlsurrogate, "POWER_GATE", math.inf)
     reduced = grow_basis(small_system, [[1.0, 1.0]])
     coeffs = solve_rb(reduced, [1.0, 1.0]).coefficients
-    regressor = KernelRegressor(LogScaledBox(diffusivity_box), n_min=1)
+    regressor = KernelRegressor(LogScaledBox(diffusivity_box),
+                                mlsurrogate.RIDGE)
     regressor.add([1.0, 1.0], coeffs)
     learned = predict_trajectory(regressor, reduced, [2.0, 2.0])
     for bad in ([0.0, 1.0], [-1.0, 1.0], [math.nan, 1.0], [1.0], []):
@@ -646,10 +664,12 @@ def test_rb_level_requery_accepts(small_system):
     assert estimate <= 1e-6
 
 
-def test_rb_level_deep_capture_requery_below_1e8(small_system):
+def test_rb_level_deep_capture_requery_below_1e8(small_system, set_constant):
     # with the trajectory captured to the numerical floor, re-querying the
     # same parameter certifies below 1e-8
-    level = ReducedBasisLevel(small_system, pod_tol=1e-15, n_add_max=40)
+    set_constant(rb, "POD_TOL", 1e-15)
+    set_constant(rb, "N_ADD_MAX", 40)
+    level = ReducedBasisLevel(small_system)
     mu = np.array([2.0, 5.0])
     level.absorb(solve_fom(small_system, mu))
     output = level.evaluate(mu)
@@ -672,10 +692,12 @@ def test_rb_level_zero_mode_absorb_keeps_generation(small_system):
     assert level.reduced_system.generation == 1
 
 
-def test_rb_level_at_cap_logs_no_event(small_system, monkeypatch):
-    # at the n_max cap a full-order solve changes no basis and is no event,
+def test_rb_level_at_cap_logs_no_event(small_system, monkeypatch,
+                                      set_constant):
+    # at the N_MAX cap a full-order solve changes no basis and is no event,
     # and extend_basis returns before the POD of the projection error
-    level = ReducedBasisLevel(small_system, n_max=2)
+    set_constant(rb, "N_MAX", 2)
+    level = ReducedBasisLevel(small_system)
     hierarchy = ModelHierarchy([level, FullOrderLevel(small_system)],
                                tolerance=0.0,
                                box=ParameterBox([[0.1, 10.0]] * 2))
@@ -685,7 +707,7 @@ def test_rb_level_at_cap_logs_no_event(small_system, monkeypatch):
     assert capped.N == 2 and capped.generation == 1
 
     def no_eigh(*args, **kwargs):
-        raise AssertionError("POD computed at the n_max cap")
+        raise AssertionError("POD computed at the N_MAX cap")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     answer, events = hierarchy.handle_request([0.1, 10.0])
@@ -713,9 +735,11 @@ def test_rb_level_keeps_its_system_when_extension_fails(small_system,
     assert level.reduced_system is before
 
 
-def test_summary_counts_reference_answers_at_the_cap(small_system):
-    # at the n_max cap every further full-order solve teaches no level
-    level = ReducedBasisLevel(small_system, n_max=2)
+def test_summary_counts_reference_answers_at_the_cap(small_system,
+                                                      set_constant):
+    # at the N_MAX cap every further full-order solve teaches no level
+    set_constant(rb, "N_MAX", 2)
+    level = ReducedBasisLevel(small_system)
     hierarchy = ModelHierarchy([level, FullOrderLevel(small_system)],
                                tolerance=0.0,
                                box=ParameterBox([[0.1, 10.0]] * 2))
