@@ -20,8 +20,9 @@ for mu in ([1.0, 1.0], [0.1, 10.0], [10.0, 0.1]):
     t0 = time.perf_counter()
     trajectory = solve_fom(system, mu)
     duration_s = time.perf_counter() - t0
-    print(f"mu = {mu}:  QoI = {compute_qoi(system, trajectory):.6f}  "
-          f"max u(x, T) = {trajectory.states[-1].max():.6f}  "
+    u_final = trajectory.states[-1]
+    print(f"mu = {mu}:  QoI = {compute_qoi(system, u_final):.6f}  "
+          f"max u(x, T) = {u_final.max():.6f}  "
           f"({duration_s * 1e3:.1f} ms)")
 
 # analytic check: u0 = sin(pi x), f = 0, unit diffusivity decays as

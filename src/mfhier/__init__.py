@@ -22,8 +22,8 @@ from .mlsurrogate import (KernelRegressor, MLCoefficientLevel, fit,
 from .optdemo import (DescentResult, ObjectiveOracle, SurrogateObjectiveLevel,
                       FullObjectiveLevel, descend, fd_gradient, himmelblau)
 from .rb import (ReducedBasisLevel, ReducedSystem, ReducedTrajectory,
-                 build_reduced_system, coercivity_lower_bound, error_estimate,
-                 extend_basis, reconstruct_final, residual_dual_norms, solve_rb)
+                 build_reduced_system, error_estimate, extend_basis,
+                 reconstruct_final, residual_dual_norms, solve_rb)
 from .rng import SplitMix64
 
 __version__ = "0.1.0"
@@ -37,7 +37,7 @@ __all__ = [
     "ReducedTrajectory", "RunConfig", "SplitMix64", "StreamAborted",
     "StreamSummary", "SurrogateObjectiveLevel", "Trajectory", "assemble",
     "baseline", "build_reduced_system", "build_scenario",
-    "coercivity_lower_bound", "compute_qoi", "default_config", "descend",
+    "compute_qoi", "default_config", "descend",
     "draw_parameters", "error_estimate", "extend_basis", "fd_gradient", "fit",
     "himmelblau", "predict_trajectory", "rebase",
     "reconstruct_final", "report", "residual_dual_norms", "run", "solve_fom",

@@ -18,10 +18,10 @@ class NotReadyError(HierarchyError, RuntimeError):
 
 
 class StreamAborted(HierarchyError):
-    """A query stream hit a domain error; carries the partial log."""
+    """A query stream hit a domain error.  ``records`` is the log of the
+    answers before the rejected query, whose position is ``len(records)``;
+    the :class:`DomainError` that rejected it is ``__cause__``."""
 
-    def __init__(self, message, records, query_id, cause):
+    def __init__(self, message, records):
         super().__init__(message)
         self.records = records
-        self.query_id = query_id
-        self.cause = cause

@@ -265,9 +265,8 @@ def solve_fom(system: AffineSystem, mu) -> Trajectory:
 
 
 def compute_qoi(system: AffineSystem, state) -> float:
-    """s = l^T u^K with l = M @ 1, i.e. the integral of u(., T)."""
-    if isinstance(state, Trajectory):
-        state = state.states[-1]
+    """s = l^T u with l = M @ 1: the integral of u, the QoI of every
+    parabolic answer when u is its final state u^K."""
     state = np.asarray(state, dtype=float)
     if state.shape != (system.n_h,):
         raise ConfigurationError(f"state length {state.shape} != n_h {system.n_h}")
@@ -291,7 +290,7 @@ class FullOrderLevel:
 
     def evaluate(self, mu) -> ModelOutput:
         trajectory = solve_fom(self.system, mu)
-        payload = ParabolicResult(
-            qoi=compute_qoi(self.system, trajectory),
-            u_final=trajectory.states[-1].copy())
+        u_final = trajectory.states[-1].copy()
+        payload = ParabolicResult(qoi=compute_qoi(self.system, u_final),
+                                  u_final=u_final)
         return ModelOutput(payload=payload, adaptation=trajectory)

@@ -351,6 +351,9 @@ def _parse_row(line: str, dim: int, n_stages: int, row_number: int) -> ResultRow
             events=tuple(events))
         if not 1 <= row.stage <= n_stages:
             raise ValueError(f"stage {row.stage} out of range 1..{n_stages}")
+        if (estimate is None) != (row.stage == n_stages):
+            raise ValueError(f"estimate {raw_estimate!r} at stage {row.stage} of "
+                             f"{n_stages}: the last stage's, and only its, is 'ref'")
         if not all(map(math.isfinite, (*row.mu, row.qoi, *row.durations))):
             raise ValueError("non-finite mu, qoi or duration")
         if min(*row.durations, row.basis_n, row.ml_n) < 0:

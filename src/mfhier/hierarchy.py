@@ -245,7 +245,7 @@ class ModelHierarchy:
                 answer, events = self.handle_request(mu)
             except DomainError as err:
                 raise StreamAborted(f"query {query_id} rejected: {err}",
-                                    records, query_id, err) from err
+                                    records) from err
             record = QueryRecord(query_id, np.asarray(mu, dtype=float), answer,
                                  events)
             records.append(record)

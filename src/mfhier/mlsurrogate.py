@@ -306,10 +306,8 @@ def rebase(regressor: KernelRegressor, reduced_system: ReducedSystem) -> None:
 def dump_training(regressor: KernelRegressor, path) -> None:
     """CSV dump: one row per pair, parameter components then the float32
     coefficients the regressor predicts with."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for mu, out in zip(regressor.raw_inputs, regressor.targets):
-            row = np.concatenate([mu, out])
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    np.savetxt(path, np.column_stack([regressor.raw_inputs, regressor.targets]),
+               delimiter=",", fmt="%.17g")
 
 
 class MLCoefficientLevel(ModelLevel):

@@ -35,7 +35,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NotReadyError
-from .fom import AffineSystem, ParabolicResult, Trajectory, check_diffusivity
+from .fom import (AffineSystem, ParabolicResult, Trajectory, check_diffusivity,
+                  compute_qoi)
 from .hierarchy import ModelLevel, ModelOutput
 
 _potrf = scipy.linalg.lapack.dpotrf
@@ -188,8 +189,6 @@ def extend_basis(reduced_system: ReducedSystem, system: AffineSystem,
     S = trajectory.states.T  # (n_h, K+1)
     XS = system.X @ S
     traj_energy = float(np.einsum("ij,ij->", S, XS))
-    if traj_energy <= 0.0:
-        return reduced_system
 
     E = S - V @ (V.T @ XS)
     XE = system.X @ E
@@ -200,6 +199,7 @@ def extend_basis(reduced_system: ReducedSystem, system: AffineSystem,
     evals = np.clip(evals, 0.0, None)
     total_residual = float(evals.sum())
 
+    # a zero trajectory stops here too: E = 0 leaves 0 <= target = 0
     target = POD_TOL * traj_energy
     if total_residual <= target:
         return reduced_system
@@ -221,11 +221,6 @@ def extend_basis(reduced_system: ReducedSystem, system: AffineSystem,
         return reduced_system
     return build_reduced_system(system, np.hstack([V, modes]),
                                 reduced_system.generation + 1)
-
-
-def coercivity_lower_bound(mu) -> float:
-    """min-theta bound; exact here since a(v,v;mu) >= min_q mu_q * v^T X v."""
-    return min(check_diffusivity(mu, np.size(mu)).tolist())
 
 
 def solve_rb(reduced_system: ReducedSystem, mu) -> ReducedTrajectory:
@@ -318,7 +313,8 @@ def error_estimate(trajectory: ReducedTrajectory) -> float:
     a = trajectory.coefficients
     e0 = rs.initial_error_factor @ np.concatenate([[1.0], -a[0]])
     residuals = _residuals(trajectory)
-    # coercivity_lower_bound of the mu the trajectory checked when made
+    # alpha(mu) = min_q mu_q, exact since a(v, v; mu) >= min_q mu_q v^T X v,
+    # of the mu the trajectory checked when it was made
     alpha = min(trajectory.mu.tolist())
     return float(np.sqrt(e0 @ e0 + rs.dt / alpha
                          * np.einsum("ij,ij->", residuals, residuals)))
@@ -354,7 +350,7 @@ class ReducedBasisLevel(ModelLevel):
         """The answer for reduced coefficients: the final state in full
         space, in the trajectory's own basis, and its QoI."""
         u_final = reconstruct_final(trajectory)
-        return ParabolicResult(qoi=float(self.system.qoi_vector @ u_final),
+        return ParabolicResult(qoi=compute_qoi(self.system, u_final),
                                u_final=u_final)
 
     def evaluate(self, mu) -> ModelOutput:

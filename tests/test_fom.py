@@ -206,6 +206,11 @@ def test_invalid_sizes_rejected():
         assemble(10, 1, float("inf"), 1)
     with pytest.raises(ConfigurationError):
         assemble(10, 1, 1.0, 2, source="garbage")
+    with pytest.raises(ConfigurationError, match="unknown initial-value tag"):
+        assemble(10, 1, 1.0, 2, u0="cosine")
+    with pytest.raises(ConfigurationError,
+                       match="source needs one constant per subdomain"):
+        assemble(10, 1, 1.0, 2, source=[1.0, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------- solve
@@ -250,14 +255,17 @@ def splu_march(system, mu):
     return np.array(states)
 
 
-@pytest.mark.parametrize("Q", [1, 2, 8])
+# ids name Q; a single node is the march's n_h = 1 case, whose step
+# matrix has no off-diagonal
+@pytest.mark.parametrize("n_h, Q", [(200, 1), (200, 2), (200, 8), (1, 1)],
+                         ids=["1", "2", "8", "1-node"])
 @pytest.mark.parametrize("u0", ["zero", "sine"])
-def test_tridiagonal_march_matches_splu_march(Q, u0):
+def test_tridiagonal_march_matches_splu_march(n_h, Q, u0):
     # both marches are backward stable with per-step relative error about
     # cond(B) eps, and the step contracts in the M-norm, so they drift apart
     # at most linearly over K steps: by 2 K cond(B) eps ||u||_M, ||u||_M the
     # largest state norm, with Gershgorin's cond(B) <= 3 + 12 dt max(mu)/h^2
-    system = assemble(200, 100, 1.0, Q, u0=u0)
+    system = assemble(n_h, 100, 1.0, Q, u0=u0)
     rng = SplitMix64(1000 + Q)
     eps = np.finfo(float).eps
     for _ in range(10):
@@ -318,7 +326,7 @@ def test_qoi_ones_equals_mass_row_sums(small_system):
 
 def test_qoi_analytic_case():
     err, system, trajectory = analytic_error(100, 1000)
-    qoi = compute_qoi(system, trajectory)
+    qoi = compute_qoi(system, trajectory.states[-1])
     exact = math.exp(-math.pi**2 * 0.1) * 2.0 / math.pi
     assert abs(qoi - exact) <= 2e-3
 
@@ -337,7 +345,7 @@ def test_fom_level_contract(small_system):
     output = level.evaluate(mu)
     reference = solve_fom(small_system, mu)
     np.testing.assert_array_equal(output.adaptation.states, reference.states)
-    assert output.payload.qoi == compute_qoi(small_system, reference)
+    assert output.payload.qoi == compute_qoi(small_system, reference.states[-1])
     np.testing.assert_array_equal(output.payload.u_final, reference.states[-1])
     # an owned final state: the answer must not keep the trajectory alive
     assert output.payload.u_final.base is None

@@ -133,6 +133,8 @@ RANGE_REFUSALS = [
     {"rb": {"pod_tol": -1.0}},
     {"scenario": "optdemo", "opt": {"delay_s": float("nan")}},
     *(bad for bad, _ in RANGE_REFUSALS),
+    {"parameter_box": [[0.0, 10.0], [0.1, 10.0]]},
+    {"seed": 2**64},
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ConfigurationError):
@@ -538,6 +540,9 @@ def test_report_malformed_rows_named(tmp_path):
     path.write_text("not,a,header\n")
     with pytest.raises(ConfigurationError, match="header"):
         harness.report(path)
+    path.write_text("")
+    with pytest.raises(ConfigurationError, match="results file is empty"):
+        harness.report(path)
 
 
 def test_report_rejects_bad_stage_and_estimate(tmp_path):
@@ -573,6 +578,15 @@ def test_report_rejects_bad_stage_and_estimate(tmp_path):
     path.write_text(harness.csv_header(2, 2) + "\n" + good + "\n" + row + "\n")
     with pytest.raises(ConfigurationError, match="row 2: stage 3 out of range"):
         harness.report(path)
+    # the estimate is "ref" at the last stage and only there
+    number_last = "1,1.0,2.0,2,0.001,0.25,1e-3,0.0,5,12,"
+    for first, bad_row in (("0,1.0,2.0,1,ref,0.25,1e-3,0.0,5,12,", 1),
+                           ("0,1.0,2.0,1,5e-4,0.25,1e-3,0.0,5,12,", 2)):
+        path.write_text(harness.csv_header(2, 2) + "\n" + first + "\n"
+                        + number_last + "\n")
+        with pytest.raises(ConfigurationError,
+                           match=f"row {bad_row}: estimate '.*' at stage"):
+            harness.report(path)
 
 
 # ---------------------------------------------------------------- dumps
@@ -825,7 +839,7 @@ def test_certified_monte_carlo_rows(tmp_path):
                          if not r.answer.is_reference][:25]
     assert surrogate_records
     for record in surrogate_records:
-        qoi_fom = compute_qoi(system, solve_fom(system, record.mu))
+        qoi_fom = compute_qoi(system, solve_fom(system, record.mu).states[-1])
         bound = system.qoi_const * record.answer.estimate
         assert abs(record.answer.payload.qoi - qoi_fom) <= bound + 1e-12
 

@@ -282,8 +282,11 @@ def test_stream_aborts_with_partial_log(unit_box):
     with pytest.raises(StreamAborted) as excinfo:
         hierarchy.run_query_stream([[0.1], [0.2], [7.0], [0.3]])
     err = excinfo.value
-    assert err.query_id == 2
+    # the rejected query is the one after the partial log, and its
+    # DomainError is the cause the abort was raised from
+    assert str(err).startswith("query 2 rejected")
     assert [r.query_id for r in err.records] == [0, 1]
+    assert isinstance(err.__cause__, DomainError)
 
 
 def test_stream_records_are_sequential(unit_box):

@@ -52,6 +52,14 @@ def test_duplicate_input_replaces_output(diffusivity_box):
     regressor.add([1.0, 2.0], [5.0, 5.0])
     assert regressor.n_train == 1
     np.testing.assert_array_equal(regressor.targets[0], [5.0, 5.0])
+    # targets of another width belong to another basis: refused, for a
+    # stored input as for a new one, and nothing is stored
+    for mu in ([1.0, 2.0], [3.0, 4.0]):
+        with pytest.raises(ConfigurationError,
+                           match="output width changed; rebase first"):
+            regressor.add(mu, [1.0, 1.0, 1.0])
+    assert regressor.n_train == 1
+    np.testing.assert_array_equal(regressor.targets, [[5.0, 5.0]])
 
 
 def test_construction_allocates_no_buffer(diffusivity_box):

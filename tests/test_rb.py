@@ -8,9 +8,9 @@ import scipy.linalg
 
 from mfhier import (DomainError, FullOrderLevel, ModelHierarchy, NotReadyError,
                     ParameterBox, SplitMix64, assemble, build_reduced_system,
-                    coercivity_lower_bound, error_estimate, extend_basis,
-                    harness, mlsurrogate, rb, reconstruct_final,
-                    residual_dual_norms, solve_fom, solve_rb)
+                    error_estimate, extend_basis, harness, mlsurrogate, rb,
+                    reconstruct_final, residual_dual_norms, solve_fom,
+                    solve_rb)
 from mfhier.mlsurrogate import KernelRegressor, LogScaledBox, predict_trajectory
 from mfhier.rb import ReducedBasisLevel, ReducedTrajectory, _x_orthonormalize
 
@@ -264,11 +264,10 @@ def test_diffusivity_not_finite_positive_is_a_domain_error(small_system, bad):
     # One rule gives one message, also for a wrong-length mu.
     reduced = grow_basis(small_system, [[1.0, 1.0]])
     checks = (lambda mu: solve_fom(small_system, mu),
-              lambda mu: solve_rb(reduced, mu), coercivity_lower_bound)
-    for mu, models in (([2.0, bad], checks), ([2.0, bad, 1.0], checks),
-                       ([2.0], checks[:2])):
+              lambda mu: solve_rb(reduced, mu))
+    for mu in ([2.0, bad], [2.0, bad, 1.0], [2.0]):
         messages = set()
-        for model in models:
+        for model in checks:
             with pytest.raises(DomainError) as err:
                 model(mu)
             messages.add(str(err.value))
@@ -278,16 +277,6 @@ def test_diffusivity_not_finite_positive_is_a_domain_error(small_system, bad):
 # ---------------------------------------------------------------- coercivity
 
 
-def test_coercivity_examples():
-    assert coercivity_lower_bound([1.0, 1.0]) == 1.0
-    assert coercivity_lower_bound([0.1, 10.0]) == 0.1
-    assert coercivity_lower_bound([2.0, 3.0]) == 2.0
-    with pytest.raises(DomainError):
-        coercivity_lower_bound([1.0, -2.0])
-    with pytest.raises(DomainError):  # an empty mu bounds nothing
-        coercivity_lower_bound([])
-
-
 def test_coercivity_is_exact_for_x_norm(small_system):
     # a(v,v;mu) >= alpha_LB ||v||_X^2 holds with equality for the minimizer
     rng = SplitMix64(3)
@@ -295,7 +284,7 @@ def test_coercivity_is_exact_for_x_norm(small_system):
         mu = rng.uniform_array(0.1, 10.0, (2,))
         v = rng.uniform_array(-1.0, 1.0, (small_system.n_h,))
         a_vv = sum(m_q * (v @ (A_q @ v)) for m_q, A_q in zip(mu, small_system.A))
-        assert a_vv >= coercivity_lower_bound(mu) * (v @ (small_system.X @ v)) - 1e-10
+        assert a_vv >= min(mu) * (v @ (small_system.X @ v)) - 1e-10
 
 
 # ---------------------------------------------------------------- residuals
@@ -507,7 +496,7 @@ def former_residuals(rs, a, mu):
 def former_error_estimate(rs, a, mu):
     e0 = rs.initial_error_factor @ np.concatenate([[1.0], -a[0]])
     residuals = former_residuals(rs, a, mu)
-    alpha = coercivity_lower_bound(mu)
+    alpha = min(mu)
     return float(np.sqrt(e0 @ e0 + rs.dt / alpha
                          * np.einsum("ij,ij->", residuals, residuals)))
 
