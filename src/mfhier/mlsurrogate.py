@@ -57,6 +57,11 @@ LENGTHSCALE = 0.12
 N_MIN = 10
 #: Ridge of the learned coefficient stage.
 RIDGE = 1e-8
+#: Storage precision of the learned coefficient stage's targets.  float32:
+#: the prediction is a matvec over all (K+1)*N = 2222 outputs, and in
+#: float64 it costs the stage its place below the reduced-basis stage
+#: (stage means 0.108 against 0.067 ms, acceptance criterion 5).
+TARGET_DTYPE = np.float32
 
 
 class LogScaledBox(ParameterBox):
@@ -105,22 +110,24 @@ class KernelRegressor:
     """Gaussian-kernel ridge regression, vector-valued outputs.
 
     Owns the training pairs in growing buffers: raw inputs (for rebase and
-    the training dump), their ``box.scale01`` images, float32 targets, the
+    the training dump), their ``box.scale01`` images, the targets, the
     index that makes a duplicate input replace its target, and the lower
     Cholesky factor of (K_mat + ridge I).  Nothing is allocated before the
     first pair arrives.  The kernel lengthscale is :data:`LENGTHSCALE` and
     predictions need at least :data:`N_MIN` pairs, both read at the call;
-    ``ridge`` is the one setting.  The targets are kept (m, capacity)
-    C-order float32: the prediction matvec streams the same warm,
-    cache-sized buffer, and the induced ~1e-7 relative noise is far below
-    the regression error this surrogate can reach.
+    ``ridge`` and ``dtype`` are the stage's settings.  The targets are kept
+    (m, capacity) C-order in ``dtype``, and the prediction multiplies them
+    in it: float32 (:data:`TARGET_DTYPE`) halves the buffer a wide matvec
+    streams, at ~1e-7 relative noise; an interpolant that is differenced
+    (:data:`optdemo.OPT_TARGET_DTYPE`) needs float64.
     """
 
-    def __init__(self, box: ParameterBox, ridge: float):
+    def __init__(self, box: ParameterBox, ridge: float, dtype):
         if not ridge > 0:
             raise ConfigurationError("ridge must be positive")
         self.box = box
         self.ridge = float(ridge)
+        self.dtype = dtype
         self._n = 0
         self._index: dict = {}
         self._raw = self._scaled = self._targets_t = None
@@ -140,7 +147,8 @@ class KernelRegressor:
 
     @property
     def targets(self) -> np.ndarray:
-        """(n_train, m) float64 copy of the stored float32 targets."""
+        """(n_train, m) float64 copy of the stored targets: the values
+        added, rounded to ``dtype``."""
         if not self._n:
             return np.zeros((0, 0))
         return self._targets_t[:, :self._n].T.astype(float)
@@ -153,7 +161,7 @@ class KernelRegressor:
         self._targets_t = None
         if rows:
             self._targets_t = np.zeros((len(rows[0]), len(self._raw)),
-                                       dtype=np.float32)
+                                       dtype=self.dtype)
             for i, row in enumerate(rows):
                 self._targets_t[:, i] = row
         self._factor = None
@@ -166,7 +174,7 @@ class KernelRegressor:
         self._raw, self._scaled = raw, scaled
         if self._targets_t is not None:
             targets_t = np.zeros((self._targets_t.shape[0], capacity),
-                                 dtype=np.float32)
+                                 dtype=self.dtype)
             targets_t[:, :self._n] = self._targets_t[:, :self._n]
             self._targets_t = targets_t
 
@@ -192,7 +200,7 @@ class KernelRegressor:
             self._grow()
         if self._targets_t is None:
             self._targets_t = np.zeros((y.shape[0], len(self._raw)),
-                                       dtype=np.float32)
+                                       dtype=self.dtype)
         self._index[key] = n
         self._raw[n] = mu
         self._scaled[n] = self.box.scale01(mu)
@@ -272,8 +280,8 @@ class KernelRegressor:
                 raise NotReadyError(f"power function {power:.3g} exceeds "
                                     f"{max_power:g}")
         c = self._triangular(half, 1)
-        flat = self._targets_t[:, :self._n] @ c.astype(np.float32, copy=False)
-        return flat.astype(float)
+        flat = self._targets_t[:, :self._n] @ c.astype(self.dtype, copy=False)
+        return flat.astype(float, copy=False)
 
 
 def _power(half: np.ndarray) -> float:
@@ -304,8 +312,8 @@ def rebase(regressor: KernelRegressor, reduced_system: ReducedSystem) -> None:
 
 
 def dump_training(regressor: KernelRegressor, path) -> None:
-    """CSV dump: one row per pair, parameter components then the float32
-    coefficients the regressor predicts with."""
+    """CSV dump: one row per pair, parameter components then the targets
+    the regressor predicts with (:attr:`KernelRegressor.targets`)."""
     np.savetxt(path, np.column_stack([regressor.raw_inputs, regressor.targets]),
                delimiter=",", fmt="%.17g")
 
@@ -325,14 +333,16 @@ class MLCoefficientLevel(ModelLevel):
     failed rebase that is the older system the targets are still in.  The
     stage declines (:class:`NotReadyError`) with fewer than :data:`N_MIN`
     pairs and where the power function exceeds :data:`POWER_GATE`.  The
-    regressor, at ridge :data:`RIDGE`, reads the parameters of the positive
-    ``box`` on a log scale (:class:`LogScaledBox`).
+    regressor, at ridge :data:`RIDGE` with :data:`TARGET_DTYPE` targets,
+    reads the parameters of the positive ``box`` on a log scale
+    (:class:`LogScaledBox`).
     """
 
     def __init__(self, box: ParameterBox, rb_level):
         self.rb_level = rb_level
         self.reduced_system = rb_level.reduced_system
-        self.regressor = KernelRegressor(LogScaledBox(box), RIDGE)
+        self.regressor = KernelRegressor(LogScaledBox(box), RIDGE,
+                                         TARGET_DTYPE)
 
     def evaluate(self, mu) -> ModelOutput:
         trajectory = predict_trajectory(self.regressor, self.reduced_system,

@@ -21,6 +21,9 @@ from .hierarchy import ModelLevel, ModelOutput, ParameterBox
 from .mlsurrogate import KernelRegressor
 
 OPT_RIDGE = 1e-12  # interpolation sharpness the gradient check needs
+# J stored exactly: the interpolant reproduces a float32 rounding of J, and
+# the surrogate's differences would divide it by 2 * H_FD
+OPT_TARGET_DTYPE = np.float64
 OPT_MIN_SEPARATION = 1e-5
 MAX_ITERS = 500    # descent iterations per start
 H_FD = 1e-5        # finite-difference step of fd_gradient
@@ -168,7 +171,8 @@ class SurrogateObjectiveLevel(ModelLevel):
     coordinates) are skipped to keep the kernel system well conditioned.
     The error estimate is ||grad J(x*)|| computed on the true objective
     with 2*dim calls, plus one call to report the true J(x*).  The
-    regressor has ridge :data:`OPT_RIDGE`; with fewer than
+    regressor has ridge :data:`OPT_RIDGE` and keeps J in
+    :data:`OPT_TARGET_DTYPE`; with fewer than
     :data:`mlsurrogate.N_MIN` training pairs it raises
     :class:`NotReadyError` at the descent's first point, so a declined
     attempt calls no oracle.
@@ -181,7 +185,7 @@ class SurrogateObjectiveLevel(ModelLevel):
     def __init__(self, oracle: ObjectiveOracle, box: ParameterBox):
         self.oracle = oracle
         self.box = box
-        self.regressor = KernelRegressor(box, OPT_RIDGE)
+        self.regressor = KernelRegressor(box, OPT_RIDGE, OPT_TARGET_DTYPE)
 
     def evaluate(self, x0) -> ModelOutput:
         regressor = self.regressor

@@ -23,7 +23,7 @@ def rb_level(small_system, diffusivity_box):
 
 
 def regressor_from_rb(rb_level, box, mus, ridge=mlsurrogate.RIDGE):
-    regressor = KernelRegressor(box, ridge)
+    regressor = KernelRegressor(box, ridge, mlsurrogate.TARGET_DTYPE)
     for mu in mus:
         regressor.add(mu, solve_rb(rb_level.reduced_system, mu).coefficients)
     return regressor
@@ -31,7 +31,7 @@ def regressor_from_rb(rb_level, box, mus, ridge=mlsurrogate.RIDGE):
 
 def fresh_copy(regressor):
     """A new regressor holding the same pairs, factored from scratch."""
-    fresh = KernelRegressor(regressor.box, regressor.ridge)
+    fresh = KernelRegressor(regressor.box, regressor.ridge, regressor.dtype)
     for mu, y in zip(regressor.raw_inputs, regressor.targets):
         fresh.add(mu, y)
     return fresh
@@ -47,7 +47,8 @@ def seeded_mus(n, seed=1234):
 
 
 def test_duplicate_input_replaces_output(diffusivity_box):
-    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE)
+    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE,
+                                mlsurrogate.TARGET_DTYPE)
     regressor.add([1.0, 2.0], [1.0, 1.0])
     regressor.add([1.0, 2.0], [5.0, 5.0])
     assert regressor.n_train == 1
@@ -62,8 +63,24 @@ def test_duplicate_input_replaces_output(diffusivity_box):
     np.testing.assert_array_equal(regressor.targets, [[5.0, 5.0]])
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_targets_are_stored_in_the_regressor_dtype(diffusivity_box, dtype):
+    # a float64 regressor returns what it was given, bit for bit; a float32
+    # one returns the float32 rounding of it, as float64
+    y = np.array([1.0 / 3.0, math.pi, 1e-30, -2.0 ** 0.5])
+    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE, dtype)
+    regressor.add([1.0, 2.0], y)
+    regressor.add([3.0, 4.0], 2.0 * y)
+    targets = regressor.targets
+    assert targets.dtype == np.float64
+    expected = np.array([y, 2.0 * y]).astype(dtype).astype(float)
+    assert np.array_equal(targets, expected)
+    assert np.array_equal(targets, [y, 2.0 * y]) == (dtype is np.float64)
+
+
 def test_construction_allocates_no_buffer(diffusivity_box):
-    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE)
+    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE,
+                                mlsurrogate.TARGET_DTYPE)
     assert regressor._raw is None and regressor._targets_t is None
     assert regressor.n_train == 0
 
@@ -90,7 +107,7 @@ def test_first_factor_is_factored_whole(rb_level, diffusivity_box,
 def test_invalid_hyperparameters_rejected(diffusivity_box):
     for ridge in (0.0, -1.0, math.nan):
         with pytest.raises(ConfigurationError):
-            KernelRegressor(diffusivity_box, ridge)
+            KernelRegressor(diffusivity_box, ridge, mlsurrogate.TARGET_DTYPE)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])
@@ -113,7 +130,8 @@ def test_regressor_rejects_wrong_length_parameters(diffusivity_box, mu,
     # a length-1 mu must not broadcast to (5, 5) in a 2-D box
     set_constant(mlsurrogate, "LENGTHSCALE", 0.3)
     set_constant(mlsurrogate, "N_MIN", 2)
-    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE)
+    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE,
+                                mlsurrogate.TARGET_DTYPE)
     with pytest.raises(DomainError):
         regressor.add(mu, np.zeros(3))
     assert regressor.n_train == 0
@@ -125,7 +143,8 @@ def test_regressor_rejects_wrong_length_parameters(diffusivity_box, mu,
 
 def test_zero_outputs_give_zero_predictions(diffusivity_box, set_constant):
     set_constant(mlsurrogate, "LENGTHSCALE", 0.3)
-    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE)
+    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE,
+                                mlsurrogate.TARGET_DTYPE)
     for mu in seeded_mus(12):
         regressor.add(mu, np.zeros(8))
     pred = regressor.predict([3.0, 3.0])
@@ -165,7 +184,8 @@ def test_far_query_prediction_decays(diffusivity_box, set_constant):
     # single pair: prediction at distance >> lengthscale is near zero
     set_constant(mlsurrogate, "LENGTHSCALE", 0.05)
     set_constant(mlsurrogate, "N_MIN", 1)
-    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE)
+    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE,
+                                mlsurrogate.TARGET_DTYPE)
     regressor.add([0.2, 0.2], np.full(5, 3.0))
     far = regressor.predict([9.0, 9.0])
     assert np.linalg.norm(far) <= 1e-6 * np.linalg.norm(regressor.targets[0])
@@ -314,7 +334,8 @@ def test_power_gate_keeps_every_answer(tmp_path, set_constant, Q, n_queries):
 
 
 def test_rebase_empty_set_stays_empty(rb_level, diffusivity_box):
-    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE)
+    regressor = KernelRegressor(diffusivity_box, mlsurrogate.RIDGE,
+                                mlsurrogate.TARGET_DTYPE)
     rebase(regressor, rb_level.reduced_system)
     assert regressor.n_train == 0
     assert regressor.targets.shape == (0, 0)

@@ -5,7 +5,7 @@ import pytest
 
 from mfhier import (ConfigurationError, ModelHierarchy, NotReadyError,
                     ObjectiveOracle, ParameterBox, descend, fd_gradient,
-                    himmelblau, mlsurrogate)
+                    harness, himmelblau, mlsurrogate)
 from mfhier.optdemo import (DescentSamples, FullObjectiveLevel,
                             SurrogateObjectiveLevel)
 
@@ -233,3 +233,16 @@ def test_oracle_accounting_no_hidden_evaluations(opt_box, set_constant):
                           if a.stage == 1 and math.isfinite(a.estimate))
     expected = stage2_calls + SurrogateObjectiveLevel.CRITERION_CALLS * stage1_attempts
     assert oracle.eval_counter == expected
+
+
+def test_training_dump_holds_the_exact_objective(tmp_path):
+    # the surrogate interpolates J as the oracle returned it: every dumped
+    # value is himmelblau at its dumped point, to the last bit
+    path = tmp_path / "train.csv"
+    config = harness.default_config(
+        "optdemo", n_queries=30, seed=42, opt={"delay_s": 0.0},
+        output={"results_path": "", "dumps": {"training": str(path)}})
+    regressor = harness.run(config).scenario.opt_surrogate.regressor
+    train = np.loadtxt(path, delimiter=",", ndmin=2)
+    assert train.shape == (regressor.n_train, 3) and regressor.n_train > 0
+    assert [row[2] for row in train] == [himmelblau(row[:2]) for row in train]

@@ -561,7 +561,7 @@ def test_trajectory_mu_is_checked_where_the_trajectory_is_made(
     reduced = grow_basis(small_system, [[1.0, 1.0]])
     coeffs = solve_rb(reduced, [1.0, 1.0]).coefficients
     regressor = KernelRegressor(LogScaledBox(diffusivity_box),
-                                mlsurrogate.RIDGE)
+                                mlsurrogate.RIDGE, mlsurrogate.TARGET_DTYPE)
     regressor.add([1.0, 1.0], coeffs)
     learned = predict_trajectory(regressor, reduced, [2.0, 2.0])
     for bad in ([0.0, 1.0], [-1.0, 1.0], [math.nan, 1.0], [1.0], []):
