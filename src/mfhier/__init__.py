@@ -19,7 +19,7 @@ from .hierarchy import (CertifiedAnswer, ModelHierarchy, ModelLevel,
                         ModelOutput, ParameterBox, QueryRecord)
 from .mlsurrogate import (KernelRegressor, MLCoefficientLevel, fit,
                           predict_trajectory, rebase)
-from .optdemo import (DescentResult, ObjectiveOracle, SurrogateObjectiveLevel,
+from .optdemo import (ObjectiveOracle, SurrogateObjectiveLevel,
                       FullObjectiveLevel, descend, fd_gradient, himmelblau)
 from .rb import (ReducedBasisLevel, ReducedSystem, ReducedTrajectory,
                  build_reduced_system, error_estimate, extend_basis,
@@ -29,8 +29,8 @@ from .rng import SplitMix64
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSystem", "CertifiedAnswer", "ConfigurationError", "DescentResult",
-    "DomainError", "FullObjectiveLevel", "FullOrderLevel", "HierarchyError",
+    "AffineSystem", "CertifiedAnswer", "ConfigurationError", "DomainError",
+    "FullObjectiveLevel", "FullOrderLevel", "HierarchyError",
     "KernelRegressor", "MLCoefficientLevel", "ModelHierarchy", "ModelLevel",
     "ModelOutput", "NotReadyError", "ObjectiveOracle", "ParabolicResult",
     "ParameterBox", "QueryRecord", "ReducedBasisLevel", "ReducedSystem",

@@ -109,7 +109,8 @@ def main(argv=None) -> int:
                       else harness.baseline)(config)
             print(result.summary.format())
             print(f"  wall time: {result.wall_s:.3f} s")
-            print(f"results written: {config.output.results_path}")
+            if config.output.results_path:
+                print(f"results written: {config.output.results_path}")
             return EXIT_OK
         if args.command == "verify":
             result = harness.verify(config)

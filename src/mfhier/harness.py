@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -118,8 +119,9 @@ class RunConfig:
         if not 0 < self.fom.T < math.inf:
             raise ConfigurationError("fom.T must be finite and > 0, "
                                      f"got {self.fom.T!r}")
-        if not 0 <= self.opt.delay_s < math.inf:
-            raise ConfigurationError("opt.delay_s must be finite and >= 0, "
+        if not 0 <= self.opt.delay_s <= threading.TIMEOUT_MAX:
+            raise ConfigurationError("opt.delay_s must be >= 0 and at most "
+                                     "threading.TIMEOUT_MAX, "
                                      f"got {self.opt.delay_s!r}")
         if self.n_queries < 0:
             raise ConfigurationError("n_queries must be >= 0")

@@ -10,7 +10,7 @@ candidate, i.e. the acceptance criterion consults the expensive model.
 
 from __future__ import annotations
 
-import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -43,8 +43,10 @@ class ObjectiveOracle:
     """Counted (and optionally delayed) access to the full objective."""
 
     def __init__(self, fn=himmelblau, *, delay_s: float):
-        if not 0 <= delay_s < math.inf:  # also rejects NaN
-            raise ConfigurationError("delay must be finite and nonnegative")
+        # time.sleep overflows above TIMEOUT_MAX; the test also rejects NaN
+        if not 0 <= delay_s <= threading.TIMEOUT_MAX:
+            raise ConfigurationError("delay must be >= 0 and at most "
+                                     f"threading.TIMEOUT_MAX, got {delay_s!r}")
         self.fn = fn
         self.delay_s = delay_s
         self.eval_counter = 0
@@ -70,85 +72,70 @@ class DescentSamples:
     samples: list = field(default_factory=list)
 
 
-@dataclass
-class DescentResult:
-    x: np.ndarray
-    j: float
-    n_iters: int
-    converged: bool
-    samples: list = field(default_factory=list)  # iterate (x, J(x)) pairs
-
-
 def fd_gradient(objective, x, box: ParameterBox) -> np.ndarray:
     """Finite-difference gradient with step :data:`H_FD`, 2 objective calls
     per dimension.
 
-    Central differences in the interior; one-sided at a box face (still two
-    calls per dimension so the charge is constant).
+    One stencil for every component i: it steps up to x + h e_i if that
+    point is in the box, and down to x - h e_i if that point is in the box
+    or the up-step is not, and divides J(x+) - J(x-) by the number of steps
+    times h.  So the difference is central in the interior and one-sided
+    within h of a face; in a box narrower than 2h it steps down only, below
+    the box.  J(x+) is evaluated before J(x-).
     """
     x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)
     for i in range(len(x)):
-        lo, hi = box.lows[i], box.highs[i]
-        if x[i] - H_FD >= lo and x[i] + H_FD <= hi:
-            xp, xm = x.copy(), x.copy()
+        up = x[i] + H_FD <= box.highs[i]
+        down = x[i] - H_FD >= box.lows[i] or not up
+        xp, xm = x.copy(), x.copy()
+        if up:
             xp[i] += H_FD
+        if down:
             xm[i] -= H_FD
-            grad[i] = (objective(xp) - objective(xm)) / (2.0 * H_FD)
-        elif x[i] + H_FD <= hi:
-            xp = x.copy()
-            xp[i] += H_FD
-            grad[i] = (objective(xp) - objective(x)) / H_FD
-        else:
-            xm = x.copy()
-            xm[i] -= H_FD
-            grad[i] = (objective(x) - objective(xm)) / H_FD
+        grad[i] = (objective(xp) - objective(xm)) / ((int(up) + int(down)) * H_FD)
     return grad
 
 
-def descend(objective, x0, box: ParameterBox) -> DescentResult:
+def descend(objective, x0, box: ParameterBox) -> list:
     """Projected gradient descent with backtracking line search.
 
-    Gradients are central finite differences; steps are halved until the
+    Gradients come from :func:`fd_gradient`; steps are halved until the
     Armijo condition holds (at most :data:`MAX_HALVINGS` times) and
-    iterates are clamped to the box.  Always returns the best iterate seen.
-    The iterate (x, J(x)) pairs are recorded as reusable samples.
+    iterates are clamped to the box.  The descent stops at a gradient norm
+    of at most :data:`GTOL`, after :data:`MAX_ITERS` steps or at a failed
+    line search.  Returns the iterates as (x, J(x)) pairs, start first; the
+    Armijo condition never accepts a step that raises J, so the last pair
+    is the answer.
     """
     x = box.clip(np.asarray(x0, dtype=float))
-    j = objective(x)
-    samples = [(x.copy(), j)]
-    best_x, best_j = x.copy(), j
-    n_iters = 0
-    converged = False
+    iterates = [(x, objective(x))]
     for n_iters in range(MAX_ITERS + 1):
+        x, j = iterates[-1]
         grad = fd_gradient(objective, x, box)
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= GTOL:
-            converged = True
-            break
-        if n_iters == MAX_ITERS:
+        if grad_norm <= GTOL or n_iters == MAX_ITERS:
             break
         step = 1.0
-        accepted = False
         for _ in range(MAX_HALVINGS + 1):
             trial = box.clip(x - step * grad)
             j_trial = objective(trial)
             if j_trial <= j - ARMIJO_C * step * grad_norm**2:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
-        x, j = trial, j_trial
-        samples.append((x.copy(), j))
-        if j < best_j:
-            best_x, best_j = x.copy(), j
-    return DescentResult(x=best_x, j=best_j, n_iters=n_iters,
-                         converged=converged, samples=samples)
+        iterates.append((trial, j_trial))
+    return iterates
 
 
 class FullObjectiveLevel:
-    """Reference stage: descend on the true objective; emit descent samples."""
+    """Reference stage: descend on the true objective.
+
+    The answer is the descent's last iterate with its true J and the oracle
+    calls the descent made; every iterate (x, J(x)) pair is emitted as
+    :class:`DescentSamples` for the surrogate to absorb.
+    """
 
     def __init__(self, oracle: ObjectiveOracle, box: ParameterBox):
         self.oracle = oracle
@@ -156,11 +143,11 @@ class FullObjectiveLevel:
 
     def evaluate(self, x0) -> ModelOutput:
         calls_before = self.oracle.eval_counter
-        result = descend(self.oracle, x0, self.box)
-        payload = OptAnswer(x=result.x, j=result.j,
+        iterates = descend(self.oracle, x0, self.box)
+        x, j = iterates[-1]
+        payload = OptAnswer(x=x, j=j,
                             descent_calls=self.oracle.eval_counter - calls_before)
-        return ModelOutput(payload=payload,
-                           adaptation=DescentSamples(result.samples))
+        return ModelOutput(payload=payload, adaptation=DescentSamples(iterates))
 
 
 class SurrogateObjectiveLevel(ModelLevel):
@@ -193,9 +180,8 @@ class SurrogateObjectiveLevel(ModelLevel):
         def surrogate(x):
             return float(regressor.predict(x)[0])
 
-        result = descend(surrogate, x0, self.box)
-        j_true = self.oracle(result.x)
-        return ModelOutput(payload=OptAnswer(x=result.x, j=j_true))
+        x, _ = descend(surrogate, x0, self.box)[-1]
+        return ModelOutput(payload=OptAnswer(x=x, j=self.oracle(x)))
 
     def estimate_error(self, output):
         """Norm of the finite-difference gradient of the true objective.

@@ -135,6 +135,8 @@ RANGE_REFUSALS = [
     *(bad for bad, _ in RANGE_REFUSALS),
     {"parameter_box": [[0.0, 10.0], [0.1, 10.0]]},
     {"seed": 2**64},
+    # above threading.TIMEOUT_MAX, where time.sleep overflows
+    {"scenario": "optdemo", "opt": {"delay_s": 1e10}},
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ConfigurationError):
@@ -661,7 +663,7 @@ def test_optdemo_training_dump(tmp_path):
 # ---------------------------------------------------------------- cli
 
 
-def test_cli_run_and_report(tmp_path, capsys):
+def test_cli_run_and_report(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run.csv"
     code = cli_main(["run", "--queries", "6", "--seed", "5",
                      "--out", str(out)])
@@ -681,6 +683,14 @@ def test_cli_run_and_report(tmp_path, capsys):
                                         "summary written"))]
     assert block(reported) == block(ran)
     assert len(block(ran)) == 1 + 2 + 4  # stage 1 is RB, stage 2 the FOM
+    # an empty --out writes no CSV, and no line may claim one
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.chdir(empty)
+    for command in ("run", "baseline"):
+        assert cli_main([command, "--queries", "2", "--out", ""]) == 0
+        assert "results written" not in capsys.readouterr().out
+    assert not any(empty.iterdir())
 
 
 def test_cli_overrides_config_file(tmp_path):

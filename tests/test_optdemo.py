@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import mfhier
 from mfhier import (ConfigurationError, ModelHierarchy, NotReadyError,
-                    ObjectiveOracle, ParameterBox, descend, fd_gradient,
-                    harness, himmelblau, mlsurrogate)
+                    ObjectiveOracle, ParameterBox, SplitMix64, descend,
+                    fd_gradient, harness, himmelblau, mlsurrogate, optdemo)
 from mfhier.optdemo import (DescentSamples, FullObjectiveLevel,
                             SurrogateObjectiveLevel)
 
@@ -32,9 +33,10 @@ def test_descend_quadratic_converges(opt_box):
     def quadratic(x):
         return float(np.sum((x - target) ** 2))
 
-    result = descend(quadratic, [4.0, 4.0], opt_box)
-    assert np.linalg.norm(result.x - target) <= 1e-6
-    assert result.converged
+    x, _ = descend(quadratic, [4.0, 4.0], opt_box)[-1]
+    assert np.linalg.norm(x - target) <= 1e-6
+    # it stopped on the gradient test, not on the iteration cap
+    assert np.linalg.norm(fd_gradient(quadratic, x, opt_box)) <= optdemo.GTOL
 
 
 def test_descend_stationary_start_returns_immediately(opt_box):
@@ -43,20 +45,20 @@ def test_descend_stationary_start_returns_immediately(opt_box):
     def quadratic(x):
         return float(np.sum((x - target) ** 2))
 
-    result = descend(quadratic, target, opt_box)
-    np.testing.assert_array_equal(result.x, target)
-    assert result.n_iters == 0
-    assert len(result.samples) == 1
+    iterates = descend(quadratic, target, opt_box)
+    assert len(iterates) == 1
+    np.testing.assert_array_equal(iterates[0][0], target)
+    assert iterates[0][1] == 0.0
 
 
 def test_descend_himmelblau_reaches_minimum(opt_box):
     oracle = ObjectiveOracle(delay_s=0.0)
-    result = descend(oracle, [3.5, 2.0], opt_box)
-    grad = fd_gradient(oracle, result.x, opt_box)
+    x, j = descend(oracle, [3.5, 2.0], opt_box)[-1]
+    grad = fd_gradient(oracle, x, opt_box)
     assert np.linalg.norm(grad) <= 1e-6
-    distances = np.linalg.norm(HIMMELBLAU_MINIMA - result.x, axis=1)
+    distances = np.linalg.norm(HIMMELBLAU_MINIMA - x, axis=1)
     assert distances.min() <= 1e-4
-    assert result.j <= 1e-10
+    assert j <= 1e-10
 
 
 def test_descend_iterates_stay_in_box():
@@ -65,10 +67,50 @@ def test_descend_iterates_stay_in_box():
     def pull_outside(x):
         return float((x[0] - 10.0) ** 2 + x[1] ** 2)
 
-    result = descend(pull_outside, [0.0, 0.5], box)
-    for x, _ in result.samples:
+    iterates = descend(pull_outside, [0.0, 0.5], box)
+    for x, _ in iterates:
         assert box.contains(x)
-    assert result.x[0] == pytest.approx(1.0, abs=1e-9)
+    assert iterates[-1][0][0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_descent_values_never_rise_and_levels_answer_the_last_pair(opt_box):
+    # the Armijo rule accepts no step that raises J, so the last iterate is
+    # a best one: from seeded starts, a face and two corners, on the true
+    # objective and on a trained surrogate
+    rng = SplitMix64(11)
+    starts = [opt_box.sample(rng) for _ in range(6)]
+    starts += [np.array([5.0, 1.0]), np.array([-5.0, -5.0]),
+               np.array([5.0, 5.0])]
+    oracle = ObjectiveOracle(delay_s=0.0)
+    full = FullObjectiveLevel(oracle, opt_box)
+    surrogate = SurrogateObjectiveLevel(oracle, opt_box)
+
+    def assert_never_rise(iterates, start):
+        np.testing.assert_array_equal(iterates[0][0], start)
+        values = [j for _, j in iterates]
+        assert all(later <= earlier
+                   for earlier, later in zip(values, values[1:]))
+
+    for start in starts:
+        output = full.evaluate(start)
+        iterates = output.adaptation.samples
+        assert_never_rise(iterates, start)
+        assert [j for _, j in iterates] == [himmelblau(x) for x, _ in iterates]
+        x, j = iterates[-1]
+        np.testing.assert_array_equal(output.payload.x, x)
+        assert output.payload.j == j
+        surrogate.absorb(output.adaptation)
+    assert surrogate.regressor.n_train >= mlsurrogate.N_MIN
+
+    def learned(x):
+        return float(surrogate.regressor.predict(x)[0])
+
+    for start in starts:
+        iterates = descend(learned, start, opt_box)
+        assert_never_rise(iterates, start)
+        output = surrogate.evaluate(start)
+        np.testing.assert_array_equal(output.payload.x, iterates[-1][0])
+        assert output.payload.j == himmelblau(output.payload.x)
 
 
 # ---------------------------------------------------------------- gradient
@@ -90,11 +132,34 @@ def test_fd_gradient_at_himmelblau_minimum(opt_box):
     assert np.linalg.norm(grad) <= 1e-6
 
 
-def test_fd_gradient_one_sided_at_boundary(opt_box):
-    oracle = ObjectiveOracle(fn=lambda x: float(x[0] + x[1] ** 2), delay_s=0.0)
-    grad = fd_gradient(oracle, [5.0, 0.0], opt_box)  # x at the right face
-    assert grad[0] == pytest.approx(1.0, abs=1e-6)
+H = optdemo.H_FD
+
+
+# J = 3 x0^2 + x1^2/2, whose differences are exact up to round-off: central
+# 6 x0, forward 3 (2 x0 + h), backward 3 (2 x0 - h); those two differ by
+# 6h = 6e-5, so each case tells which stencil ran.  The last box is
+# narrower than 2h: neither step fits, and the difference steps down,
+# below the box.
+@pytest.mark.parametrize("box, x, expected, below_box", [
+    ([[-5.0, 5.0], [-5.0, 5.0]], [1.0, -2.0], [6.0, -2.0], False),
+    ([[-5.0, 5.0], [-5.0, 5.0]], [-5.0, 1.0], [3 * (-10.0 + H), 1.0], False),
+    ([[-5.0, 5.0], [-5.0, 5.0]], [5.0, 1.0], [3 * (10.0 - H), 1.0], False),
+    ([[0.0, 1.5 * H], [-5.0, 5.0]], [0.75 * H, 1.0], [3 * (1.5 * H - H), 1.0],
+     True),
+], ids=["interior", "lower-face", "upper-face", "narrower-than-2h"])
+def test_fd_gradient_one_sided_at_boundary(box, x, expected, below_box):
+    points = []
+
+    def quadratic(y):
+        points.append(y.copy())
+        return float(3.0 * y[0] ** 2 + 0.5 * y[1] ** 2)
+
+    box = ParameterBox(box)
+    oracle = ObjectiveOracle(fn=quadratic, delay_s=0.0)
+    grad = fd_gradient(oracle, x, box)
+    np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-8)
     assert oracle.eval_counter == 4  # constant charge: 2 per dimension
+    assert sum(not box.contains(p) for p in points) == int(below_box)
 
 
 # ---------------------------------------------------------------- oracle
@@ -107,10 +172,16 @@ def test_oracle_counts_every_call():
     assert oracle.eval_counter == 2
 
 
-@pytest.mark.parametrize("delay_s", [-0.001, float("nan"), float("inf")])
-def test_oracle_rejects_invalid_delay(delay_s):
+# 1e10 s is above threading.TIMEOUT_MAX, where time.sleep overflows
+@pytest.mark.parametrize("delay_s", [-0.001, float("nan"), float("inf"), 1e10])
+def test_oracle_rejects_invalid_delay(delay_s, monkeypatch):
+    def no_sleep(seconds):
+        raise AssertionError(f"slept {seconds} s")
+
+    monkeypatch.setattr(optdemo.time, "sleep", no_sleep)
     with pytest.raises(ConfigurationError):
-        ObjectiveOracle(delay_s=delay_s)
+        oracle = ObjectiveOracle(delay_s=delay_s)
+        oracle([1.0, 1.0])
 
 
 # ---------------------------------------------------------------- levels
@@ -155,7 +226,7 @@ def test_surrogate_certifies_on_its_own_oracle(opt_box):
     # last level descends on
     own, other = ObjectiveOracle(delay_s=0.0), ObjectiveOracle(delay_s=0.0)
     surrogate = SurrogateObjectiveLevel(own, opt_box)
-    surrogate.absorb(DescentSamples(descend(other, [3.5, 2.0], opt_box).samples))
+    surrogate.absorb(DescentSamples(descend(other, [3.5, 2.0], opt_box)))
     hierarchy = ModelHierarchy([surrogate, FullObjectiveLevel(other, opt_box)],
                                tolerance=float("inf"), box=opt_box)
     other_before = other.eval_counter
@@ -214,9 +285,9 @@ def test_reference_only_hierarchy_equals_plain_multistart(opt_box):
     reference_oracle = ObjectiveOracle(delay_s=0.0)
     for start, record in zip(starts, records):
         assert record.answer.stage == 1 and record.answer.is_reference
-        result = descend(reference_oracle, start, opt_box)
-        assert np.array_equal(result.x, record.answer.payload.x)
-        assert result.j == record.answer.payload.j
+        x, j = descend(reference_oracle, start, opt_box)[-1]
+        assert np.array_equal(x, record.answer.payload.x)
+        assert j == record.answer.payload.j
     assert oracle.eval_counter == reference_oracle.eval_counter
 
 
@@ -246,3 +317,8 @@ def test_training_dump_holds_the_exact_objective(tmp_path):
     train = np.loadtxt(path, delimiter=",", ndmin=2)
     assert train.shape == (regressor.n_train, 3) and regressor.n_train > 0
     assert [row[2] for row in train] == [himmelblau(row[:2]) for row in train]
+
+
+def test_public_names_resolve():
+    for name in mfhier.__all__:
+        assert hasattr(mfhier, name), name
